@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -245,14 +244,14 @@ def build_problem(cfg: RunConfig, omega: float) -> HelmholtzProblem:
 
 def _build_filter(cfg: RunConfig, problem: HelmholtzProblem,
                   wh: WaveHoltzConfig, seed: int) -> FilterSpec:
+    omega = wh.tg.omega
     if cfg.filter_kind == "standard":
         if cfg.filter_constant != 0.25:
-            return FilterSpec.standard(problem.omega, periods=cfg.periods,
+            return FilterSpec.standard(omega, periods=cfg.periods,
                                        constant=cfg.filter_constant)
         return wh.spec
     if cfg.filter_kind == "tunable":
-        return FilterSpec.tunable(problem.omega, cfg.a0, cfg.a_rest,
-                                  periods=cfg.periods)
+        return FilterSpec.tunable(omega, cfg.a0, cfg.a_rest, periods=cfg.periods)
     if cfg.filter_kind == "optimize":
         if cfg.resonant_lambda is None:
             raise ConfigError("filter kind 'optimize' needs resonant_lambda")
@@ -262,7 +261,7 @@ def _build_filter(cfg: RunConfig, problem: HelmholtzProblem,
         except UnsupportedProblemError:
             hi, extra = None, None
         result = optimize_tunable_filter(
-            problem.omega, cfg.resonant_lambda, cfg.n_coeffs, wh.tg,
+            omega, cfg.resonant_lambda, cfg.n_coeffs, wh.tg,
             sample_hi=hi, extra_penalty_points=extra, seed=seed,
         )
         if result.warning:
@@ -336,6 +335,9 @@ def run_single(cfg: RunConfig, omega: float, seed: int = 0) -> RunResult:
     except (UnsupportedProblemError, ValueError):
         pass
     sol_values = result.w.values if hasattr(result, "w") else result.values
+    # leapfrog evaluates L once more at start-up; RK4 four times per step
+    steps = wh.tg.steps
+    rhs_per_solve = steps + 1 if wh.scheme == "leapfrog" else 4 * steps
     return RunResult(
         omega=omega,
         method=cfg.method,
@@ -343,7 +345,7 @@ def run_single(cfg: RunConfig, omega: float, seed: int = 0) -> RunResult:
         dofs=problem.grid.num_nodes,
         iters=report.iters,
         operator_applications=report.operator_applications,
-        rhs_evals=report.operator_applications * wh.tg.steps,
+        rhs_evals=report.operator_applications * rhs_per_solve,
         converged=report.converged,
         final_residual=report.residual_history[-1],
         measured_rate=report.measured_rate,
@@ -387,21 +389,14 @@ def _omega_tag(omega: float) -> str:
     return f"{omega:.6g}".replace(".", "p").replace("-", "m")
 
 
-def run_sweep(cfg: RunConfig, outdir: Path, threads: int = 1,
-              seed: int = 0) -> dict:
+def run_sweep(cfg: RunConfig, outdir: Path, seed: int = 0) -> dict:
     """Run every sweep frequency and write all artifacts.
 
-    Rows land in summary.csv in ascending omega order regardless of worker
-    completion order; per-run residual histories and solution dumps are
-    written next to it.
+    Rows land in summary.csv in ascending omega order; per-run residual
+    histories and solution dumps are written next to it.
     """
     outdir.mkdir(parents=True, exist_ok=True)
-    omegas = sorted(cfg.omegas)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda w: run_single(cfg, w, seed), omegas))
-    else:
-        results = [run_single(cfg, w, seed) for w in omegas]
+    results = [run_single(cfg, w, seed) for w in sorted(cfg.omegas)]
 
     summary = outdir / "summary.csv"
     with summary.open("w", newline="") as fh:
@@ -508,7 +503,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="INI config path")
         p.add_argument("--out", default=None, help="output directory "
                        f"(overrides ${ENV_OUTDIR} and the config)")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--strict", action="store_true",
                        help="exit 3 if any run fails to converge")
@@ -529,7 +523,7 @@ def main(argv=None) -> int:
         if args.command == "solve" and len(cfg.omegas) != 1:
             raise ConfigError("solve expects exactly one sweep frequency")
         outdir = _outdir_from(args, cfg)
-        out = run_sweep(cfg, outdir, threads=args.threads, seed=args.seed)
+        out = run_sweep(cfg, outdir, seed=args.seed)
         for r in out["results"]:
             status = "ok" if r.converged else "NOT CONVERGED"
             print(f"omega={r.omega:.6g} method={r.method} iters={r.iters} "

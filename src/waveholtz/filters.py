@@ -219,8 +219,11 @@ def modified_frequency(omega: float, dt: float) -> float:
 
 
 def corrected_forcing_frequency(omega: float, dt: float) -> float:
-    """omega_bar = (2/dt) asin(dt omega / 2): driving the forcing at omega_bar
-    makes the converged limit solve the unmodified discrete Helmholtz equation."""
+    """omega_bar = (2/dt) asin(dt omega / 2), whose leapfrog image is omega.
+
+    Driving at omega_bar makes the limit solve the unmodified discrete
+    Helmholtz equation at omega only when the window and filter are built at
+    omega_bar too, as ``WaveHoltzConfig.build(correction=True)`` does."""
     x = 0.5 * dt * omega
     if x > 1.0:
         raise ValueError(f"dt*omega = {dt * omega:.6g} must be <= 2")

@@ -17,12 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    HelmholtzProblem,
-    ScalarField,
-    WaveState,
-    norm2,
-)
+from .core import HelmholtzProblem, ScalarField, WaveState
 from .filters import FilterSpec, TimeGrid
 from .krylov import (
     IterationReport,
@@ -53,7 +48,6 @@ class WaveHoltzConfig:
     scheme: str = "leapfrog"
     max_iters: int = 500
     tol: float = 1e-10
-    correction: bool = False
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -75,9 +69,21 @@ class WaveHoltzConfig:
 
         ``omegas`` (multi-frequency) makes the window span ``periods`` of the
         lowest frequency and sizes dt against the highest.
+
+        ``correction`` keeps the M steps over ``periods`` periods but takes
+        dt = 2 sin(pi periods / M) / omega and builds the time grid (and the
+        default filter) at omega_bar = 2 pi periods / (M dt), whose leapfrog
+        image 2 sin(omega_bar dt / 2) / dt is omega.  Driving, windowing and
+        filtering at omega_bar then makes the limit solve the unmodified
+        discrete equation at omega.  Leapfrog and one frequency only.
         """
         if scheme is None:
             scheme = "leapfrog" if problem.bcs.energy_conserving else "rk4"
+        if correction and scheme != "leapfrog":
+            raise ValueError("correction=True is exact for leapfrog only")
+        if correction and omegas is not None and len(omegas) > 1:
+            raise ValueError("correction=True covers a single frequency: one window "
+                             "cannot span whole periods of several corrected ones")
         base = problem.omega if omegas is None else float(min(omegas))
         top = problem.omega if omegas is None else float(max(omegas))
         if steps is None:
@@ -87,50 +93,55 @@ class WaveHoltzConfig:
             else:
                 steps = default_rk4_steps(problem, base, periods, safety=rk4_safety)
         steps = int(math.ceil(steps / periods)) * periods  # whole steps per period
+        if correction:
+            dt = 2.0 * math.sin(math.pi * periods / steps) / base
+            base = 2.0 * math.pi * periods / (steps * dt)
         tg = TimeGrid(base, periods, steps)
         if spec is None:
             spec = FilterSpec.standard(base, periods=periods)
-        return cls(tg=tg, spec=spec, scheme=scheme, max_iters=max_iters,
-                   tol=tol, correction=correction)
+        return cls(tg=tg, spec=spec, scheme=scheme, max_iters=max_iters, tol=tol)
 
 
 def _schedule_for(problem, config, schedule):
-    if schedule is not None:
-        if config.correction and not schedule.correction:
-            schedule = replace(schedule, correction=True)
-        return schedule
-    return ForcingSchedule.single(problem, correction=config.correction)
+    """The schedule to drive: by default problem.forcing at the grid's omega."""
+    if schedule is None:
+        return ForcingSchedule([problem.forcing], [config.tg.omega])
+    if abs(schedule.omegas[0] - config.tg.omega) > 1e-12 * config.tg.omega:
+        raise ValueError("the schedule's lowest frequency must be the time grid's omega")
+    return schedule
+
+
+def _to_iterate(u) -> np.ndarray:
+    """ScalarField or WaveState -> the flat iterate of evolve_and_filter."""
+    if isinstance(u, WaveState):
+        return np.concatenate([u.w.values.ravel(), u.v.values.ravel()])
+    return u.values.ravel()
+
+
+def _from_iterate(x: np.ndarray, problem, config):
+    """Flat iterate -> ScalarField (leapfrog) or WaveState (rk4), sharing x."""
+    grid = problem.grid
+    if config.scheme == "rk4":
+        w, v = x.reshape((2, *grid.shape))
+        return WaveState(ScalarField(grid, w), ScalarField(grid, v), 0.0)
+    return ScalarField(grid, x.reshape(grid.shape))
+
+
+def _zero_data(problem, config) -> np.ndarray:
+    return np.zeros(problem.grid.num_nodes * (2 if config.scheme == "rk4" else 1))
 
 
 def pi_apply(v, problem: HelmholtzProblem, config: WaveHoltzConfig,
              schedule: ForcingSchedule | None = None):
-    """One application of the filtered-wave operator Pi."""
+    """One application of the filtered-wave operator Pi.
+
+    ``v`` is a ScalarField under leapfrog and a WaveState under rk4; the
+    result has the same type.
+    """
     schedule = _schedule_for(problem, config, schedule)
-    out, _ = evolve_and_filter(v, schedule, problem, config.tg, config.spec,
-                               config.scheme)
-    return out
-
-
-def _zero_iterate(problem, config):
-    if config.scheme == "leapfrog":
-        return ScalarField.zeros(problem.grid)
-    return WaveState.zeros(problem.grid)
-
-
-def _iterate_norm(u) -> float:
-    if isinstance(u, WaveState):
-        return math.hypot(norm2(u.w), norm2(u.v))
-    return norm2(u)
-
-
-def _iterate_diff(a, b):
-    if isinstance(a, WaveState):
-        return WaveState(
-            ScalarField(a.w.grid, a.w.values - b.w.values),
-            ScalarField(a.v.grid, a.v.values - b.v.values),
-            0.0,
-        )
-    return ScalarField(a.grid, a.values - b.values)
+    out, _ = evolve_and_filter(_to_iterate(v), schedule, problem, config.tg,
+                               config.spec, config.scheme)
+    return _from_iterate(out, problem, config)
 
 
 def fixed_point_solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
@@ -144,16 +155,16 @@ def fixed_point_solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
     """
     t0 = time.perf_counter()
     schedule = _schedule_for(problem, config, schedule)
-    v = _zero_iterate(problem, config)
+    x = _zero_data(problem, config)
     history: list[float] = []
     denom = None
     converged = False
     iters = 0
     for k in range(config.max_iters):
-        v_new, _ = evolve_and_filter(v, schedule, problem, config.tg,
+        x_new, _ = evolve_and_filter(x, schedule, problem, config.tg,
                                      config.spec, config.scheme)
-        inc = _iterate_norm(_iterate_diff(v_new, v))
-        v = v_new
+        inc = float(np.linalg.norm(x_new - x))
+        x = x_new
         iters = k + 1
         if denom is None:
             denom = inc if inc > 0 else 1.0
@@ -164,25 +175,7 @@ def fixed_point_solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
     report = IterationReport(history or [0.0], iters, converged,
                              measured_rate(history), time.perf_counter() - t0,
                              iters)
-    return v, report
-
-
-def _flatten(u) -> np.ndarray:
-    if isinstance(u, WaveState):
-        return np.concatenate([u.w.values.ravel(), u.v.values.ravel()])
-    return u.values.ravel().copy()
-
-
-def _unflatten(x: np.ndarray, problem, config):
-    shape = problem.grid.shape
-    if config.scheme == "rk4":
-        half = x.size // 2
-        return WaveState(
-            ScalarField(problem.grid, x[:half].reshape(shape).copy()),
-            ScalarField(problem.grid, x[half:].reshape(shape).copy()),
-            0.0,
-        )
-    return ScalarField(problem.grid, x.reshape(shape).copy())
+    return _from_iterate(x, problem, config), report
 
 
 def as_affine_system(problem: HelmholtzProblem, config: WaveHoltzConfig,
@@ -191,20 +184,19 @@ def as_affine_system(problem: HelmholtzProblem, config: WaveHoltzConfig,
 
     Solving A v = b is equivalent to the fixed point.  Each application of A
     costs one homogeneous (zero-forcing) wave solve; b costs one forced solve
-    from zero data.  A is returned as a matrix-free LinearOperator on flat
-    vectors (displacement, or the stacked pair for rk4).
+    from zero data.  A is a matrix-free LinearOperator on the flat iterate of
+    ``evolve_and_filter`` (displacement, or the stacked pair for rk4).
     """
     schedule = _schedule_for(problem, config, schedule)
-    b_it = pi_apply(_zero_iterate(problem, config), problem, config, schedule)
-    b = _flatten(b_it)
+    b, _ = evolve_and_filter(_zero_data(problem, config), schedule, problem,
+                             config.tg, config.spec, config.scheme)
     symmetric = config.scheme == "leapfrog" and problem.bcs.energy_conserving
     omegas = schedule.omegas
 
     def apply(x: np.ndarray) -> np.ndarray:
-        u = _unflatten(x, problem, config)
-        su, _ = evolve_and_filter(u, None, problem, config.tg, config.spec,
+        sx, _ = evolve_and_filter(x, None, problem, config.tg, config.spec,
                                   config.scheme, filter_omegas=omegas)
-        return x - _flatten(su)
+        return x - sx
 
     A = LinearOperator(dimension=b.size, apply=apply, symmetric_hint=symmetric)
     return A, b
@@ -217,7 +209,8 @@ def solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
 
     method: "fixed_point", "gmres" or "cg".  Krylov methods run on the
     affine reformulation; their report counts operator applications, i.e.
-    wave solves.  Returns (iterate, report).
+    wave solves, and its wall time includes the forced solve that builds b.
+    Returns (iterate, report).
     """
     if method == "fixed_point":
         return fixed_point_solve(problem, config, schedule)
@@ -226,15 +219,15 @@ def solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
     if krylov is None:
         krylov = KrylovConfig(method=method, tol=config.tol,
                               max_iters=config.max_iters)
-    A, b = as_affine_system(problem, config, schedule)
     t0 = time.perf_counter()
+    A, b = as_affine_system(problem, config, schedule)
     if method == "gmres":
         x, report = gmres_solve(A, b, krylov)
     else:
         x, report = cg_solve(A, b, krylov)
     report.wall_time = time.perf_counter() - t0
     report.operator_applications += 1  # the forced solve that built b
-    return _unflatten(x, problem, config), report
+    return _from_iterate(x, problem, config), report
 
 
 def extraction_matrix(freqs, times) -> np.ndarray:
@@ -321,16 +314,15 @@ def multifreq_solve(problem: HelmholtzProblem, schedule: ForcingSchedule,
     if tg.steps % tg.periods != 0:
         raise ValueError("steps must divide into whole periods for extraction")
     m1 = tg.steps // tg.periods
-    drive_freqs = schedule.drive_frequencies(tg.dt)
-    times = choose_sampling_times(drive_freqs, m1, tg.dt)
-    A = extraction_matrix(drive_freqs, times)
+    times = choose_sampling_times(omegas, m1, tg.dt)
+    A = extraction_matrix(omegas, times)
     cond = float(np.linalg.cond(A))
 
     steps = [int(round(t / tg.dt)) for t in times]
     one_period = TimeGrid(tg.omega, 1, m1)
     spec1 = replace(config.spec, periods=1)
-    _, samples = evolve_and_filter(v, schedule, problem, one_period, spec1,
-                                   config.scheme, sample_steps=steps)
+    _, samples = evolve_and_filter(_to_iterate(v), schedule, problem, one_period,
+                                   spec1, config.scheme, sample_steps=steps)
     W = np.stack([samples[s].ravel() for s in steps])
     U = np.linalg.solve(A, W)
     shape = problem.grid.shape

@@ -26,11 +26,7 @@ from .core import (
     apply_discrete_laplacian,
     norm2,
 )
-from .filters import (
-    beta_by_quadrature,
-    corrected_forcing_frequency,
-    shifted_eigenvalue,
-)
+from .filters import beta_by_quadrature, shifted_eigenvalue
 from .iteration import WaveHoltzConfig
 
 _ASSEMBLY_CAP = 20_000  # free nodes; column probing beyond this is impractical
@@ -242,9 +238,10 @@ def pi_apply_spectral(v: ScalarField, problem: HelmholtzProblem,
 
         out_j = (v_j - vinf_j) beta_h(lambda_tilde_j) + vinf_j beta_h(omega_d)
 
-    where vinf_j = f_j / (sigma^2 - lambda_j^2), omega_d is the drive
-    frequency (omega, or omega_bar under correction) and sigma is its
-    leapfrog image.  Must agree with the time-stepping operator to roundoff.
+    where vinf_j = f_j / (sigma^2 - lambda_j^2), omega_d = config.tg.omega is
+    the drive frequency (omega, or omega_bar for a corrected config) and
+    sigma is its leapfrog image.  Must agree with the time-stepping operator
+    to roundoff.
     """
     if config.scheme != "leapfrog":
         raise UnsupportedProblemError("spectral reference covers leapfrog only")
@@ -253,9 +250,7 @@ def pi_apply_spectral(v: ScalarField, problem: HelmholtzProblem,
     lam = _mode_lambda_grid(problem, c)
     lam_t = shifted_eigenvalue(lam, tg.dt)
 
-    omega_d = problem.omega
-    if config.correction:
-        omega_d = corrected_forcing_frequency(problem.omega, tg.dt)
+    omega_d = tg.omega
     sigma = 2.0 * math.sin(0.5 * tg.dt * omega_d) / tg.dt
 
     vhat = sine_transform(v)

@@ -3,10 +3,12 @@
 Two schemes:
 
 * leapfrog on the second-order form, for energy-conserving (Dirichlet/Neumann)
-  boundaries; the iterate is the displacement field with zero initial velocity,
+  boundaries; the iterate is the flat array of N displacement values, started
+  with zero velocity,
 * classic RK4 on the first-order system (w, v), required when impedance sides
-  are present; the ghost closure ties the boundary velocity to the outward
-  normal derivative so outflow dissipates.
+  are present; the iterate is the stacked pair, one flat array of 2N values,
+  and the ghost closure ties the boundary velocity to the outward normal
+  derivative so outflow dissipates.
 
 The filtered time average is accumulated online (running weighted sum), so a
 solve never stores the trajectory.
@@ -26,7 +28,7 @@ from .core import (
     WaveState,
     _lap_values,
 )
-from .filters import FilterSpec, TimeGrid, corrected_forcing_frequency, filter_weights
+from .filters import FilterSpec, TimeGrid, filter_weights
 
 
 class InstabilityError(RuntimeError):
@@ -35,16 +37,10 @@ class InstabilityError(RuntimeError):
 
 @dataclass
 class ForcingSchedule:
-    """Spatial forcings f_i driven at cos(omega_i t), summed.
-
-    With ``correction`` enabled each drive runs at the dispersion-corrected
-    frequency omega_bar_i (depends on dt), so the converged limit solves the
-    unmodified discrete Helmholtz equation at omega_i.
-    """
+    """Spatial forcings f_i driven at cos(omega_i t), summed."""
 
     forcings: list[ScalarField]
     omegas: np.ndarray
-    correction: bool = False
 
     def __post_init__(self):
         self.omegas = np.asarray(self.omegas, dtype=float)
@@ -60,37 +56,36 @@ class ForcingSchedule:
             raise ValueError("frequencies must be strictly increasing")
 
     @classmethod
-    def single(cls, problem: HelmholtzProblem, correction: bool = False):
-        return cls([problem.forcing], np.array([problem.omega]), correction)
+    def single(cls, problem: HelmholtzProblem):
+        return cls([problem.forcing], np.array([problem.omega]))
 
     @property
     def stacked(self) -> np.ndarray:
         return np.stack([f.values for f in self.forcings])
 
-    def drive_frequencies(self, dt: float) -> np.ndarray:
-        if not self.correction:
-            return self.omegas
-        return np.array([corrected_forcing_frequency(w, dt) for w in self.omegas])
-
 
 class _Drive:
-    """Precomputed drive evaluator: t -> sum_i f_i cos(omega_hat_i t)."""
+    """Precomputed drive evaluator: t -> sum_i f_i cos(omega_i t)."""
 
-    def __init__(self, schedule: ForcingSchedule | None, dt: float | None):
-        if schedule is None:
-            self.fstack = None
-            return
-        if schedule.correction and dt is None:
-            raise ValueError("frequency correction needs the time step dt")
-        self.fstack = schedule.stacked
-        self.freqs = schedule.drive_frequencies(dt) if dt is not None else schedule.omegas
-        if not np.any(self.fstack):
-            self.fstack = None
+    def __init__(self, schedule: ForcingSchedule | None):
+        fstack = None if schedule is None else schedule.stacked
+        self.fstack = fstack if fstack is not None and np.any(fstack) else None
+        self.freqs = None if schedule is None else schedule.omegas
 
     def __call__(self, t: float):
         if self.fstack is None:
             return None
         return np.tensordot(np.cos(self.freqs * t), self.fstack, axes=(0, 0))
+
+
+def _second_order_rhs(w, t, drive, problem):
+    """L w + f(t), with the Dirichlet rows kept at zero."""
+    rhs = _lap_values(problem, w)
+    d = drive(t)
+    if d is not None:
+        rhs = rhs + d
+        rhs[problem.dirichlet_mask] = 0.0
+    return rhs
 
 
 def leapfrog_initialize(v: ScalarField, schedule: ForcingSchedule | None,
@@ -100,53 +95,46 @@ def leapfrog_initialize(v: ScalarField, schedule: ForcingSchedule | None,
     Encodes zero initial discrete velocity.  Only valid for energy-conserving
     boundaries (the second-order form has no impedance closure).
     """
-    if not problem.bcs.energy_conserving:
-        raise ValueError("leapfrog requires energy-conserving boundary conditions")
     if v.grid != problem.grid:
         raise GridMismatchError("initial field grid does not match problem")
-    drive = _Drive(schedule, dt)
-    w0 = v.values.copy()
-    w0[problem.dirichlet_mask] = 0.0
-    rhs = _lap_values(problem, w0)
-    d0 = drive(0.0)
-    if d0 is not None:
-        rhs = rhs + d0
-        rhs[problem.dirichlet_mask] = 0.0
-    wm1 = w0 - 0.5 * dt * dt * rhs
+    w0, wm1 = _leapfrog_initialize_values(v.values, _Drive(schedule), problem, dt)
     return ScalarField(problem.grid, w0), ScalarField(problem.grid, wm1)
+
+
+def _leapfrog_initialize_values(v, drive, problem, dt):
+    if not problem.bcs.energy_conserving:
+        raise ValueError("leapfrog requires energy-conserving boundary conditions")
+    w0 = v.copy()
+    w0[problem.dirichlet_mask] = 0.0
+    return w0, w0 - 0.5 * dt * dt * _second_order_rhs(w0, 0.0, drive, problem)
 
 
 def leapfrog_step(w_n: ScalarField, w_nm1: ScalarField, t_n: float,
                   schedule: ForcingSchedule | None, problem: HelmholtzProblem,
                   dt: float) -> ScalarField:
     """One update w^{n+1} = 2 w^n - w^{n-1} - dt^2 (L w^n + f cos(omega t_n))."""
-    drive = _Drive(schedule, dt)
-    out = _leapfrog_step_values(w_n.values, w_nm1.values, t_n, drive, problem, dt, 0)
+    out = _leapfrog_step_values(w_n.values, w_nm1.values, t_n, _Drive(schedule),
+                                problem, dt, 0)
     return ScalarField(problem.grid, out)
 
 
 def _leapfrog_step_values(wn, wnm1, t_n, drive, problem, dt, step_index):
-    rhs = _lap_values(problem, wn)
-    d = drive(t_n)
-    if d is not None:
-        rhs = rhs + d
-        rhs[problem.dirichlet_mask] = 0.0
-    out = 2.0 * wn - wnm1 - dt * dt * rhs
+    out = 2.0 * wn - wnm1 - dt * dt * _second_order_rhs(wn, t_n, drive, problem)
     if not np.isfinite(out).all():
         raise InstabilityError(f"leapfrog produced non-finite values at step {step_index}")
     return out
 
 
 def first_order_rhs(state: WaveState, t: float, schedule: ForcingSchedule | None,
-                    problem: HelmholtzProblem, dt: float | None = None):
+                    problem: HelmholtzProblem):
     """(dw/dt, dv/dt) = (v, -L w - f(t)) with impedance ghosts closed from v.
 
     On impedance sides the ghost value enforces alpha*v + beta*(n . D0 w) = 0
     at the boundary node before the stencil is applied; Dirichlet rows stay
-    zero.  ``dt`` is only needed when the schedule corrects drive frequencies.
+    zero.
     """
-    drive = _Drive(schedule, dt)
-    dw, dv = _first_order_rhs_values(state.w.values, state.v.values, t, drive, problem)
+    dw, dv = _first_order_rhs_values(state.w.values, state.v.values, t,
+                                     _Drive(schedule), problem)
     return ScalarField(problem.grid, dw), ScalarField(problem.grid, dv)
 
 
@@ -165,13 +153,15 @@ def _first_order_rhs_values(w, v, t, drive, problem):
 def rk4_step(state: WaveState, t: float, dt: float,
              schedule: ForcingSchedule | None, problem: HelmholtzProblem) -> WaveState:
     """Classic four-stage Runge-Kutta update of (w, v)."""
-    drive = _Drive(schedule, dt)
-    w, v = _rk4_step_values(state.w.values, state.v.values, t, dt, drive, problem, 0)
+    w, v = _rk4_step_values(state.w.values, state.v.values, t, dt,
+                            _Drive(schedule), problem, 0)
     return WaveState(ScalarField(problem.grid, w), ScalarField(problem.grid, v),
                      state.t + dt)
 
 
 def _rk4_step_values(w, v, t, dt, drive, problem, step_index):
+    # The stages keep w and v apart: on the stacked (2, *grid) state, whose
+    # temporaries are twice as large, a C10-sized step measured 1.6x slower.
     f = lambda wv, vv, tt: _first_order_rhs_values(wv, vv, tt, drive, problem)
     k1w, k1v = f(w, v, t)
     k2w, k2v = f(w + 0.5 * dt * k1w, v + 0.5 * dt * k1v, t + 0.5 * dt)
@@ -184,15 +174,18 @@ def _rk4_step_values(w, v, t, dt, drive, problem, step_index):
     return wn, vn
 
 
-def evolve_and_filter(v_in, schedule: ForcingSchedule | None,
+def evolve_and_filter(x: np.ndarray, schedule: ForcingSchedule | None,
                       problem: HelmholtzProblem, tg: TimeGrid, spec: FilterSpec,
                       scheme: str, sample_steps=None, filter_omegas=None):
-    """Integrate 0 -> T and return the filtered time average (and samples).
+    """Integrate 0 -> T from the flat iterate x; return its filtered time average.
 
-    The average (2 dt / T) sum_n eta_n weight(t_n) w^n is accumulated online.
-    For rk4 the same scalar weight multiplies both components of (w, v) and a
-    filtered WaveState is returned.  ``sample_steps`` requests copies of the
-    displacement at those step indices (for multi-frequency extraction).
+    The iterate is one flat float64 array: the N displacement values for
+    leapfrog (started with zero velocity), or the stacked (w, v) pair of 2N
+    values, w first, for rk4.  The average (2 dt / T) sum_n eta_n weight(t_n)
+    y^n is accumulated online in the same layout and returned flat; under
+    rk4 the one scalar weight multiplies both components.  ``sample_steps``
+    requests copies of the displacement, in grid shape, at those step
+    indices (for multi-frequency extraction).
 
     ``filter_omegas`` pins the multi-frequency filter weight independently of
     the drive, so the homogeneous (zero-forcing) runs behind the affine
@@ -200,68 +193,54 @@ def evolve_and_filter(v_in, schedule: ForcingSchedule | None,
 
     Returns (filtered, samples) where samples maps step index -> ndarray.
     """
+    if scheme == "leapfrog":
+        evolve, shape = _evolve_leapfrog, problem.grid.shape
+    elif scheme == "rk4":
+        evolve, shape = _evolve_rk4, (2, *problem.grid.shape)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    x = np.asarray(x, dtype=float)
+    if x.size != math.prod(shape):
+        raise GridMismatchError(f"a {scheme} iterate has {math.prod(shape)} values, "
+                                f"got {x.size}")
     if filter_omegas is None:
         filter_omegas = schedule.omegas if schedule is not None else None
     weights = tg.eta() * filter_weights(spec, tg, filter_omegas)
-    scale = 2.0 * tg.dt / tg.T
-    wanted = sorted(set(int(s) for s in sample_steps)) if sample_steps else []
-    if wanted and (wanted[0] < 0 or wanted[-1] > tg.steps):
+    wanted = {int(s) for s in sample_steps} if sample_steps else set()
+    if wanted and (min(wanted) < 0 or max(wanted) > tg.steps):
         raise ValueError("sample steps outside the time grid")
-    samples = {}
-    if scheme == "leapfrog":
-        if isinstance(v_in, WaveState):
-            raise ValueError("leapfrog iterates on a displacement field, not a state")
-        return _evolve_leapfrog(v_in, schedule, problem, tg, weights, scale,
-                                wanted, samples)
-    if scheme == "rk4":
-        if isinstance(v_in, ScalarField):
-            v_in = WaveState(v_in, ScalarField.zeros(problem.grid), 0.0)
-        return _evolve_rk4(v_in, schedule, problem, tg, weights, scale,
-                           wanted, samples)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    acc, samples = evolve(x.reshape(shape), _Drive(schedule), problem, tg,
+                          weights, wanted)
+    return (2.0 * tg.dt / tg.T * acc).ravel(), samples
 
 
-def _evolve_leapfrog(v_in, schedule, problem, tg, weights, scale, wanted, samples):
+def _evolve_leapfrog(w, drive, problem, tg, weights, wanted):
     dt = tg.dt
-    drive = _Drive(schedule, dt)
-    w0f, wm1f = leapfrog_initialize(v_in, schedule, problem, dt)
-    wn, wnm1 = w0f.values, wm1f.values
+    wn, wnm1 = _leapfrog_initialize_values(w, drive, problem, dt)
     acc = weights[0] * wn
-    if wanted and wanted[0] == 0:
-        samples[0] = wn.copy()
+    samples = {0: wn.copy()} if 0 in wanted else {}
     for n in range(tg.steps):
-        wnp1 = _leapfrog_step_values(wn, wnm1, n * dt, drive, problem, dt, n)
-        wnm1, wn = wn, wnp1
+        wnm1, wn = wn, _leapfrog_step_values(wn, wnm1, n * dt, drive, problem, dt, n)
         acc += weights[n + 1] * wn
-        if wanted and (n + 1) in wanted:
+        if n + 1 in wanted:
             samples[n + 1] = wn.copy()
-    return ScalarField(problem.grid, scale * acc), samples
+    return acc, samples
 
 
-def _evolve_rk4(state, schedule, problem, tg, weights, scale, wanted, samples):
+def _evolve_rk4(y, drive, problem, tg, weights, wanted):
     dt = tg.dt
-    drive = _Drive(schedule, dt)
-    w = state.w.values.copy()
-    v = state.v.values.copy()
-    mask = problem.dirichlet_mask
-    w[mask] = 0.0
-    v[mask] = 0.0
-    acc_w = weights[0] * w
-    acc_v = weights[0] * v
-    if wanted and wanted[0] == 0:
-        samples[0] = w.copy()
+    y = y.copy()
+    y[:, problem.dirichlet_mask] = 0.0
+    acc = weights[0] * y
+    w, v = y
+    samples = {0: w.copy()} if 0 in wanted else {}
     for n in range(tg.steps):
         w, v = _rk4_step_values(w, v, n * dt, dt, drive, problem, n)
-        acc_w += weights[n + 1] * w
-        acc_v += weights[n + 1] * v
-        if wanted and (n + 1) in wanted:
+        acc[0] += weights[n + 1] * w
+        acc[1] += weights[n + 1] * v
+        if n + 1 in wanted:
             samples[n + 1] = w.copy()
-    filtered = WaveState(
-        ScalarField(problem.grid, scale * acc_w),
-        ScalarField(problem.grid, scale * acc_v),
-        0.0,
-    )
-    return filtered, samples
+    return acc, samples
 
 
 def default_leapfrog_steps(problem: HelmholtzProblem, tg_omega: float,

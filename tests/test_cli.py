@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from waveholtz import ScalarField, UniformGrid, inner_product
+from waveholtz import ScalarField, UniformGrid, WaveHoltzConfig, inner_product
 from waveholtz.cli import (
     ConfigError,
+    build_problem,
     csq_presets,
     forcing_presets,
     main,
@@ -94,14 +95,22 @@ def test_sweep_deterministic_rerun(tmp_path):
     assert b1 == b2
 
 
-def test_sweep_threaded_matches_serial(tmp_path):
-    path = _write_config(tmp_path, omegas="1.22, 2.0, 3.1")
-    cfg = parse_config(path)
-    out1 = run_sweep(cfg, tmp_path / "serial", threads=1)
-    out2 = run_sweep(cfg, tmp_path / "threaded", threads=3)
-    rows1 = [r.rsplit(",", 1)[0] for r in out1["summary"].read_text().splitlines()]
-    rows2 = [r.rsplit(",", 1)[0] for r in out2["summary"].read_text().splitlines()]
-    assert rows1 == rows2
+def test_rhs_evals_count_rk4_stages(tmp_path):
+    # 1D impedance -> RK4: four stage evaluations per step, 63 steps per solve
+    path = tmp_path / "imp.ini"
+    path.write_text("[problem]\ndim = 1\nlo = -1\nhi = 1\nn = 200\n"
+                    "bc = impedance\nforcing = gaussian1d\n\n"
+                    "[solver]\nmethod = gmres\ntol = 1e-8\n\n"
+                    "[sweep]\nomegas = 10\n")
+    (r,) = run_sweep(parse_config(path), tmp_path / "out")["results"]
+    assert (r.operator_applications, r.rhs_evals) == (16, 16 * 63 * 4)
+
+
+def test_rhs_evals_count_leapfrog_start_up(tmp_path):
+    cfg = parse_config(_write_config(tmp_path))
+    (r,) = run_sweep(cfg, tmp_path / "out")["results"]
+    steps = WaveHoltzConfig.build(build_problem(cfg, 1.22)).tg.steps
+    assert r.rhs_evals == r.operator_applications * (steps + 1)
 
 
 def test_field_dump_round_trip(tmp_path, rng):

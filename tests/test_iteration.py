@@ -1,10 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from waveholtz import (
     ForcingSchedule,
+    KrylovConfig,
     SamplingConditionError,
     ScalarField,
     WaveHoltzConfig,
@@ -147,6 +149,44 @@ def test_corrected_drive_solves_true_helmholtz():
     vg, rg = solve(p, cfg, method="gmres")
     assert rg.converged
     assert helmholtz_residual(p, vg, p.omega) <= 10 * 1e-8
+
+
+@pytest.mark.parametrize("omega", [10.0, 20.0])
+def test_corrected_drive_exact_at_coarse_dt(omega):
+    # C08 grid (10 nodes per unit omega on [-6, 6]) with dt*omega near 0.77:
+    # the drive, window and filter all run at omega_bar, so beta_h = 1 there
+    p = problem_1d(omega=omega, n=10 * int(omega), lo=-6.0, hi=6.0)
+    cfg = WaveHoltzConfig.build(p, tol=1e-10, correction=True)
+    assert cfg.tg.dt * omega > 0.7
+    assert modified_frequency(cfg.tg.omega, cfg.tg.dt) == pytest.approx(omega, rel=1e-14)
+    v, rep = solve(p, cfg, method="gmres",
+                   krylov=KrylovConfig(restart=1000, tol=1e-10, max_iters=1000))
+    assert rep.converged
+    assert helmholtz_residual(p, v, omega) <= 1e-9
+
+
+def test_correction_rejects_rk4_and_several_frequencies():
+    with pytest.raises(ValueError, match="leapfrog"):
+        WaveHoltzConfig.build(problem_1d(bc="impedance"), correction=True)
+    p = problem_1d(omega=1.0)
+    with pytest.raises(ValueError, match="single frequency"):
+        WaveHoltzConfig.build(p, omegas=[1.0, 2.0], correction=True)
+    # a schedule driven off the corrected grid frequency is refused
+    cfg = WaveHoltzConfig.build(p, correction=True)
+    with pytest.raises(ValueError, match="schedule"):
+        solve(p, cfg, schedule=ForcingSchedule.single(p))
+
+
+def test_krylov_wall_time_includes_b_solve():
+    from conftest import problem_2d
+
+    p = problem_2d(omega=8.5, n=48)
+    cfg = WaveHoltzConfig.build(p, periods=2)
+    t0 = time.perf_counter()
+    _, rep = solve(p, cfg, method="cg", krylov=KrylovConfig(method="cg", max_iters=1))
+    outside = time.perf_counter() - t0
+    assert rep.operator_applications == 3  # b, the initial residual, one step
+    assert rep.wall_time >= 0.9 * outside
 
 
 def test_krylov_methods_agree_with_fixed_point():

@@ -1,0 +1,112 @@
+"""Property tests of the flat filtered-wave operator on small random problems.
+
+Examples are derandomized so every run checks the same cases; grids stay
+small so the module adds only seconds to the suite.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from waveholtz import (
+    BoundarySpec,
+    FilterSpec,
+    ForcingSchedule,
+    HelmholtzProblem,
+    KrylovConfig,
+    ScalarField,
+    TimeGrid,
+    UniformGrid,
+    WaveHoltzConfig,
+    as_affine_system,
+    evolve_and_filter,
+    fixed_point_solve,
+    helmholtz_residual,
+    solve,
+)
+from waveholtz.wavesolver import default_leapfrog_steps, default_rk4_steps
+
+from conftest import problem_1d
+
+SETTINGS = settings(max_examples=12, deadline=None, derandomize=True)
+SIDES = st.sampled_from(["dirichlet", "neumann"])
+
+
+def _random_problem(seed, n, omega, sides):
+    """1D problem on [0, 1] with random c^2 in [0.5, 1.5] and random forcing."""
+    rng = np.random.default_rng(seed)
+    grid = UniformGrid.line(0.0, 1.0, n)
+    p = HelmholtzProblem(grid, ScalarField(grid, rng.uniform(0.5, 1.5, n + 1)),
+                         ScalarField(grid, rng.standard_normal(n + 1)), omega,
+                         BoundarySpec(sides))
+    return p, rng
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 24),
+       omega=st.floats(0.5, 4.0), scheme=st.sampled_from(["leapfrog", "rk4"]),
+       a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0))
+def test_evolve_and_filter_is_affine(seed, n, omega, scheme, a, b):
+    bc = ("dirichlet", "neumann") if scheme == "leapfrog" else ("impedance", "neumann")
+    p, rng = _random_problem(seed, n, omega, bc)
+    size = n + 1 if scheme == "leapfrog" else 2 * (n + 1)
+    steps = (default_leapfrog_steps(p, omega, 1) if scheme == "leapfrog"
+             else default_rk4_steps(p, omega, 1))
+    tg = TimeGrid(omega, 1, steps)
+    sched = ForcingSchedule.single(p)
+    spec = FilterSpec.standard(omega)
+    pi = lambda x: evolve_and_filter(x, sched, p, tg, spec, scheme)[0]
+    x, y = rng.standard_normal((2, size))
+    lhs = pi(a * x + b * y)
+    rhs = a * pi(x) + b * pi(y) + (1.0 - a - b) * pi(np.zeros(size))
+    assert np.max(np.abs(lhs - rhs)) <= 1e-11 * max(1.0, np.max(np.abs(rhs)))
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 24),
+       omega=st.floats(0.5, 4.0), lo=SIDES, hi=SIDES)
+def test_leapfrog_operator_is_self_adjoint(seed, n, omega, lo, hi):
+    # A is self-adjoint in the trapezoid product: weight 1/2 on Neumann end
+    # nodes, which makes the mirrored-ghost stencil symmetric
+    p, rng = _random_problem(seed, n, omega, (lo, hi))
+    A, _ = as_affine_system(p, WaveHoltzConfig.build(p))
+    weight = np.ones(n + 1)
+    weight[[0, -1]] = [0.5 if lo == "neumann" else 1.0, 0.5 if hi == "neumann" else 1.0]
+    x, y = rng.standard_normal((2, n + 1))
+    Ax, Ay = A.apply(x), A.apply(y)
+    scale = np.linalg.norm(x) * np.linalg.norm(y)
+    assert abs((weight * x) @ Ay - (weight * y) @ Ax) <= 1e-13 * scale
+    if lo == hi == "dirichlet":
+        assert abs(x @ Ay - y @ Ax) <= 1e-13 * scale
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 30),
+       omega=st.floats(1.0, 2.5))
+def test_outer_methods_agree(seed, n, omega):
+    # on [0, 1] the lowest Dirichlet mode is pi, so omega <= 2.5 keeps the
+    # fixed-point contraction factor near 0.6 or below
+    p, _ = _random_problem(seed, n, omega, ("dirichlet", "dirichlet"))
+    cfg = WaveHoltzConfig.build(p, tol=1e-12, max_iters=400)
+    vf, rf = fixed_point_solve(p, cfg)
+    vg, rg = solve(p, cfg, method="gmres")
+    vc, rc = solve(p, cfg, method="cg")
+    assert rf.converged and rg.converged and rc.converged
+    scale = np.linalg.norm(vf.values)
+    assert np.linalg.norm(vg.values - vf.values) <= 1e-9 * scale
+    assert np.linalg.norm(vc.values - vf.values) <= 1e-9 * scale
+
+
+@SETTINGS
+@given(omega=st.floats(4.0, 12.0), extra=st.floats(0.0, 1.0))
+def test_corrected_solve_meets_residual_at_omega(omega, extra):
+    # the C08 family: gaussian forcing on [-6, 6] with 10 nodes per unit omega
+    p = problem_1d(omega=omega, n=10 * int(np.ceil(omega)), lo=-6.0, hi=6.0)
+    base = default_leapfrog_steps(p, omega, 1)
+    steps = base + int(extra * base)
+    cfg = WaveHoltzConfig.build(p, steps=steps, tol=1e-11, correction=True)
+    assert cfg.tg.steps == steps
+    v, rep = solve(p, cfg, method="gmres",
+                   krylov=KrylovConfig(restart=1000, tol=1e-11, max_iters=1000))
+    assert rep.converged
+    assert helmholtz_residual(p, v, omega) <= 1e-9
