@@ -209,28 +209,22 @@ class HelmholtzProblem:
         f[self.dirichlet_mask] = 0.0
         self.forcing = ScalarField(self.grid, f)
 
-    @cached_property
-    def dirichlet_mask(self) -> np.ndarray:
+    def _side_mask(self, tag: str) -> np.ndarray:
+        """Nodes on the sides tagged ``tag`` (corners included)."""
         mask = np.zeros(self.grid.shape, dtype=bool)
         for axis in range(self.grid.dim):
             for end in (0, 1):
-                if self.bcs.side(axis, end) == DIRICHLET:
-                    sl = [slice(None)] * self.grid.dim
-                    sl[axis] = 0 if end == 0 else -1
-                    mask[tuple(sl)] = True
+                if self.bcs.side(axis, end) == tag:
+                    np.moveaxis(mask, axis, 0)[-end] = True
         return mask
 
     @cached_property
+    def dirichlet_mask(self) -> np.ndarray:
+        return self._side_mask(DIRICHLET)
+
+    @cached_property
     def impedance_mask(self) -> np.ndarray:
-        mask = np.zeros(self.grid.shape, dtype=bool)
-        for axis in range(self.grid.dim):
-            for end in (0, 1):
-                if self.bcs.side(axis, end) == IMPEDANCE:
-                    sl = [slice(None)] * self.grid.dim
-                    sl[axis] = 0 if end == 0 else -1
-                    mask[tuple(sl)] = True
-        mask &= ~self.dirichlet_mask
-        return mask
+        return self._side_mask(IMPEDANCE) & ~self.dirichlet_mask
 
     @cached_property
     def _csq_mid(self) -> list[np.ndarray]:
@@ -258,6 +252,37 @@ class HelmholtzProblem:
             )
         return out
 
+    @cached_property
+    def operator(self):
+        """(L, B) with ``_lap_values(self, w, v) = L @ w + B * v`` on flat values.
+
+        L is CSR over all N nodes, probed from the stencil with 3 (1D) or 5
+        (2D) coloured vectors: colour i mod 3, or (i + 2j) mod 5, differs
+        across every stencil, so each probe yields one entry per row (Curtis,
+        Powell & Reid 1974).  Dirichlet rows are empty; impedance rows hold
+        the closure at zero velocity, and the length-N array B is the diagonal
+        coupling of their ghosts to the velocity.  Built on first use.
+        """
+        from scipy.sparse import csr_matrix
+
+        dim, shape, n = self.grid.dim, self.grid.shape, self.grid.num_nodes
+        # flat offsets of the stencil neighbours, and each one's colour minus the row's
+        if dim == 1:
+            offsets, shifts = [-1, 0, 1], [2, 0, 1]
+        else:
+            offsets, shifts = [-shape[1], -1, 0, 1, shape[1]], [4, 3, 0, 2, 1]
+        colours, slot = len(offsets), np.argsort(shifts)
+        colour = (np.array([1, 2][:dim]) @ np.indices(shape).reshape(dim, -1)) % colours
+        table, zero = np.zeros((n, colours)), np.zeros(shape)
+        for c in range(colours):  # table[i, k]: the entry of row i at i + offsets[k]
+            col = _lap_values(self, (colour == c).reshape(shape) * 1.0, zero).ravel()
+            table[np.arange(n), slot[(c - colour) % colours]] = col
+        stored = table != 0.0
+        indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+        cols = (np.arange(n)[:, None] + np.array(offsets))[stored]
+        L = csr_matrix((table[stored], cols, indptr), shape=(n, n))
+        return L, _lap_values(self, zero, np.ones(shape)).ravel()
+
     @property
     def max_wave_speed(self) -> float:
         return float(np.sqrt(self.csq.values.max()))
@@ -268,56 +293,37 @@ class HelmholtzProblem:
         return 2.0 * math.sqrt(sum(c2max / hd**2 for hd in self.grid.h))
 
 
-def _ghost_slabs(problem: HelmholtzProblem, w: np.ndarray, v, axis: int):
-    """Ghost node slabs (lo, hi) closing the stencil across one axis.
-
-    Neumann mirrors the first interior neighbour.  Impedance substitutes the
-    ghost from ``alpha*v + beta*(n . D0 w) = 0`` (outflow-dissipative form),
-    which at either end reads ghost = inner_neighbour - 2h*(alpha/beta)*v.
-    Dirichlet ghosts are irrelevant (rows are zeroed) and set to 0.
-    """
-    dim = problem.grid.dim
-    h = problem.grid.h[axis]
-    bcs = problem.bcs
-    ratio = bcs.impedance_alpha / bcs.impedance_beta if not bcs.energy_conserving else 0.0
-
-    def take(arr, idx):
-        sl = [slice(None)] * dim
-        sl[axis] = slice(idx, idx + 1 if idx != -1 else None)
-        return arr[tuple(sl)]
-
-    slabs = []
-    for end, inner_idx, bdry_idx in ((0, 1, 0), (1, -2, -1)):
-        tag = bcs.side(axis, end)
-        if tag == NEUMANN:
-            slabs.append(take(w, inner_idx))
-        elif tag == IMPEDANCE:
-            if v is None:
-                slabs.append(np.zeros_like(take(w, inner_idx)))
-            else:
-                slabs.append(take(w, inner_idx) - 2.0 * h * ratio * take(v, bdry_idx))
-        else:
-            slabs.append(np.zeros_like(take(w, inner_idx)))
-    return slabs
-
-
 def _lap_values(problem: HelmholtzProblem, w: np.ndarray, v=None) -> np.ndarray:
     """Apply L (= -div(c^2 grad), stencil form) to raw node values.
 
-    ``v`` supplies velocity data for impedance ghost closures; without it,
-    impedance boundary rows are zeroed (they belong to the first-order
-    solver).  Dirichlet rows are always zeroed.
+    One ghost node per end closes the stencil across each axis.  Neumann
+    mirrors the first interior neighbour.  Impedance substitutes the ghost
+    from ``alpha*v + beta*(n . D0 w) = 0`` (outflow-dissipative form), which
+    at either end reads ghost = inner_neighbour - 2h*(alpha/beta)*v; without
+    ``v`` impedance rows are zeroed (they belong to the first-order solver).
+    Dirichlet rows are always zeroed (their ghosts are set to 0).
     """
-    grid = problem.grid
+    grid, bcs = problem.grid, problem.bcs
+    ratio = bcs.impedance_alpha / bcs.impedance_beta if not bcs.energy_conserving else 0.0
     out = np.zeros_like(w)
     for axis in range(grid.dim):
-        h2 = grid.h[axis] ** 2
-        ghost_lo, ghost_hi = _ghost_slabs(problem, w, v, axis)
-        wext = np.concatenate([ghost_lo, w, ghost_hi], axis=axis)
+        wa = np.moveaxis(w, axis, 0)
+        ghosts = []
+        for end, inner_idx, bdry_idx in ((0, 1, 0), (1, -2, -1)):
+            tag = bcs.side(axis, end)
+            if tag == NEUMANN:
+                ghost = wa[inner_idx]
+            elif tag == IMPEDANCE and v is not None:
+                vb = np.moveaxis(v, axis, 0)[bdry_idx]
+                ghost = wa[inner_idx] - 2.0 * grid.h[axis] * ratio * vb
+            else:
+                ghost = np.zeros_like(wa[inner_idx])
+            ghosts.append(ghost[None])
+        wext = np.moveaxis(np.concatenate([ghosts[0], wa, ghosts[1]]), 0, axis)
         flux = problem._csq_mid[axis] * np.diff(wext, axis=axis)
-        out -= np.diff(flux, axis=axis) / h2
+        out -= np.diff(flux, axis=axis) / grid.h[axis] ** 2
     out[problem.dirichlet_mask] = 0.0
-    if v is None and not problem.bcs.energy_conserving:
+    if v is None and not bcs.energy_conserving:
         out[problem.impedance_mask] = 0.0
     return out
 
@@ -331,7 +337,9 @@ def apply_discrete_laplacian(problem: HelmholtzProblem, w: ScalarField) -> Scala
     """
     if w.grid != problem.grid:
         raise GridMismatchError("field grid does not match problem grid")
-    return ScalarField(problem.grid, _lap_values(problem, w.values))
+    out = problem.operator[0] @ w.values.ravel()
+    out[problem.impedance_mask.ravel()] = 0.0
+    return ScalarField(problem.grid, out)
 
 
 def inner_product(a: ScalarField, b: ScalarField) -> float:

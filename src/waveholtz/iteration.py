@@ -5,8 +5,9 @@ harmonic forcing over the filter window and takes the weighted time average.
 Pi is affine, Pi(v) = S v + b, and the fixed point solves the discrete
 Helmholtz equation at the modified frequency (or the true one under the
 corrected drive).  ``as_affine_system`` exposes A = I - S and b so standard
-Krylov methods apply; on energy-conserving leapfrog problems A is symmetric
-positive definite.
+Krylov methods apply; on energy-conserving leapfrog problems A is positive
+definite and self-adjoint in the trapezoid-weighted product (plainly symmetric
+when every side is Dirichlet).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import HelmholtzProblem, ScalarField, WaveState
+from .core import DIRICHLET, NEUMANN, HelmholtzProblem, ScalarField, WaveState
 from .filters import FilterSpec, TimeGrid
 from .krylov import (
     IterationReport,
@@ -190,7 +191,7 @@ def as_affine_system(problem: HelmholtzProblem, config: WaveHoltzConfig,
     schedule = _schedule_for(problem, config, schedule)
     b, _ = evolve_and_filter(_zero_data(problem, config), schedule, problem,
                              config.tg, config.spec, config.scheme)
-    symmetric = config.scheme == "leapfrog" and problem.bcs.energy_conserving
+    symmetric = config.scheme == "leapfrog" and set(problem.bcs.sides) == {DIRICHLET}
     omegas = schedule.omegas
 
     def apply(x: np.ndarray) -> np.ndarray:
@@ -200,6 +201,17 @@ def as_affine_system(problem: HelmholtzProblem, config: WaveHoltzConfig,
 
     A = LinearOperator(dimension=b.size, apply=apply, symmetric_hint=symmetric)
     return A, b
+
+
+def _trapezoid_weight(problem: HelmholtzProblem) -> np.ndarray:
+    """Flat W, a factor 1/2 per axis on Neumann end nodes: the leapfrog A is
+    self-adjoint in x . (W y).  All ones (plain CG, bit for bit) without them."""
+    w = np.ones(problem.grid.shape)
+    for axis in range(problem.grid.dim):
+        for end in (0, 1):
+            if problem.bcs.side(axis, end) == NEUMANN:
+                np.moveaxis(w, axis, 0)[-end] *= 0.5
+    return w.ravel()
 
 
 def solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
@@ -224,7 +236,8 @@ def solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
     if method == "gmres":
         x, report = gmres_solve(A, b, krylov)
     else:
-        x, report = cg_solve(A, b, krylov)
+        weight = _trapezoid_weight(problem) if config.scheme == "leapfrog" else None
+        x, report = cg_solve(A, b, krylov, weight)
     report.wall_time = time.perf_counter() - t0
     report.operator_applications += 1  # the forced solve that built b
     return _from_iterate(x, problem, config), report

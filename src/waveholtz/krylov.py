@@ -166,8 +166,11 @@ def gmres_solve(A: LinearOperator, b: np.ndarray, config: KrylovConfig):
     return x, report
 
 
-def cg_solve(A: LinearOperator, b: np.ndarray, config: KrylovConfig):
-    """Conjugate gradients; expects (numerically) symmetric positive definite A.
+def cg_solve(A: LinearOperator, b: np.ndarray, config: KrylovConfig, weight=None):
+    """Conjugate gradients; expects A (numerically) self-adjoint positive
+    definite in the product x . (weight * y), the plain dot product when
+    ``weight`` is None.  The history and stop test use the plain relative
+    residual ||b - Ax||/||b||, as in GMRES.
 
     Raises IndefiniteOperatorError when a search direction shows nonpositive
     curvature, which signals misuse on a non-SPD operator.
@@ -175,6 +178,7 @@ def cg_solve(A: LinearOperator, b: np.ndarray, config: KrylovConfig):
     t0 = time.perf_counter()
     n = A.dimension
     b = np.asarray(b, dtype=float)
+    W = np.ones(n) if weight is None else np.asarray(weight, dtype=float)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(n), IterationReport([0.0], 0, True, 1.0,
@@ -182,15 +186,15 @@ def cg_solve(A: LinearOperator, b: np.ndarray, config: KrylovConfig):
     x = np.zeros(n)
     r = b - A.apply(x)
     apps = 1
-    rs = float(r @ r)
-    history = [math.sqrt(rs) / bnorm]
+    rs = float(r @ (W * r))
+    history = [math.sqrt(float(r @ r)) / bnorm]
     p = r.copy()
     iters = 0
     converged = history[-1] <= config.tol
     while not converged and iters < config.max_iters:
         Ap = A.apply(p)
         apps += 1
-        pAp = float(p @ Ap)
+        pAp = float(p @ (W * Ap))
         if pAp <= 0.0:
             raise IndefiniteOperatorError(
                 f"<Ap, p> = {pAp:.3e} <= 0 at iteration {iters}; operator is not SPD"
@@ -198,9 +202,9 @@ def cg_solve(A: LinearOperator, b: np.ndarray, config: KrylovConfig):
         alpha = rs / pAp
         x += alpha * p
         r -= alpha * Ap
-        rs_new = float(r @ r)
+        rs_new = float(r @ (W * r))
         iters += 1
-        history.append(math.sqrt(rs_new) / bnorm)
+        history.append(math.sqrt(float(r @ r)) / bnorm)
         if history[-1] <= config.tol:
             converged = True
             break

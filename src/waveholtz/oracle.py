@@ -1,7 +1,7 @@
 """Independent reference machinery used to verify the iterative solvers.
 
 Everything here takes the slow-but-transparent route: closed-form sine
-spectra for constant-coefficient Dirichlet boxes, dense/sparse factorised
+spectra for constant-coefficient Dirichlet boxes, sparse factorised
 Helmholtz solves, an eigenspace implementation of the filtered-wave operator,
 and the trapezoid-rule reference with its exact closed form
 
@@ -22,15 +22,11 @@ from .core import (
     DIRICHLET,
     HelmholtzProblem,
     ScalarField,
-    _lap_values,
     apply_discrete_laplacian,
     norm2,
 )
 from .filters import beta_by_quadrature, shifted_eigenvalue
 from .iteration import WaveHoltzConfig
-
-_ASSEMBLY_CAP = 20_000  # free nodes; column probing beyond this is impractical
-
 
 class ResonanceError(RuntimeError):
     """The shifted frequency coincides with an operator eigenvalue."""
@@ -138,48 +134,19 @@ def inverse_sine_transform(coeffs: np.ndarray, grid) -> ScalarField:
 
 
 def assemble_operator(problem: HelmholtzProblem):
-    """Assemble L on the non-Dirichlet nodes by probing unit vectors.
+    """L restricted to the non-Dirichlet nodes, as CSR: (matrix, free_flat_indices).
 
-    Returns (matrix, free_flat_indices); dense below 4096 unknowns, CSC above.
-    Reusing the stencil application keeps this a single-source-of-truth
-    assembly (probing is O(N^2) work, fine at verification scales).
+    This is the problem's assembled operator, so it checks nothing by itself;
+    the closed-form sine spectrum above is the independent check of L.
     """
     if not problem.bcs.energy_conserving:
         raise UnsupportedProblemError("assembly covers energy-conserving problems")
-    mask = problem.dirichlet_mask
-    free = np.flatnonzero(~mask.ravel())
-    nfree = free.size
-    if nfree > _ASSEMBLY_CAP:
-        raise UnsupportedProblemError(
-            f"{nfree} unknowns exceeds the probing-assembly cap {_ASSEMBLY_CAP}"
-        )
-    shape = problem.grid.shape
-    dense = nfree <= 4096
-    if dense:
-        M = np.zeros((nfree, nfree))
-    else:
-        from scipy.sparse import lil_matrix
-
-        M = lil_matrix((nfree, nfree))
-    e = np.zeros(shape)
-    flat = e.ravel()
-    for k, idx in enumerate(free):
-        flat[idx] = 1.0
-        col = _lap_values(problem, e).ravel()[free]
-        if dense:
-            M[:, k] = col
-        else:
-            nz = np.nonzero(col)[0]
-            for r in nz:
-                M[r, k] = col[r]
-        flat[idx] = 0.0
-    if not dense:
-        M = M.tocsc()
-    return M, free
+    free = np.flatnonzero(~problem.dirichlet_mask.ravel())
+    return problem.operator[0][free][:, free], free
 
 
 def direct_helmholtz_solve(problem: HelmholtzProblem, sigma: float) -> ScalarField:
-    """Factorised solve of -L v + sigma^2 v = f on the free nodes.
+    """Sparse LU solve of -L v + sigma^2 v = f on the free nodes.
 
     ``sigma`` is the frequency whose square shifts the operator: pass
     problem.omega for the true discrete equation or the modified frequency to
@@ -187,6 +154,9 @@ def direct_helmholtz_solve(problem: HelmholtzProblem, sigma: float) -> ScalarFie
     to an eigenvalue to 1e-12 relative, checkable on constant-c Dirichlet
     boxes) raises ResonanceError.
     """
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import splu
+
     try:
         spec = dirichlet_box_spectrum(problem)
     except UnsupportedProblemError:
@@ -198,16 +168,8 @@ def direct_helmholtz_solve(problem: HelmholtzProblem, sigma: float) -> ScalarFie
                 f"sigma^2 = {sigma**2:.12g} coincides with an eigenvalue"
             )
     L, free = assemble_operator(problem)
-    f = problem.forcing.values.ravel()[free]
-    if hasattr(L, "toarray") and not isinstance(L, np.ndarray):
-        from scipy.sparse import identity
-        from scipy.sparse.linalg import splu
-
-        A = (sigma**2) * identity(free.size, format="csc") - L
-        sol = splu(A.tocsc()).solve(f)
-    else:
-        A = sigma**2 * np.eye(free.size) - L
-        sol = np.linalg.solve(A, f)
+    A = (sigma**2) * identity(free.size, format="csc") - L
+    sol = splu(A.tocsc()).solve(problem.forcing.values.ravel()[free])
     out = np.zeros(problem.grid.num_nodes)
     out[free] = sol
     return ScalarField(problem.grid, out.reshape(problem.grid.shape))

@@ -18,16 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
-from .core import (
-    GridMismatchError,
-    HelmholtzProblem,
-    ScalarField,
-    WaveState,
-    _lap_values,
-)
+from .core import GridMismatchError, HelmholtzProblem, ScalarField, WaveState
 from .filters import FilterSpec, TimeGrid, filter_weights
 
 
@@ -59,33 +54,110 @@ class ForcingSchedule:
     def single(cls, problem: HelmholtzProblem):
         return cls([problem.forcing], np.array([problem.omega]))
 
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.stack([f.values for f in self.forcings])
+
+def _drive(schedule: ForcingSchedule | None, problem: HelmholtzProblem, times):
+    """Per-solve drive: the stacked forcings F, shape (k, N), with zero Dirichlet
+    columns, and the table cos(omega_i t) at ``times``, shape (len(times), k).
+
+    Row m of the table times F is the drive at times[m].  None when unforced.
+    """
+    if schedule is None:
+        return None
+    F = np.stack([np.where(problem.dirichlet_mask, 0.0, f.values).ravel()
+                  for f in schedule.forcings])
+    return (F, np.cos(np.outer(times, schedule.omegas))) if F.any() else None
 
 
-class _Drive:
-    """Precomputed drive evaluator: t -> sum_i f_i cos(omega_i t)."""
-
-    def __init__(self, schedule: ForcingSchedule | None):
-        fstack = None if schedule is None else schedule.stacked
-        self.fstack = fstack if fstack is not None and np.any(fstack) else None
-        self.freqs = None if schedule is None else schedule.omegas
-
-    def __call__(self, t: float):
-        if self.fstack is None:
-            return None
-        return np.tensordot(np.cos(self.freqs * t), self.fstack, axes=(0, 0))
+def _drive_at(drive, m: int, out: np.ndarray):
+    """out = sum_i f_i cos(omega_i t_m); None (out untouched) when unforced."""
+    if drive is None:
+        return None
+    F, table = drive
+    np.multiply(F[0], table[m, 0], out=out)
+    for f, c in zip(F[1:], table[m, 1:]):
+        out += c * f
+    return out
 
 
-def _second_order_rhs(w, t, drive, problem):
-    """L w + f(t), with the Dirichlet rows kept at zero."""
-    rhs = _lap_values(problem, w)
-    d = drive(t)
+@cache
+def _compiled_matvec():
+    """SciPy's compiled CSR kernel, which adds L @ x into a given buffer; None
+    (the kernels then use ``L @ x``) if this SciPy lacks it or it fails a
+    one-entry check, since it is private API."""
+    try:
+        from scipy.sparse._sparsetools import csr_matvec
+
+        out, ij = np.ones(1), np.array([0, 1], dtype=np.int32)
+        csr_matvec(1, 1, ij, ij[:1], np.array([2.0]), np.array([3.0]), out)
+        return csr_matvec if out[0] == 7.0 else None
+    except (ImportError, TypeError, ValueError):  # moved, renamed or re-signed
+        return None
+
+
+def _kernels(problem: HelmholtzProblem, *fields: ScalarField):
+    """(Lx, B) from the problem's operator; Lx(x, out) adds L @ x into out.
+
+    The compiled kernel needs no temporary: at N = 101 it takes 2.5 us where
+    ``L @ x`` takes 7 us.  It checks no sizes, so this checks the fields' grids.
+    """
+    if any(f.grid != problem.grid for f in fields):
+        raise GridMismatchError("field grid does not match problem grid")
+    L, B = problem.operator
+    matvec = _compiled_matvec()
+    if matvec is None:
+        return (lambda x, out: np.add(out, L @ x, out=out)), B
+    return partial(matvec, *L.shape, L.indptr, L.indices, L.data), B
+
+
+def _leapfrog_step(Lx, cur, prev, drive, m, dt2, a):
+    """prev <- 2 cur - prev - dt2 (L cur + f(t_m)) in place; ``a`` is scratch.
+
+    From prev = cur with dt2 = dt^2/2 this gives the start-up value w^-1.
+    """
+    if _drive_at(drive, m, a) is None:
+        a.fill(0.0)
+    Lx(cur, a)
+    a *= dt2
+    np.subtract(cur, prev, out=prev)
+    prev += cur
+    prev -= a
+    if not np.isfinite(prev).all():
+        raise InstabilityError(f"leapfrog produced non-finite values at step {m}")
+
+
+def _first_order(Lx, B, w, v, d, out):
+    """out = (v, -(L w + B v + d)) on the stacked (2, N) buffer."""
+    out[0] = v
+    np.multiply(B, v, out=out[1])
+    Lx(w, out[1])
     if d is not None:
-        rhs = rhs + d
-        rhs[problem.dirichlet_mask] = 0.0
-    return rhs
+        out[1] += d
+    np.negative(out[1], out=out[1])
+
+
+def _rk4_step(Lx, B, y, drive, m, dt, bufs):
+    """Classic RK4 on the stacked (w, v) in y, in place.
+
+    Drive rows m, m + 1 and m + 2 are the times t, t + dt/2 and t + dt (the
+    step index is m // 2); ``bufs`` is (4, 2, N) scratch.
+    """
+    s, k, inc, (dbuf, _) = bufs
+    _first_order(Lx, B, y[0], y[1], _drive_at(drive, m, dbuf), inc)
+    np.multiply(inc, 0.5 * dt, out=s)
+    s += y
+    d = _drive_at(drive, m + 1, dbuf)
+    for c in (0.5 * dt, dt):
+        _first_order(Lx, B, s[0], s[1], d, k)
+        np.multiply(k, c, out=s)
+        s += y
+        k *= 2.0
+        inc += k
+    _first_order(Lx, B, s[0], s[1], _drive_at(drive, m + 2, dbuf), k)
+    inc += k
+    inc *= dt / 6.0
+    y += inc
+    if not np.isfinite(y).all():
+        raise InstabilityError(f"rk4 produced non-finite values at step {m // 2}")
 
 
 def leapfrog_initialize(v: ScalarField, schedule: ForcingSchedule | None,
@@ -95,34 +167,24 @@ def leapfrog_initialize(v: ScalarField, schedule: ForcingSchedule | None,
     Encodes zero initial discrete velocity.  Only valid for energy-conserving
     boundaries (the second-order form has no impedance closure).
     """
-    if v.grid != problem.grid:
-        raise GridMismatchError("initial field grid does not match problem")
-    w0, wm1 = _leapfrog_initialize_values(v.values, _Drive(schedule), problem, dt)
-    return ScalarField(problem.grid, w0), ScalarField(problem.grid, wm1)
-
-
-def _leapfrog_initialize_values(v, drive, problem, dt):
     if not problem.bcs.energy_conserving:
         raise ValueError("leapfrog requires energy-conserving boundary conditions")
-    w0 = v.copy()
-    w0[problem.dirichlet_mask] = 0.0
-    return w0, w0 - 0.5 * dt * dt * _second_order_rhs(w0, 0.0, drive, problem)
+    Lx, _ = _kernels(problem, v)
+    w0 = np.where(problem.dirichlet_mask, 0.0, v.values).ravel()
+    wm1 = w0.copy()
+    _leapfrog_step(Lx, w0, wm1, _drive(schedule, problem, [0.0]), 0, 0.5 * dt * dt,
+                   np.empty_like(w0))
+    return ScalarField(problem.grid, w0), ScalarField(problem.grid, wm1)
 
 
 def leapfrog_step(w_n: ScalarField, w_nm1: ScalarField, t_n: float,
                   schedule: ForcingSchedule | None, problem: HelmholtzProblem,
                   dt: float) -> ScalarField:
     """One update w^{n+1} = 2 w^n - w^{n-1} - dt^2 (L w^n + f cos(omega t_n))."""
-    out = _leapfrog_step_values(w_n.values, w_nm1.values, t_n, _Drive(schedule),
-                                problem, dt, 0)
+    out = w_nm1.values.ravel().copy()
+    _leapfrog_step(_kernels(problem, w_n, w_nm1)[0], w_n.values.ravel(), out,
+                   _drive(schedule, problem, [t_n]), 0, dt * dt, np.empty_like(out))
     return ScalarField(problem.grid, out)
-
-
-def _leapfrog_step_values(wn, wnm1, t_n, drive, problem, dt, step_index):
-    out = 2.0 * wn - wnm1 - dt * dt * _second_order_rhs(wn, t_n, drive, problem)
-    if not np.isfinite(out).all():
-        raise InstabilityError(f"leapfrog produced non-finite values at step {step_index}")
-    return out
 
 
 def first_order_rhs(state: WaveState, t: float, schedule: ForcingSchedule | None,
@@ -130,48 +192,32 @@ def first_order_rhs(state: WaveState, t: float, schedule: ForcingSchedule | None
     """(dw/dt, dv/dt) = (v, -L w - f(t)) with impedance ghosts closed from v.
 
     On impedance sides the ghost value enforces alpha*v + beta*(n . D0 w) = 0
-    at the boundary node before the stencil is applied; Dirichlet rows stay
+    at the boundary node (the B v term of the operator); Dirichlet rows stay
     zero.
     """
-    dw, dv = _first_order_rhs_values(state.w.values, state.v.values, t,
-                                     _Drive(schedule), problem)
-    return ScalarField(problem.grid, dw), ScalarField(problem.grid, dv)
-
-
-def _first_order_rhs_values(w, v, t, drive, problem):
-    dv = -_lap_values(problem, w, v)
-    d = drive(t)
-    if d is not None:
-        dv -= d
-    dw = v.copy()
-    mask = problem.dirichlet_mask
-    dw[mask] = 0.0
-    dv[mask] = 0.0
-    return dw, dv
+    (w, v), out = _stacked(state, problem), np.empty((3, problem.grid.num_nodes))
+    _first_order(*_kernels(problem, state.w), w, v,
+                 _drive_at(_drive(schedule, problem, [t]), 0, out[2]), out[:2])
+    return ScalarField(problem.grid, out[0]), ScalarField(problem.grid, out[1])
 
 
 def rk4_step(state: WaveState, t: float, dt: float,
              schedule: ForcingSchedule | None, problem: HelmholtzProblem) -> WaveState:
     """Classic four-stage Runge-Kutta update of (w, v)."""
-    w, v = _rk4_step_values(state.w.values, state.v.values, t, dt,
-                            _Drive(schedule), problem, 0)
-    return WaveState(ScalarField(problem.grid, w), ScalarField(problem.grid, v),
+    y, mask = _stacked(state, problem), problem.dirichlet_mask.ravel()
+    _rk4_step(*_kernels(problem, state.w), y,
+              _drive(schedule, problem, [t, t + 0.5 * dt, t + dt]), 0, dt,
+              np.empty((4, *y.shape)))
+    y[1, mask] = state.v.values.ravel()[mask]  # Dirichlet rows do not move
+    return WaveState(ScalarField(problem.grid, y[0]), ScalarField(problem.grid, y[1]),
                      state.t + dt)
 
 
-def _rk4_step_values(w, v, t, dt, drive, problem, step_index):
-    # The stages keep w and v apart: on the stacked (2, *grid) state, whose
-    # temporaries are twice as large, a C10-sized step measured 1.6x slower.
-    f = lambda wv, vv, tt: _first_order_rhs_values(wv, vv, tt, drive, problem)
-    k1w, k1v = f(w, v, t)
-    k2w, k2v = f(w + 0.5 * dt * k1w, v + 0.5 * dt * k1v, t + 0.5 * dt)
-    k3w, k3v = f(w + 0.5 * dt * k2w, v + 0.5 * dt * k2v, t + 0.5 * dt)
-    k4w, k4v = f(w + dt * k3w, v + dt * k3v, t + dt)
-    wn = w + (dt / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-    vn = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    if not (np.isfinite(wn).all() and np.isfinite(vn).all()):
-        raise InstabilityError(f"rk4 produced non-finite values at step {step_index}")
-    return wn, vn
+def _stacked(state: WaveState, problem: HelmholtzProblem) -> np.ndarray:
+    """The (2, N) stacked copy of a state with the Dirichlet velocities zeroed."""
+    y = np.stack([state.w.values.ravel(), state.v.values.ravel()])
+    y[1, problem.dirichlet_mask.ravel()] = 0.0
+    return y
 
 
 def evolve_and_filter(x: np.ndarray, schedule: ForcingSchedule | None,
@@ -194,9 +240,9 @@ def evolve_and_filter(x: np.ndarray, schedule: ForcingSchedule | None,
     Returns (filtered, samples) where samples maps step index -> ndarray.
     """
     if scheme == "leapfrog":
-        evolve, shape = _evolve_leapfrog, problem.grid.shape
+        evolve, shape = _evolve_leapfrog, (problem.grid.num_nodes,)
     elif scheme == "rk4":
-        evolve, shape = _evolve_rk4, (2, *problem.grid.shape)
+        evolve, shape = _evolve_rk4, (2, problem.grid.num_nodes)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     x = np.asarray(x, dtype=float)
@@ -209,37 +255,38 @@ def evolve_and_filter(x: np.ndarray, schedule: ForcingSchedule | None,
     wanted = {int(s) for s in sample_steps} if sample_steps else set()
     if wanted and (min(wanted) < 0 or max(wanted) > tg.steps):
         raise ValueError("sample steps outside the time grid")
-    acc, samples = evolve(x.reshape(shape), _Drive(schedule), problem, tg,
-                          weights, wanted)
-    return (2.0 * tg.dt / tg.T * acc).ravel(), samples
+    y = np.where(problem.dirichlet_mask.ravel(), 0.0, x.reshape(shape))
+    acc, samples = evolve(y, schedule, problem, tg, weights, wanted)
+    acc *= 2.0 * tg.dt / tg.T
+    return acc.ravel(), {n: w.reshape(problem.grid.shape) for n, w in samples.items()}
 
 
-def _evolve_leapfrog(w, drive, problem, tg, weights, wanted):
-    dt = tg.dt
-    wn, wnm1 = _leapfrog_initialize_values(w, drive, problem, dt)
-    acc = weights[0] * wn
-    samples = {0: wn.copy()} if 0 in wanted else {}
+def _evolve_leapfrog(cur, schedule, problem, tg, weights, wanted):
+    Lx, dt, a = _kernels(problem)[0], tg.dt, np.empty_like(cur)
+    drive = _drive(schedule, problem, dt * np.arange(tg.steps))
+    prev = cur.copy()
+    _leapfrog_step(Lx, cur, prev, drive, 0, 0.5 * dt * dt, a)
+    acc = weights[0] * cur
+    samples = {0: cur.copy()} if 0 in wanted else {}
     for n in range(tg.steps):
-        wnm1, wn = wn, _leapfrog_step_values(wn, wnm1, n * dt, drive, problem, dt, n)
-        acc += weights[n + 1] * wn
+        _leapfrog_step(Lx, cur, prev, drive, n, dt * dt, a)
+        cur, prev = prev, cur
+        acc += np.multiply(cur, weights[n + 1], out=a)
         if n + 1 in wanted:
-            samples[n + 1] = wn.copy()
+            samples[n + 1] = cur.copy()
     return acc, samples
 
 
-def _evolve_rk4(y, drive, problem, tg, weights, wanted):
-    dt = tg.dt
-    y = y.copy()
-    y[:, problem.dirichlet_mask] = 0.0
+def _evolve_rk4(y, schedule, problem, tg, weights, wanted):
+    (Lx, B), dt, bufs = _kernels(problem), tg.dt, np.empty((4, *y.shape))
+    drive = _drive(schedule, problem, 0.5 * dt * np.arange(2 * tg.steps + 1))
     acc = weights[0] * y
-    w, v = y
-    samples = {0: w.copy()} if 0 in wanted else {}
+    samples = {0: y[0].copy()} if 0 in wanted else {}
     for n in range(tg.steps):
-        w, v = _rk4_step_values(w, v, n * dt, dt, drive, problem, n)
-        acc[0] += weights[n + 1] * w
-        acc[1] += weights[n + 1] * v
+        _rk4_step(Lx, B, y, drive, 2 * n, dt, bufs)
+        acc += np.multiply(y, weights[n + 1], out=bufs[0])
         if n + 1 in wanted:
-            samples[n + 1] = w.copy()
+            samples[n + 1] = y[0].copy()
     return acc, samples
 
 

@@ -27,9 +27,10 @@ from waveholtz import (
     shifted_eigenvalue,
     solve,
 )
+from waveholtz.krylov import cg_solve
 from waveholtz.oracle import sine_transform
 
-from conftest import delta_forcing, problem_1d
+from conftest import delta_forcing, problem_1d, problem_2d
 
 
 def test_pi_fixed_point_is_vinf():
@@ -199,6 +200,39 @@ def test_krylov_methods_agree_with_fixed_point():
     scale = norm2(vf)
     assert norm2(ScalarField(p.grid, vg.values - vf.values)) < 1e-9 * scale
     assert norm2(ScalarField(p.grid, vc.values - vf.values)) < 1e-9 * scale
+
+
+@pytest.mark.parametrize("make", [
+    lambda: problem_1d(omega=5.3, n=80, bc="neumann"),
+    lambda: problem_2d(omega=2.0, n=9, bc=("neumann", "neumann", "dirichlet", "neumann")),
+], ids=["1d-neumann", "2d-mixed"])
+def test_cg_on_neumann_sides_matches_gmres(make):
+    # A is self-adjoint only in the trapezoid-weighted product here, so CG
+    # runs in that product; it needs no more iterations than GMRES, and it
+    # stops on the plain relative residual, as GMRES does
+    p = make()
+    cfg = WaveHoltzConfig.build(p, tol=1e-10, max_iters=200)
+    vg, rg = solve(p, cfg, method="gmres")
+    vc, rc = solve(p, cfg, method="cg")
+    assert rg.converged and rc.converged
+    assert rc.iters <= rg.iters + 2
+    assert norm2(ScalarField(p.grid, vc.values - vg.values)) <= 1e-8 * norm2(vg)
+    A, b = as_affine_system(p, cfg)
+    x = vc.values.ravel()
+    plain = np.linalg.norm(b - A.apply(x)) / np.linalg.norm(b)
+    assert plain <= cfg.tol
+    assert abs(plain - rc.residual_history[-1]) <= 1e-3 * cfg.tol
+
+
+def test_cg_on_dirichlet_box_uses_the_plain_system():
+    p = problem_1d(omega=2.0, n=30)
+    cfg = WaveHoltzConfig.build(p, tol=1e-10)
+    A, b = as_affine_system(p, cfg)
+    x, rep = cg_solve(A, b, KrylovConfig(method="cg", tol=1e-10,
+                                         max_iters=cfg.max_iters))
+    v, rc = solve(p, cfg, method="cg")
+    assert np.array_equal(v.values.ravel(), x)
+    assert rc.residual_history == rep.residual_history
 
 
 def test_impedance_solve_returns_state():

@@ -22,7 +22,8 @@ from waveholtz import (
     rk4_step,
     shifted_eigenvalue,
 )
-from waveholtz.core import apply_discrete_laplacian
+from waveholtz.core import _lap_values, apply_discrete_laplacian
+from waveholtz import wavesolver
 from waveholtz.wavesolver import default_leapfrog_steps, default_rk4_steps
 
 from conftest import problem_1d, random_interior_field
@@ -329,3 +330,35 @@ def test_forcing_schedule_validation():
         ForcingSchedule([p.forcing], np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         ForcingSchedule([p.forcing, p.forcing], np.array([2.0, 1.0]))
+
+
+def test_first_order_rhs_forced_matches_stencil(rng):
+    p = problem_1d(omega=2.0, n=24, bc=("impedance", "dirichlet"))
+    w, v = rng.standard_normal((2, p.grid.num_nodes))
+    st = WaveState(ScalarField(p.grid, w), ScalarField(p.grid, v), 0.0)
+    dw, dv = first_order_rhs(st, 0.3, ForcingSchedule.single(p), p)
+    expect = -_lap_values(p, w, v) - math.cos(0.6) * p.forcing.values
+    expect[-1] = 0.0
+    assert np.max(np.abs(dv.values - expect)) < 1e-12 * np.max(np.abs(expect))
+    assert np.array_equal(dw.values, np.where(p.dirichlet_mask, 0.0, v))
+
+
+@pytest.mark.parametrize("bc,scheme", [("neumann", "leapfrog"), ("impedance", "rk4")])
+def test_public_matvec_fallback_matches_compiled_kernel(bc, scheme, rng, monkeypatch):
+    # the compiled CSR kernel is private SciPy API; without it the kernels
+    # step with L @ x and must give the same averages to roundoff
+    if wavesolver._compiled_matvec() is None:
+        pytest.skip("this SciPy has no compatible compiled csr_matvec")
+    p = problem_1d(omega=3.0, n=40, bc=bc)
+    steps = (default_leapfrog_steps if scheme == "leapfrog" else default_rk4_steps)(p, p.omega, 1)
+    x = rng.standard_normal(p.grid.num_nodes * (1 if scheme == "leapfrog" else 2))
+
+    def run():
+        return evolve_and_filter(x, ForcingSchedule.single(p), p, TimeGrid(p.omega, 1, steps),
+                                 FilterSpec.standard(p.omega), scheme)[0]
+
+    compiled = run()
+    monkeypatch.setattr(wavesolver, "_compiled_matvec", lambda: None)
+    fallback = run()
+    assert not np.array_equal(fallback, compiled)  # the two paths really differ
+    assert np.max(np.abs(fallback - compiled)) <= 1e-13 * np.max(np.abs(compiled))
