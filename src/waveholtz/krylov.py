@@ -69,7 +69,7 @@ def measured_rate(history) -> float:
 
 
 def gmres_solve(A: LinearOperator, b: np.ndarray, config: KrylovConfig):
-    """Restarted GMRES with modified Gram-Schmidt and selective reorthogonalization.
+    """Restarted GMRES with classical Gram-Schmidt and selective reorthogonalisation.
 
     Stops on relative residual ||b - Ax||/||b|| <= tol, on max_iters, or when
     a full restart cycle makes no progress (reported as converged=False).
@@ -102,13 +102,12 @@ def gmres_solve(A: LinearOperator, b: np.ndarray, config: KrylovConfig):
             break
 
         V = np.empty((m + 1, n))
-        H = np.zeros((m + 1, m))
-        cs = np.zeros(m)
-        sn = np.zeros(m)
-        g = np.zeros(m + 1)
-        g[0] = beta
         V[0] = r / beta
-        width = 0
+        # R[k] is column k of the rotated Hessenberg matrix, rows 0..k.
+        R: list[np.ndarray] = []
+        cs: list[float] = []
+        sn: list[float] = []
+        g = [beta]
 
         for j in range(m):
             if iters >= config.max_iters:
@@ -116,32 +115,31 @@ def gmres_solve(A: LinearOperator, b: np.ndarray, config: KrylovConfig):
             w = A.apply(V[j])
             apps += 1
             iters += 1
-            for i in range(j + 1):
-                H[i, j] = V[i] @ w
-                w -= H[i, j] * V[i]
+            basis = V[: j + 1]
+            h = basis @ w
+            w -= h @ basis
             wnorm = float(np.linalg.norm(w))
             # One extra pass if orthogonality against the basis decayed.
-            s = V[: j + 1] @ w
+            s = basis @ w
             if float(np.linalg.norm(s)) > 1e-8 * max(wnorm, 1e-300):
-                w -= s @ V[: j + 1]
-                H[: j + 1, j] += s
+                w -= s @ basis
+                h += s
                 wnorm = float(np.linalg.norm(w))
-            H[j + 1, j] = wnorm
 
+            col = h.tolist()
             for i in range(j):
-                hij = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-                H[i, j] = hij
-            denom = math.hypot(H[j, j], H[j + 1, j])
+                a, c = col[i], col[i + 1]
+                col[i] = cs[i] * a + sn[i] * c
+                col[i + 1] = -sn[i] * a + cs[i] * c
+            denom = math.hypot(col[j], wnorm)
             if denom == 0.0:
                 break  # rotated column vanished; this direction adds nothing
-            cs[j] = H[j, j] / denom
-            sn[j] = H[j + 1, j] / denom
-            H[j, j] = denom
-            H[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
+            cs.append(col[j] / denom)
+            sn.append(wnorm / denom)
+            col[j] = denom
+            R.append(np.array(col))
+            g.append(-sn[j] * g[j])
             g[j] = cs[j] * g[j]
-            width = j + 1
             history.append(abs(g[j + 1]) / bnorm)
 
             if wnorm <= 1e-14 * denom:
@@ -150,13 +148,14 @@ def gmres_solve(A: LinearOperator, b: np.ndarray, config: KrylovConfig):
             if history[-1] <= config.tol:
                 break
 
-        if width > 0:
-            y = np.zeros(width)
-            for i in range(width - 1, -1, -1):
-                y[i] = (g[i] - H[i, i + 1 : width] @ y[i + 1 : width]) / H[i, i]
-            x += y @ V[:width]
-        else:
+        width = len(R)
+        if width == 0:
             break
+        y = np.array(g[:width])
+        for k in range(width - 1, -1, -1):
+            y[k] /= R[k][k]
+            y[:k] -= y[k] * R[k][:k]
+        x += y @ V[:width]
 
         if history[-1] >= cycle_start * (1.0 - 1e-12):
             break  # stagnated across a full restart cycle

@@ -11,6 +11,7 @@ from waveholtz.cli import (
     parse_config,
     read_field_dump,
     report_summary,
+    run_single,
     run_sweep,
     write_field_dump,
 )
@@ -278,3 +279,24 @@ def test_report_counts_fixed_point_bound_violations(tmp_path):
     text = report_summary([path])
     assert "contraction-bound violations: 0" not in text
     assert "contraction-bound violations: 1" in text
+
+
+def test_c08_sweep_gmres_counts_pinned(tmp_path):
+    # C08: 1D [-6, 6], Dirichlet, n = auto, GMRES(1000), tol 1e-10; the counts
+    # of the Krylov solve must not move with changes to its arithmetic
+    path = tmp_path / "c08.ini"
+    path.write_text("[problem]\ndim = 1\nlo = -6\nhi = 6\nn = auto\nbc = dirichlet\n"
+                    "forcing = gaussian1d\n\n"
+                    "[solver]\nmethod = gmres\ntol = 1e-10\nmax_iters = 2000\n"
+                    "krylov_max_iters = 1000\nrestart = 1000\n\n"
+                    "[sweep]\nomegas = 20 40 60 80\n")
+    cfg = parse_config(path)
+    # At omega = 40 the estimate at iteration 145 is 9.4e-11 against tol 1e-10,
+    # a knife edge: another BLAS's reduction order may tip it to 146.
+    expected = {20.0: {75}, 40.0: {145, 146}, 60.0: {212}, 80.0: {280}}
+    for omega, iters in expected.items():
+        r = run_single(cfg, omega)
+        assert r.iters in iters, (omega, r.iters)
+        assert r.operator_applications == r.iters + 3
+        assert r.converged
+        assert r.history[-1] <= cfg.tol  # the certified true residual

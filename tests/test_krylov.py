@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -173,3 +175,37 @@ def test_max_iters_respected(rng):
     _, rep = gmres_solve(_mat_op(M), b, KrylovConfig(tol=1e-15, restart=10,
                                                      max_iters=7))
     assert rep.iters <= 7
+
+
+def test_gmres_hessenberg_storage_grows_with_iterations(rng):
+    # restart = 1000 but convergence in a few iterations: only the filled
+    # Hessenberg columns may be stored, not a dense (restart + 1) x restart array
+    n = 50
+    M = np.eye(n) + 0.05 * rng.standard_normal((n, n))
+    b = rng.standard_normal(n)
+    A = _mat_op(M)
+    tracemalloc.start()
+    try:
+        _, rep = gmres_solve(A, b, KrylovConfig(tol=1e-10, restart=1000,
+                                                max_iters=1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.converged and rep.iters < 30
+    assert peak < 1_000_000
+
+
+def test_gmres_graded_nonnormal_system_needs_second_pass():
+    # upper bidiagonal with diagonal graded from 1 to 1e-10 (condition ~1e10):
+    # a single classical Gram-Schmidt pass loses orthogonality here, so the
+    # selective second pass must fire for one restart cycle to converge
+    n = 40
+    d = np.logspace(0.0, -10.0, n)
+    M = np.diag(d) + np.diag(0.5 * d[1:], 1)
+    b = np.ones(n)
+    tol = 1e-6
+    x, rep = gmres_solve(_mat_op(M), b, KrylovConfig(tol=tol, restart=n,
+                                                     max_iters=4 * n))
+    assert rep.converged
+    assert np.linalg.norm(b - M @ x) / np.linalg.norm(b) <= tol
+    assert rep.operator_applications == rep.iters + 2  # one cycle + certify pass
