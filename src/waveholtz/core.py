@@ -283,6 +283,16 @@ class HelmholtzProblem:
         L = csr_matrix((table[stored], cols, indptr), shape=(n, n))
         return L, _lap_values(self, zero, np.ones(shape)).ravel()
 
+    @cached_property
+    def diagonal_slots(self) -> np.ndarray:
+        """Positions in ``operator[0].data`` of the stored diagonal entries.
+
+        Every row but the empty Dirichlet ones stores its (positive) diagonal.
+        """
+        L = self.operator[0]
+        rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))
+        return np.flatnonzero(L.indices == rows)
+
     @property
     def max_wave_speed(self) -> float:
         return float(np.sqrt(self.csq.values.max()))

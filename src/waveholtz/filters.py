@@ -110,11 +110,9 @@ class FilterSpec:
         t = np.asarray(t, dtype=float)
         if self.kind == "standard":
             return np.cos(self.omega * t) - self.constant
-        out = np.cos(self.omega * t) + self.a0
-        for n, an in enumerate(self.a, start=1):
-            if an != 0.0:
-                out = out + an * np.sin(n * self.omega * t)
-        return out
+        n_omega = self.omega * np.arange(1, len(self.a) + 1)
+        sines = np.sin(np.multiply.outer(t, n_omega))  # one column per term
+        return np.cos(self.omega * t) + self.a0 + sines @ self.a
 
 
 def filter_weights(spec: FilterSpec, tg: TimeGrid, omegas=None) -> np.ndarray:

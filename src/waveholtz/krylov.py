@@ -101,7 +101,8 @@ def gmres_solve(A: LinearOperator, b: np.ndarray, config: KrylovConfig):
             converged = True
             break
 
-        V = np.empty((m + 1, n))
+        # rows for the iterations this cycle can still run, not the full restart
+        V = np.empty((min(m, config.max_iters - iters) + 1, n))
         V[0] = r / beta
         # R[k] is column k of the rotated Hessenberg matrix, rows 0..k.
         R: list[np.ndarray] = []

@@ -3,15 +3,17 @@
 Two schemes:
 
 * leapfrog on the second-order form, for energy-conserving (Dirichlet/Neumann)
-  boundaries; the iterate is the flat array of N displacement values, started
-  with zero velocity,
+  boundaries, stepped as w^{n+1} = K w^n - w^{n-1} - dt^2 f(t_n) with
+  K = 2I - dt^2 L; the iterate is the flat array of N displacement values,
+  started with zero velocity,
 * classic RK4 on the first-order system (w, v), required when impedance sides
   are present; the iterate is the stacked pair, one flat array of 2N values,
   and the ghost closure ties the boundary velocity to the outward normal
   derivative so outflow dissipates.
 
 The filtered time average is accumulated online (running weighted sum), so a
-solve never stores the trajectory.
+solve never stores the trajectory.  The state is checked for non-finite values
+every ``_CHECK_EVERY`` steps and at the end.
 """
 
 from __future__ import annotations
@@ -55,17 +57,37 @@ class ForcingSchedule:
         return cls([problem.forcing], np.array([problem.omega]))
 
 
-def _drive(schedule: ForcingSchedule | None, problem: HelmholtzProblem, times):
-    """Per-solve drive: the stacked forcings F, shape (k, N), with zero Dirichlet
-    columns, and the table cos(omega_i t) at ``times``, shape (len(times), k).
+# Steps between finiteness checks of an integration, which also checks once at
+# the end.  Neither scheme's linear update turns a non-finite value finite
+# again, so checking the state at the end of each window misses nothing.
+_CHECK_EVERY = 64
 
-    Row m of the table times F is the drive at times[m].  None when unforced.
+
+def _windows(steps: int):
+    """Step windows (lo, hi] of at most ``_CHECK_EVERY`` steps covering 0..steps."""
+    return ((lo, min(lo + _CHECK_EVERY, steps)) for lo in range(0, steps, _CHECK_EVERY))
+
+
+def _check_finite(y: np.ndarray, scheme: str, lo: int, hi: int):
+    if not np.isfinite(y).all():
+        raise InstabilityError(f"{scheme} produced non-finite values between steps "
+                               f"{lo} and {hi}")
+
+
+def _drive(schedule: ForcingSchedule | None, problem: HelmholtzProblem, times,
+           scale: float = 1.0):
+    """Per-solve drive: the stacked forcings F, shape (k, N), with zero Dirichlet
+    columns, and the table scale * cos(omega_i t) at ``times``, shape
+    (len(times), k).
+
+    Row m of the table times F is the scaled drive at times[m].  None when
+    unforced.
     """
     if schedule is None:
         return None
     F = np.stack([np.where(problem.dirichlet_mask, 0.0, f.values).ravel()
                   for f in schedule.forcings])
-    return (F, np.cos(np.outer(times, schedule.omegas))) if F.any() else None
+    return (F, scale * np.cos(np.outer(times, schedule.omegas))) if F.any() else None
 
 
 def _drive_at(drive, m: int, out: np.ndarray):
@@ -81,8 +103,8 @@ def _drive_at(drive, m: int, out: np.ndarray):
 
 @cache
 def _compiled_matvec():
-    """SciPy's compiled CSR kernel, which adds L @ x into a given buffer; None
-    (the kernels then use ``L @ x``) if this SciPy lacks it or it fails a
+    """SciPy's compiled CSR kernel, which adds A @ x into a given buffer; None
+    (the kernels then use ``A @ x``) if this SciPy lacks it or it fails a
     one-entry check, since it is private API."""
     try:
         from scipy.sparse._sparsetools import csr_matvec
@@ -94,35 +116,78 @@ def _compiled_matvec():
         return None
 
 
-def _kernels(problem: HelmholtzProblem, *fields: ScalarField):
-    """(Lx, B) from the problem's operator; Lx(x, out) adds L @ x into out.
+@cache
+def _blas():
+    """(dscal, daxpy), imported on first use: scipy.linalg adds about 0.3 s
+    to a cold import."""
+    from scipy.linalg.blas import daxpy, dscal
 
-    The compiled kernel needs no temporary: at N = 101 it takes 2.5 us where
-    ``L @ x`` takes 7 us.  It checks no sizes, so this checks the fields' grids.
-    """
+    return dscal, daxpy
+
+
+def _check_grids(problem: HelmholtzProblem, *fields: ScalarField):
+    # the compiled kernel checks no sizes
     if any(f.grid != problem.grid for f in fields):
         raise GridMismatchError("field grid does not match problem grid")
-    L, B = problem.operator
-    matvec = _compiled_matvec()
-    if matvec is None:
-        return (lambda x, out: np.add(out, L @ x, out=out)), B
-    return partial(matvec, *L.shape, L.indptr, L.indices, L.data), B
 
 
-def _leapfrog_step(Lx, cur, prev, drive, m, dt2, a):
-    """prev <- 2 cur - prev - dt2 (L cur + f(t_m)) in place; ``a`` is scratch.
+def _csr_adder(L, data):
+    """Kernel (x, out) adding A @ x into out, for A with L's sparsity and ``data``.
 
-    From prev = cur with dt2 = dt^2/2 this gives the start-up value w^-1.
+    The compiled kernel needs no temporary: at N = 101 it takes 2.5 us where
+    ``A @ x`` takes 7 us.
     """
-    if _drive_at(drive, m, a) is None:
-        a.fill(0.0)
-    Lx(cur, a)
-    a *= dt2
-    np.subtract(cur, prev, out=prev)
-    prev += cur
-    prev -= a
-    if not np.isfinite(prev).all():
-        raise InstabilityError(f"leapfrog produced non-finite values at step {m}")
+    matvec = _compiled_matvec()
+    if matvec is not None:
+        return partial(matvec, *L.shape, L.indptr, L.indices, data)
+    from scipy.sparse import csr_matrix
+
+    A = csr_matrix((data, L.indices, L.indptr), shape=L.shape)
+    return lambda x, out: np.add(out, A @ x, out=out)
+
+
+def _kernels(problem: HelmholtzProblem, *fields: ScalarField):
+    """(Lx, B) from the problem's operator; Lx(x, out) adds L @ x into out."""
+    _check_grids(problem, *fields)
+    L, B = problem.operator
+    return _csr_adder(L, L.data), B
+
+
+def _leapfrog_kernel(problem: HelmholtzProblem, dt: float,
+                     schedule: ForcingSchedule | None, times, *fields: ScalarField):
+    """The leapfrog step ``step(cur, prev, m)``: prev <- K cur - prev - dt^2 f(t_m)
+    in place, with K = 2I - dt^2 L and t_m = times[m].
+
+    K shares L's sparsity and is built per solve: its data is -dt^2 L.data
+    with 2 added at the stored diagonals.  Dirichlet rows stay empty, so
+    Dirichlet nodes stay at zero.  The negation of prev and the drive are
+    BLAS calls; the compiled product then adds K cur to each row.
+    """
+    if not problem.bcs.energy_conserving:
+        raise ValueError("leapfrog requires energy-conserving boundary conditions")
+    _check_grids(problem, *fields)
+    drive, L = _drive(schedule, problem, times, -dt * dt), problem.operator[0]
+    data = L.data * (-dt * dt)
+    data[problem.diagonal_slots] += 2.0
+    Kx, (scal, axpy), size = _csr_adder(L, data), _blas(), L.shape[0]
+    F, coeffs = (list(drive[0]), drive[1].tolist()) if drive is not None else ((), None)
+
+    def step(cur, prev, m):
+        scal(-1.0, prev)
+        if F:
+            for f, c in zip(F, coeffs[m]):
+                axpy(f, prev, size, c)
+        Kx(cur, prev)
+
+    return step
+
+
+def _leapfrog_start(step, cur: np.ndarray) -> np.ndarray:
+    """w^-1 = K w^0 / 2 - (dt^2/2) f(0), which encodes zero initial velocity."""
+    prev = np.zeros_like(cur)
+    step(cur, prev, 0)
+    _blas()[0](0.5, prev)
+    return prev
 
 
 def _first_order(Lx, B, w, v, d, out):
@@ -139,7 +204,8 @@ def _rk4_step(Lx, B, y, drive, m, dt, bufs):
     """Classic RK4 on the stacked (w, v) in y, in place.
 
     Drive rows m, m + 1 and m + 2 are the times t, t + dt/2 and t + dt (the
-    step index is m // 2); ``bufs`` is (4, 2, N) scratch.
+    step index is m // 2); ``bufs`` is (4, 2, N) scratch.  The caller checks
+    y for non-finite values.
     """
     s, k, inc, (dbuf, _) = bufs
     _first_order(Lx, B, y[0], y[1], _drive_at(drive, m, dbuf), inc)
@@ -156,8 +222,6 @@ def _rk4_step(Lx, B, y, drive, m, dt, bufs):
     inc += k
     inc *= dt / 6.0
     y += inc
-    if not np.isfinite(y).all():
-        raise InstabilityError(f"rk4 produced non-finite values at step {m // 2}")
 
 
 def leapfrog_initialize(v: ScalarField, schedule: ForcingSchedule | None,
@@ -167,13 +231,10 @@ def leapfrog_initialize(v: ScalarField, schedule: ForcingSchedule | None,
     Encodes zero initial discrete velocity.  Only valid for energy-conserving
     boundaries (the second-order form has no impedance closure).
     """
-    if not problem.bcs.energy_conserving:
-        raise ValueError("leapfrog requires energy-conserving boundary conditions")
-    Lx, _ = _kernels(problem, v)
+    step = _leapfrog_kernel(problem, dt, schedule, [0.0], v)
     w0 = np.where(problem.dirichlet_mask, 0.0, v.values).ravel()
-    wm1 = w0.copy()
-    _leapfrog_step(Lx, w0, wm1, _drive(schedule, problem, [0.0]), 0, 0.5 * dt * dt,
-                   np.empty_like(w0))
+    wm1 = _leapfrog_start(step, w0)
+    _check_finite(wm1, "leapfrog", 0, 0)
     return ScalarField(problem.grid, w0), ScalarField(problem.grid, wm1)
 
 
@@ -181,9 +242,10 @@ def leapfrog_step(w_n: ScalarField, w_nm1: ScalarField, t_n: float,
                   schedule: ForcingSchedule | None, problem: HelmholtzProblem,
                   dt: float) -> ScalarField:
     """One update w^{n+1} = 2 w^n - w^{n-1} - dt^2 (L w^n + f cos(omega t_n))."""
+    step = _leapfrog_kernel(problem, dt, schedule, [t_n], w_n, w_nm1)
     out = w_nm1.values.ravel().copy()
-    _leapfrog_step(_kernels(problem, w_n, w_nm1)[0], w_n.values.ravel(), out,
-                   _drive(schedule, problem, [t_n]), 0, dt * dt, np.empty_like(out))
+    step(w_n.values.ravel(), out, 0)
+    _check_finite(out, "leapfrog", 0, 1)
     return ScalarField(problem.grid, out)
 
 
@@ -208,6 +270,7 @@ def rk4_step(state: WaveState, t: float, dt: float,
     _rk4_step(*_kernels(problem, state.w), y,
               _drive(schedule, problem, [t, t + 0.5 * dt, t + dt]), 0, dt,
               np.empty((4, *y.shape)))
+    _check_finite(y, "rk4", 0, 1)
     y[1, mask] = state.v.values.ravel()[mask]  # Dirichlet rows do not move
     return WaveState(ScalarField(problem.grid, y[0]), ScalarField(problem.grid, y[1]),
                      state.t + dt)
@@ -262,18 +325,19 @@ def evolve_and_filter(x: np.ndarray, schedule: ForcingSchedule | None,
 
 
 def _evolve_leapfrog(cur, schedule, problem, tg, weights, wanted):
-    Lx, dt, a = _kernels(problem)[0], tg.dt, np.empty_like(cur)
-    drive = _drive(schedule, problem, dt * np.arange(tg.steps))
-    prev = cur.copy()
-    _leapfrog_step(Lx, cur, prev, drive, 0, 0.5 * dt * dt, a)
-    acc = weights[0] * cur
+    dt = tg.dt
+    step = _leapfrog_kernel(problem, dt, schedule, dt * np.arange(tg.steps))
+    prev, axpy = _leapfrog_start(step, cur), _blas()[1]
+    acc, w, size = weights[0] * cur, weights.tolist(), cur.size
     samples = {0: cur.copy()} if 0 in wanted else {}
-    for n in range(tg.steps):
-        _leapfrog_step(Lx, cur, prev, drive, n, dt * dt, a)
-        cur, prev = prev, cur
-        acc += np.multiply(cur, weights[n + 1], out=a)
-        if n + 1 in wanted:
-            samples[n + 1] = cur.copy()
+    for lo, hi in _windows(tg.steps):
+        for n in range(lo, hi):
+            step(cur, prev, n)
+            cur, prev = prev, cur
+            axpy(cur, acc, size, w[n + 1])
+            if n + 1 in wanted:
+                samples[n + 1] = cur.copy()
+        _check_finite(cur, "leapfrog", lo, hi)
     return acc, samples
 
 
@@ -282,11 +346,13 @@ def _evolve_rk4(y, schedule, problem, tg, weights, wanted):
     drive = _drive(schedule, problem, 0.5 * dt * np.arange(2 * tg.steps + 1))
     acc = weights[0] * y
     samples = {0: y[0].copy()} if 0 in wanted else {}
-    for n in range(tg.steps):
-        _rk4_step(Lx, B, y, drive, 2 * n, dt, bufs)
-        acc += np.multiply(y, weights[n + 1], out=bufs[0])
-        if n + 1 in wanted:
-            samples[n + 1] = y[0].copy()
+    for lo, hi in _windows(tg.steps):
+        for n in range(lo, hi):
+            _rk4_step(Lx, B, y, drive, 2 * n, dt, bufs)
+            acc += np.multiply(y, weights[n + 1], out=bufs[0])
+            if n + 1 in wanted:
+                samples[n + 1] = y[0].copy()
+        _check_finite(y, "rk4", lo, hi)
     return acc, samples
 
 

@@ -195,6 +195,28 @@ def test_gmres_hessenberg_storage_grows_with_iterations(rng):
     assert peak < 1_000_000
 
 
+def test_gmres_basis_sized_by_remaining_iterations(rng):
+    # restart = 1000 with max_iters = 20: a basis of restart + 1 rows would be
+    # 400 KB at n = 50; the cycle can run only 20 iterations, so it needs 21
+    n = 50
+    M = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    b = rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        x, rep = gmres_solve(_mat_op(M), b, KrylovConfig(tol=1e-15, restart=1000,
+                                                         max_iters=20))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.iters == 20 and not rep.converged
+    assert peak < 100_000
+    # the same arithmetic as a cycle that is 20 long by its restart length
+    x20, rep20 = gmres_solve(_mat_op(M), b, KrylovConfig(tol=1e-15, restart=20,
+                                                         max_iters=20))
+    assert np.array_equal(x, x20)
+    assert rep.residual_history == rep20.residual_history
+
+
 def test_gmres_graded_nonnormal_system_needs_second_pass():
     # upper bidiagonal with diagonal graded from 1 to 1e-10 (condition ~1e10):
     # a single classical Gram-Schmidt pass loses orthogonality here, so the

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -143,6 +144,82 @@ def test_leapfrog_instability_detection():
         for n in range(4000):
             nxt = leapfrog_step(cur, prev, n * dt, None, p, dt)
             prev, cur = cur, nxt
+
+
+def _step_window(excinfo):
+    """The (lo, hi] step window that an InstabilityError message names."""
+    found = re.search(r"between steps (\d+) and (\d+)", str(excinfo.value))
+    assert found, str(excinfo.value)
+    return int(found[1]), int(found[2])
+
+
+def _first_failing_step(advance, steps):
+    """1-based index of the first single public step that raises."""
+    for n in range(steps):
+        try:
+            advance(n)
+        except InstabilityError:
+            return n + 1
+    return None
+
+
+def test_evolve_and_filter_leapfrog_instability_names_window():
+    p = problem_1d(n=50, forcing="zero")
+    phi, _ = _eigenmode(p, 7)
+    lam = p.lambda_max_estimate()
+    T = 5 * 2 * math.pi / p.omega
+    tg = TimeGrid(p.omega, 5, math.ceil(T * lam / 4.0))  # dt = 4/lambda, far beyond 2/lambda
+    with pytest.raises(InstabilityError) as excinfo, \
+            np.errstate(over="ignore", invalid="ignore"):
+        evolve_and_filter(phi.values.ravel(), None, p, tg, FilterSpec.standard(p.omega),
+                          "leapfrog")
+    lo, hi = _step_window(excinfo)
+    # the same trajectory one public step at a time fails inside that window
+    state = list(leapfrog_initialize(phi, None, p, tg.dt))
+
+    def advance(n):
+        state[:] = leapfrog_step(*state, n * tg.dt, None, p, tg.dt), state[0]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = _first_failing_step(advance, tg.steps)
+    assert first is not None and lo < first <= hi <= tg.steps
+    assert hi - lo <= wavesolver._CHECK_EVERY
+
+
+def test_evolve_and_filter_rk4_instability_names_window(rng):
+    p = problem_1d(n=50, bc="impedance", forcing="zero")
+    dt = 0.1  # dt * lambda_max = 10, far outside RK4's stability region
+    tg = TimeGrid(p.omega, 6, math.ceil(6 * 2 * math.pi / p.omega / dt))
+    x = rng.standard_normal(2 * p.grid.num_nodes)
+    with pytest.raises(InstabilityError) as excinfo, \
+            np.errstate(over="ignore", invalid="ignore"):
+        evolve_and_filter(x, None, p, tg, FilterSpec.standard(p.omega), "rk4")
+    lo, hi = _step_window(excinfo)
+    w, v = (ScalarField(p.grid, c) for c in x.reshape(2, -1))
+    state = [WaveState(w, v, 0.0)]
+
+    def advance(n):
+        state[0] = rk4_step(state[0], n * tg.dt, tg.dt, None, p)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = _first_failing_step(advance, tg.steps)
+    assert first is not None and lo < first <= hi <= tg.steps
+    assert hi - lo <= wavesolver._CHECK_EVERY
+
+
+@pytest.mark.parametrize("bc,scheme", [("dirichlet", "leapfrog"), ("impedance", "rk4")])
+def test_evolve_and_filter_nan_iterate_raises(bc, scheme):
+    p = problem_1d(omega=2.0, n=30, bc=bc)
+    default_steps = default_leapfrog_steps if scheme == "leapfrog" else default_rk4_steps
+    steps = default_steps(p, p.omega, 1)
+    tg = TimeGrid(p.omega, 1, steps)
+    x = np.zeros(p.grid.num_nodes * (1 if scheme == "leapfrog" else 2))
+    x[7] = np.nan
+    with pytest.raises(InstabilityError) as excinfo, np.errstate(invalid="ignore"):
+        evolve_and_filter(x, ForcingSchedule.single(p), p, tg, FilterSpec.standard(p.omega),
+                          scheme)
+    assert _step_window(excinfo) == (0, min(wavesolver._CHECK_EVERY, steps))
+    assert scheme in str(excinfo.value)
 
 
 def test_first_order_rhs_zero():
