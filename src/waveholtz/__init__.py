@@ -38,7 +38,6 @@ from .filters import (
     modified_frequency,
     optimize_tunable_filter,
     shifted_eigenvalue,
-    tunable_beta,
 )
 from .iteration import (
     MultiFrequencyResult,

@@ -243,7 +243,7 @@ def build_problem(cfg: RunConfig, omega: float) -> HelmholtzProblem:
 
 
 def _build_filter(cfg: RunConfig, problem: HelmholtzProblem,
-                  wh: WaveHoltzConfig, seed: int) -> FilterSpec:
+                  wh: WaveHoltzConfig) -> FilterSpec:
     omega = wh.tg.omega
     if cfg.filter_kind == "standard":
         if cfg.filter_constant != 0.25:
@@ -262,7 +262,7 @@ def _build_filter(cfg: RunConfig, problem: HelmholtzProblem,
             hi, extra = None, None
         result = optimize_tunable_filter(
             omega, cfg.resonant_lambda, cfg.n_coeffs, wh.tg,
-            sample_hi=hi, extra_penalty_points=extra, seed=seed,
+            sample_hi=hi, extra_penalty_points=extra,
         )
         if result.warning:
             print(f"warning: {result.warning}", file=sys.stderr)
@@ -305,14 +305,14 @@ class RunResult:
         ]
 
 
-def run_single(cfg: RunConfig, omega: float, seed: int = 0) -> RunResult:
+def run_single(cfg: RunConfig, omega: float) -> RunResult:
     problem = build_problem(cfg, omega)
     scheme = None if cfg.scheme == "auto" else cfg.scheme
     wh = WaveHoltzConfig.build(
         problem, periods=cfg.periods, steps=cfg.steps, scheme=scheme,
         max_iters=cfg.max_iters, tol=cfg.tol, correction=cfg.correction,
     )
-    spec = _build_filter(cfg, problem, wh, seed)
+    spec = _build_filter(cfg, problem, wh)
     if spec is not wh.spec:
         wh.spec = spec
     kc = None
@@ -389,14 +389,14 @@ def _omega_tag(omega: float) -> str:
     return f"{omega:.6g}".replace(".", "p").replace("-", "m")
 
 
-def run_sweep(cfg: RunConfig, outdir: Path, seed: int = 0) -> dict:
+def run_sweep(cfg: RunConfig, outdir: Path) -> dict:
     """Run every sweep frequency and write all artifacts.
 
     Rows land in summary.csv in ascending omega order; per-run residual
     histories and solution dumps are written next to it.
     """
     outdir.mkdir(parents=True, exist_ok=True)
-    results = [run_single(cfg, w, seed) for w in sorted(cfg.omegas)]
+    results = [run_single(cfg, w) for w in sorted(cfg.omegas)]
 
     summary = outdir / "summary.csv"
     with summary.open("w", newline="") as fh:
@@ -503,7 +503,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="INI config path")
         p.add_argument("--out", default=None, help="output directory "
                        f"(overrides ${ENV_OUTDIR} and the config)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0, help="ignored")
         p.add_argument("--strict", action="store_true",
                        help="exit 3 if any run fails to converge")
 
@@ -523,7 +523,7 @@ def main(argv=None) -> int:
         if args.command == "solve" and len(cfg.omegas) != 1:
             raise ConfigError("solve expects exactly one sweep frequency")
         outdir = _outdir_from(args, cfg)
-        out = run_sweep(cfg, outdir, seed=args.seed)
+        out = run_sweep(cfg, outdir)
         for r in out["results"]:
             status = "ok" if r.converged else "NOT CONVERGED"
             print(f"omega={r.omega:.6g} method={r.method} iters={r.iters} "

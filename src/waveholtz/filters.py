@@ -279,14 +279,6 @@ def cfl_check(omega: float, dt: float, lambda_max: float,
                      tuple(violations))
 
 
-def tunable_beta(lam, spec: FilterSpec, tg: TimeGrid):
-    """Transfer function of a tunable filter, by quadrature of the defining
-    integral (the general closed form is not used)."""
-    if spec.kind != "tunable":
-        raise ValueError("tunable_beta expects a tunable FilterSpec")
-    return beta_by_quadrature(lam, spec, tg)
-
-
 def beta_second_derivative(spec: FilterSpec, lam, tg: TimeGrid):
     """d^2 beta / d lambda^2 by quadrature: the integrand gains -t^2 cos(lambda t)."""
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -342,20 +334,24 @@ def optimize_tunable_filter(
     n_samples: int = 400,
     sample_hi: float | None = None,
     extra_penalty_points=None,
-    restarts: int = 5,
     seed: int = 0,
 ) -> TunableFilterResult:
     """Design a tunable filter sharpening the transfer function at a resonance.
 
     Minimises  J = w_d * beta''(lambda_res) + w_p * sum_j |beta(r_j)|^p  over
-    the free coefficients (a0, a_2, ..., a_{n_coeffs-1}); a_1 follows from a0
-    and |a0| < 1/2 is enforced as a hard constraint.  The r_j are equispaced
-    over [0, sample_hi] (default 4*omega) excluding a small window around the
-    resonant value; ``extra_penalty_points`` appends specific frequencies
-    (e.g. a problem's shifted eigenvalues) to the fence.  The penalty only
-    restrains where it samples, so sample_hi should cover the spectrum the
-    iteration will see.  Derivative-free simplex search with seeded restarts;
-    deterministic for a fixed seed.
+    the free coefficients x = (a0, a_2, ..., a_{n_coeffs-1}); a_1 follows from
+    a0.  The r_j are equispaced over [0, sample_hi] (default 4*omega)
+    excluding a small window around the resonant value;
+    ``extra_penalty_points`` appends specific frequencies (e.g. a problem's
+    shifted eigenvalues) to the fence.  The penalty only restrains where it
+    samples, so sample_hi should cover the spectrum the iteration will see.
+
+    beta and beta'' are affine in x, so J is convex and |a0| < 1/2 is a box:
+    one L-BFGS-B solve with the analytic gradient, started from the standard
+    filter, reaches the global minimum.  It is deterministic; ``seed`` is
+    ignored.  Too few samples leave J unbounded below: a solve that does not
+    converge, or whose |beta| exceeds 1 on a dense grid over [0, sample_hi],
+    returns the standard filter with ``improved=False`` and a warning.
     """
     from scipy.optimize import minimize
 
@@ -373,46 +369,49 @@ def optimize_tunable_filter(
     b_base, b_mat, b2_base, b2_mat = _tunable_cost_matrices(
         omega, tg, n_coeffs, lam_samples
     )
-    d2_row_base = b2_base[0]
-    d2_row = b2_mat[0]
-    pen_base = b_base[1:]
-    pen_mat = b_mat[1:]
-
-    def coeffs_from_free(x):
-        a0 = x[0]
-        a1 = (1.0 + 4.0 * a0) / TWO_PI
-        return np.concatenate([[a0, a1], x[1:]])
-
-    def cost(x):
-        if abs(x[0]) >= 0.5:
-            return np.inf
-        c = coeffs_from_free(x)
-        d2 = d2_row_base + d2_row @ c
-        pen = np.abs(pen_base + pen_mat @ c) ** penalty_exponent
-        return deriv_weight * d2 + penalty_weight * float(pen.sum())
-
-    # Nelder-Mead over the free vector; the standard filter seeds restart 0.
+    # coefficients c = T x + e, with a_1 = (1 + 4 a0)/(2 pi) pinned to a0
     ndim = n_coeffs - 1
-    x_standard = np.zeros(ndim)
-    x_standard[0] = -0.25
-    standard_cost = cost(x_standard)
-    rng = np.random.default_rng(seed)
-    best_x, best_cost = x_standard.copy(), standard_cost
-    for k in range(restarts):
-        x0 = x_standard.copy()
-        if k > 0:
-            x0 = x0 + rng.normal(scale=0.1, size=ndim)
-            x0[0] = float(np.clip(x0[0], -0.45, 0.45))
-        res = minimize(
-            cost, x0, method="Nelder-Mead",
-            options={"maxiter": 200 * ndim, "xatol": 1e-10, "fatol": 1e-12},
-        )
-        if res.fun < best_cost:
-            best_cost, best_x = float(res.fun), res.x.copy()
+    T = np.eye(n_coeffs, ndim, k=-1)
+    T[0, 0], T[1, 0] = 1.0, 4.0 / TWO_PI
+    e = np.eye(n_coeffs)[1] / TWO_PI
+    g2_base, g2 = b2_base[0] + b2_mat[0] @ e, b2_mat[0] @ T
+    pb, P = b_base[1:] + b_mat[1:] @ e, b_mat[1:] @ T
+    p = penalty_exponent
 
-    improved = best_cost < standard_cost
-    warning = None if improved else "optimizer did not improve on the standard filter"
-    spec = FilterSpec.tunable(
-        omega, a0=float(best_x[0]), a_rest=tuple(best_x[1:]), periods=tg.periods
-    )
-    return TunableFilterResult(spec, best_cost, standard_cost, improved, warning)
+    def cost_and_grad(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = pb + P @ x
+            az = np.abs(z)
+            zp1 = az ** (p - 1)
+            cost = deriv_weight * (g2_base + g2 @ x) + penalty_weight * (zp1 @ az)
+            grad = deriv_weight * g2 + penalty_weight * p * (P.T @ (zp1 * np.sign(z)))
+        return float(cost), grad
+
+    x_standard = np.r_[-0.25, np.zeros(ndim - 1)]
+    standard_cost = cost_and_grad(x_standard)[0]
+    a0_max = 0.5 - 1e-9
+    res = minimize(cost_and_grad, x_standard, jac=True, method="L-BFGS-B",
+                   bounds=[(-a0_max, a0_max)] + [(None, None)] * (ndim - 1),
+                   options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-10})
+    x, cost, pg = res.x, float(res.fun), res.jac.copy()
+    converged = bool(np.all(np.isfinite(x)) and np.isfinite(cost))
+    if converged:
+        # judged on the projected gradient: at roundoff the line search can
+        # stop "abnormally" at a point that is already converged
+        pg[0] = x[0] - np.clip(x[0] - pg[0], -a0_max, a0_max)
+        converged = np.max(np.abs(pg)) <= 1e-6 * max(1.0, abs(cost))
+    warning = None if converged else f"filter design did not converge ({res.message})"
+    if converged:
+        spec = FilterSpec.tunable(omega, a0=float(x[0]), a_rest=tuple(x[1:]),
+                                  periods=tg.periods)
+        # 16 points per period 2 pi/T of beta's fastest oscillation
+        grid = np.linspace(0.0, hi, int(math.ceil(8.0 * hi * tg.T / math.pi)) + 2)
+        if np.max(np.abs(beta_by_quadrature(grid, spec, tg))) > 1.0 + 1e-6:
+            warning = "designed filter has |beta| > 1: too few penalty samples"
+        elif not cost < standard_cost:
+            warning = "optimizer did not improve on the standard filter"
+    if warning is not None:
+        spec = FilterSpec.tunable(omega, a0=-0.25, a_rest=(0.0,) * (ndim - 1),
+                                  periods=tg.periods)
+        return TunableFilterResult(spec, standard_cost, standard_cost, False, warning)
+    return TunableFilterResult(spec, cost, standard_cost, True)
