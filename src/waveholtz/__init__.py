@@ -66,6 +66,7 @@ from .oracle import (
     UnsupportedProblemError,
     assemble_operator,
     direct_helmholtz_solve,
+    direct_rk4_solve,
     dirichlet_box_spectrum,
     helmholtz_residual,
     pi_apply_spectral,

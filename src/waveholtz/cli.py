@@ -153,12 +153,9 @@ def parse_config(path) -> RunConfig:
     try:
         prob = cp["problem"]
         dim = prob.getint("dim", 1)
-        lo = tuple(float(t) for t in prob.get("lo", "0").replace(",", " ").split())
-        hi = tuple(float(t) for t in prob.get("hi", "1").replace(",", " ").split())
-        if len(lo) == 1 and dim == 2:
-            lo = (lo[0], lo[0])
-        if len(hi) == 1 and dim == 2:
-            hi = (hi[0], hi[0])
+        lo, hi = (tuple(float(t) for t in prob.get(k, d).replace(",", " ").split())
+                  for k, d in (("lo", "0"), ("hi", "1")))
+        lo, hi = (t * dim if len(t) == 1 else t for t in (lo, hi))
         bc_raw = prob.get("bc", "dirichlet").replace(",", " ").split()
         if len(bc_raw) == 1:
             bc = tuple(bc_raw * (2 * dim))
@@ -173,10 +170,7 @@ def parse_config(path) -> RunConfig:
         out = cp["output"] if cp.has_section("output") else {}
 
         def get(section, key, default, cast=str):
-            if hasattr(section, "get"):
-                raw = section.get(key, None)
-            else:
-                raw = None
+            raw = section.get(key, None)
             if raw is None:
                 return default
             if cast is bool:
@@ -312,9 +306,7 @@ def run_single(cfg: RunConfig, omega: float) -> RunResult:
         problem, periods=cfg.periods, steps=cfg.steps, scheme=scheme,
         max_iters=cfg.max_iters, tol=cfg.tol, correction=cfg.correction,
     )
-    spec = _build_filter(cfg, problem, wh)
-    if spec is not wh.spec:
-        wh.spec = spec
+    wh.spec = _build_filter(cfg, problem, wh)
     kc = None
     if cfg.method in ("gmres", "cg"):
         kc = KrylovConfig(

@@ -234,22 +234,10 @@ class HelmholtzProblem:
         [m_1/2, m_1/2, m_3/2, ..., m_{n-1/2}, m_{n-1/2}].
         """
         out = []
-        c = self.csq.values
         for axis in range(self.grid.dim):
-            lo = [slice(None)] * self.grid.dim
-            hi = [slice(None)] * self.grid.dim
-            lo[axis] = slice(0, -1)
-            hi[axis] = slice(1, None)
-            mid = 0.5 * (c[tuple(lo)] + c[tuple(hi)])
-            first = [slice(None)] * self.grid.dim
-            last = [slice(None)] * self.grid.dim
-            first[axis] = slice(0, 1)
-            last[axis] = slice(-1, None)
-            out.append(
-                np.concatenate(
-                    [mid[tuple(first)], mid, mid[tuple(last)]], axis=axis
-                )
-            )
+            c = np.moveaxis(self.csq.values, axis, 0)
+            mid = 0.5 * (c[:-1] + c[1:])
+            out.append(np.moveaxis(np.concatenate([mid[:1], mid, mid[-1:]]), 0, axis))
         return out
 
     @cached_property
@@ -292,6 +280,16 @@ class HelmholtzProblem:
         L = self.operator[0]
         rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))
         return np.flatnonzero(L.indices == rows)
+
+    @cached_property
+    def first_order_block(self):
+        """The N x 2N CSR block [-L | -diag(B)]: dv/dt of the unforced (w, v).
+
+        Impedance rows gain their B entry; Dirichlet rows stay empty.
+        """
+        from scipy.sparse import diags, hstack
+
+        return hstack([-self.operator[0], diags(-self.operator[1])], format="csr")
 
     @property
     def max_wave_speed(self) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .core import (
     DIRICHLET,
     HelmholtzProblem,
     ScalarField,
+    WaveState,
     apply_discrete_laplacian,
     norm2,
 )
@@ -82,6 +84,11 @@ def _axis_sqrt_eigenvalues(problem: HelmholtzProblem, c: float, axis: int):
     return c * (2.0 / h) * np.sin(j * math.pi / (2.0 * n))
 
 
+def _mode_lambda_grid(problem: HelmholtzProblem, c: float):
+    lam = [_axis_sqrt_eigenvalues(problem, c, d) for d in range(problem.grid.dim)]
+    return lam[0] if len(lam) == 1 else np.sqrt(lam[0][:, None] ** 2 + lam[1] ** 2)
+
+
 def dirichlet_box_spectrum(problem: HelmholtzProblem) -> SpectralDecomposition:
     """Closed-form spectrum of the constant-coefficient all-Dirichlet stencil.
 
@@ -89,22 +96,11 @@ def dirichlet_box_spectrum(problem: HelmholtzProblem) -> SpectralDecomposition:
     2D: tensor sums over both axes.
     """
     c = _require_constant_dirichlet(problem)
-    if problem.grid.dim == 1:
-        lam = _axis_sqrt_eigenvalues(problem, c, 0)
-        idx = [(j,) for j in range(1, problem.grid.n[0])]
-    else:
-        lx = _axis_sqrt_eigenvalues(problem, c, 0)
-        ly = _axis_sqrt_eigenvalues(problem, c, 1)
-        lam2 = lx[:, None] ** 2 + ly[None, :] ** 2
-        lam = np.sqrt(lam2).ravel()
-        idx = [(j, k)
-               for j in range(1, problem.grid.n[0])
-               for k in range(1, problem.grid.n[1])]
+    lam = _mode_lambda_grid(problem, c).ravel()
+    idx = list(product(*(range(1, m) for m in problem.grid.n)))  # lam's order
     order = np.argsort(lam)
-    lam_sorted = lam[order]
-    idx_sorted = [idx[i] for i in order]
-    delta_h = float(np.min(np.abs(lam_sorted - problem.omega)) / problem.omega)
-    return SpectralDecomposition(problem, c, lam_sorted, idx_sorted, delta_h)
+    delta_h = float(np.min(np.abs(lam[order] - problem.omega)) / problem.omega)
+    return SpectralDecomposition(problem, c, lam[order], [idx[i] for i in order], delta_h)
 
 
 @lru_cache(maxsize=16)
@@ -175,6 +171,37 @@ def direct_helmholtz_solve(problem: HelmholtzProblem, sigma: float) -> ScalarFie
     return ScalarField(problem.grid, out.reshape(problem.grid.shape))
 
 
+def direct_rk4_solve(problem: HelmholtzProblem, dt: float) -> WaveState:
+    """Sparse complex LU solve for the periodic RK4 response to f cos(omega t),
+    the limit of the rk4 iteration, as the (w, v) pair at t = 0.
+
+    RK4 on y' = M y + g, M = [[0, I], [-L, -diag(B)]] from problem.operator,
+    is y <- P(A) y + D_n with A = dt M and P(A) = sum_{k<=4} A^k / k!.  For
+    g = Re(e exp(i omega t)), e = (0, -f), D_n = exp(i omega t_n) D with
+    D = c4 e + A c3 e + A^2 c2 e / 2 + A^3 c1 e / 6, z = exp(i omega dt/2),
+    c1 = dt/4, c2 = dt/6 (1 + z), c3 = dt/6 (1 + 2z), c4 = dt/6 (1 + 4z + z^2).
+    Re(Y exp(i omega t_n)) with (z^2 I - P(A)) Y = D is that response, and
+    its filtered average over whole periods is Re Y.  Dirichlet rows and
+    columns, whose w and v stay zero, are dropped.
+    """
+    from scipy.sparse import bmat, diags, identity
+    from scipy.sparse.linalg import splu
+
+    (L, B), n = problem.operator, problem.grid.num_nodes
+    free = np.flatnonzero(~np.tile(problem.dirichlet_mask.ravel(), 2))
+    A = (dt * bmat([[None, identity(n)], [-L, -diags(B)]], format="csr"))[free][:, free]
+    e = np.concatenate([np.zeros(n), -problem.forcing.values.ravel()])[free]
+    z = np.exp(0.5j * problem.omega * dt)
+    D = dt / 6.0 * ((1 + 4 * z + z * z) * e
+                    + A @ ((1 + 2 * z) * e + A @ ((1 + z) / 2 * e + A @ e / 4)))
+    I = identity(free.size, format="csr")
+    P = I + A @ (I + A @ (I / 2 + A @ (I / 6 + A / 24)))
+    y = np.zeros(2 * n)
+    y[free] = splu((z * z * I - P).tocsc()).solve(D).real
+    w, v = y.reshape(2, *problem.grid.shape)
+    return WaveState(ScalarField(problem.grid, w), ScalarField(problem.grid, v))
+
+
 def helmholtz_residual(problem: HelmholtzProblem, v: ScalarField,
                        sigma: float) -> float:
     """Relative residual ||-L v + sigma^2 v - f|| / ||f||."""
@@ -182,14 +209,6 @@ def helmholtz_residual(problem: HelmholtzProblem, v: ScalarField,
     r = ScalarField(problem.grid,
                     -Lv.values + sigma**2 * v.values - problem.forcing.values)
     return norm2(r) / norm2(problem.forcing)
-
-
-def _mode_lambda_grid(problem: HelmholtzProblem, c: float):
-    if problem.grid.dim == 1:
-        return _axis_sqrt_eigenvalues(problem, c, 0)
-    lx = _axis_sqrt_eigenvalues(problem, c, 0)
-    ly = _axis_sqrt_eigenvalues(problem, c, 1)
-    return np.sqrt(lx[:, None] ** 2 + ly[None, :] ** 2)
 
 
 def pi_apply_spectral(v: ScalarField, problem: HelmholtzProblem,

@@ -5,7 +5,9 @@ import pytest
 
 from waveholtz import (
     BoundarySpec,
+    ForcingSchedule,
     HelmholtzProblem,
+    KrylovConfig,
     ResonanceError,
     ScalarField,
     UniformGrid,
@@ -13,14 +15,18 @@ from waveholtz import (
     apply_discrete_laplacian,
     dirichlet_box_spectrum,
     direct_helmholtz_solve,
+    direct_rk4_solve,
     helmholtz_residual,
     modified_frequency,
     norm2,
     pi_apply,
     pi_apply_spectral,
+    rk4_step,
+    solve,
     trapezoid_reference,
 )
 from waveholtz.core import _lap_values
+from waveholtz.iteration import as_affine_system
 from waveholtz.oracle import (
     UnsupportedProblemError,
     assemble_operator,
@@ -180,6 +186,49 @@ def test_direct_solve_2d_small():
     p = problem_2d(omega=2.5, n=12)
     v = direct_helmholtz_solve(p, p.omega)
     assert helmholtz_residual(p, v, p.omega) < 1e-11
+
+
+def _flat(state):
+    return np.concatenate([state.w.values.ravel(), state.v.values.ravel()])
+
+
+def _rk4_gmres_against_oracle(p, periods, tol):
+    """GMRES rk4 iterate, direct_rk4_solve's state, their relative 2-norm distance
+    and the config."""
+    cfg = WaveHoltzConfig.build(p, periods=periods, scheme="rk4", tol=tol)
+    u, rep = solve(p, cfg, method="gmres",
+                   krylov=KrylovConfig(tol=tol, restart=100, max_iters=500))
+    assert rep.converged
+    ref = direct_rk4_solve(p, cfg.tg.dt)
+    x, y = _flat(u), _flat(ref)
+    return x, ref, np.linalg.norm(x - y) / np.linalg.norm(y), cfg
+
+
+@pytest.mark.parametrize("bc", ["impedance", ("impedance", "dirichlet")])
+def test_direct_rk4_solve_is_the_gmres_limit_1d(bc):
+    # GMRES stops at a relative residual tol, so the error is at most
+    # kappa(A) * tol; A = I - S is assembled column by column on the free rows
+    p = problem_1d(omega=10.0, n=200, bc=bc)
+    x, _, err, cfg = _rk4_gmres_against_oracle(p, 1, 1e-12)
+    A, _ = as_affine_system(p, cfg)
+    dirichlet = np.tile(p.dirichlet_mask.ravel(), 2)
+    free, unit = np.flatnonzero(~dirichlet), np.eye(x.size)
+    kappa = np.linalg.cond(np.stack([A.apply(unit[j]) for j in free], axis=1)[free])
+    assert err <= kappa * 1e-12
+    assert not np.any(x[dirichlet])
+
+
+def test_direct_rk4_solve_is_the_gmres_limit_2d_open_box():
+    # a small C10 box: all impedance sides, 10 periods, 7 GMRES iterations
+    p = problem_2d(omega=6.5, bc="impedance")
+    _, ref, err, cfg = _rk4_gmres_against_oracle(p, 10, 1e-10)
+    assert err <= 10 * 1e-10
+    # the oracle's state is the periodic RK4 response: one period of public
+    # steps returns to it
+    state, sched = ref, ForcingSchedule.single(p)
+    for k in range(cfg.tg.steps // cfg.tg.periods):
+        state = rk4_step(state, k * cfg.tg.dt, cfg.tg.dt, sched, p)
+    assert np.max(np.abs(_flat(state) - _flat(ref))) <= 1e-11 * np.max(np.abs(_flat(ref)))
 
 
 def test_pi_spectral_fixed_point():

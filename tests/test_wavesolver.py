@@ -27,7 +27,7 @@ from waveholtz.core import _lap_values, apply_discrete_laplacian
 from waveholtz import wavesolver
 from waveholtz.wavesolver import default_leapfrog_steps, default_rk4_steps
 
-from conftest import problem_1d, random_interior_field
+from conftest import problem_1d, problem_2d, random_interior_field
 
 
 def _eigenmode(problem, j):
@@ -427,11 +427,13 @@ def test_public_matvec_fallback_matches_compiled_kernel(bc, scheme, rng, monkeyp
     if wavesolver._compiled_matvec() is None:
         pytest.skip("this SciPy has no compatible compiled csr_matvec")
     p = problem_1d(omega=3.0, n=40, bc=bc)
-    steps = (default_leapfrog_steps if scheme == "leapfrog" else default_rk4_steps)(p, p.omega, 1)
+    sched = ForcingSchedule([p.forcing] * 2, [p.omega, 2.0 * p.omega])  # forced, two frequencies
+    steps = (default_leapfrog_steps(p, p.omega, 1, omega_max=2.0 * p.omega)
+             if scheme == "leapfrog" else default_rk4_steps(p, p.omega, 1))
     x = rng.standard_normal(p.grid.num_nodes * (1 if scheme == "leapfrog" else 2))
 
     def run():
-        return evolve_and_filter(x, ForcingSchedule.single(p), p, TimeGrid(p.omega, 1, steps),
+        return evolve_and_filter(x, sched, p, TimeGrid(p.omega, 1, steps),
                                  FilterSpec.standard(p.omega), scheme)[0]
 
     compiled = run()
@@ -439,3 +441,21 @@ def test_public_matvec_fallback_matches_compiled_kernel(bc, scheme, rng, monkeyp
     fallback = run()
     assert not np.array_equal(fallback, compiled)  # the two paths really differ
     assert np.max(np.abs(fallback - compiled)) <= 1e-13 * np.max(np.abs(compiled))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_rk4_keeps_dirichlet_rows_exactly_zero(dim, rng):
+    # forced at two frequencies from random data: the Horner levels add the
+    # velocity into w and the empty block rows into v, so both halves of every
+    # Dirichlet row stay 0.0, not just small
+    sides = ("dirichlet", "impedance") if dim == 1 else ("impedance", "dirichlet",
+                                                         "dirichlet", "impedance")
+    p = problem_1d(omega=2.5, n=30, bc=sides) if dim == 1 else problem_2d(
+        omega=2.5, n=12, bc=sides)
+    sched = ForcingSchedule([p.forcing] * 2, [p.omega, 2.0 * p.omega])
+    tg = TimeGrid(p.omega, 1, default_rk4_steps(p, p.omega, 1))
+    x = rng.standard_normal(2 * p.grid.num_nodes)
+    out, _ = evolve_and_filter(x, sched, p, tg, FilterSpec.standard(p.omega), "rk4")
+    dirichlet = np.tile(p.dirichlet_mask.ravel(), 2)
+    assert np.all(out[dirichlet] == 0.0)
+    assert np.all(out[~dirichlet] != 0.0)
