@@ -30,8 +30,9 @@ from .core import (
 )
 from .filters import FilterSpec, fixed_point_rate_bound, optimize_tunable_filter
 from .iteration import WaveHoltzConfig, solve
-from .krylov import KrylovConfig
+from .krylov import IndefiniteOperatorError, KrylovConfig
 from .oracle import UnsupportedProblemError, dirichlet_box_spectrum
+from .wavesolver import InstabilityError
 
 ENV_OUTDIR = "WAVEHOLTZ_OUTDIR"
 
@@ -527,6 +528,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (IndefiniteOperatorError, InstabilityError) as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

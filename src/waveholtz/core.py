@@ -79,7 +79,7 @@ class UniformGrid:
 
     @property
     def num_nodes(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def cell_volume(self) -> float:
@@ -290,6 +290,12 @@ class HelmholtzProblem:
         from scipy.sparse import diags, hstack
 
         return hstack([-self.operator[0], diags(-self.operator[1])], format="csr")
+
+    @cached_property
+    def prepared_solves(self) -> dict:
+        """Wave-solve parts fixed for this system, by solve settings; filled
+        and bounded by ``wavesolver.evolve_and_filter``."""
+        return {}
 
     @property
     def max_wave_speed(self) -> float:

@@ -5,9 +5,12 @@ harmonic forcing over the filter window and takes the weighted time average.
 Pi is affine, Pi(v) = S v + b, and the fixed point solves the discrete
 Helmholtz equation at the modified frequency (or the true one under the
 corrected drive).  ``as_affine_system`` exposes A = I - S and b so standard
-Krylov methods apply; on energy-conserving leapfrog problems A is positive
-definite and self-adjoint in the trapezoid-weighted product (plainly symmetric
-when every side is Dirichlet).
+Krylov methods apply; on energy-conserving leapfrog problems A is
+self-adjoint in the trapezoid-weighted product (plainly symmetric when every
+side is Dirichlet), and positive definite while the discrete filter transfer
+function stays below 1.  On a coarse time grid it can exceed 1 next to omega
+(1.00026 on the 8-steps-per-period C08 line), and CG then raises
+``IndefiniteOperatorError``; GMRES does not need definiteness.
 """
 
 from __future__ import annotations
@@ -145,35 +148,43 @@ def pi_apply(v, problem: HelmholtzProblem, config: WaveHoltzConfig,
     return _from_iterate(out, problem, config)
 
 
+def _unforced(problem: HelmholtzProblem, config: WaveHoltzConfig, omegas):
+    """x -> S x, Pi's linear part: one unforced wave solve, filtered with the
+    weight of the drive at ``omegas``."""
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        sx, _ = evolve_and_filter(x, None, problem, config.tg, config.spec,
+                                  config.scheme, filter_omegas=omegas)
+        return sx
+
+    return apply
+
+
 def fixed_point_solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
                       schedule: ForcingSchedule | None = None):
-    """Plain iteration v <- Pi(v) from v = 0.
+    """Plain iteration v <- Pi(v) = S v + b from v = 0.
 
-    The residual is ||v_k - v_{k-1}|| / ||v_1 - v_0||.  Stagnation (e.g. near
-    resonance) shows up as converged=False after max_iters, never as an
-    exception.  Returns (iterate, report); for rk4 the iterate is a WaveState
-    whose displacement is the Helmholtz solution.
+    The first iterate is b = Pi(0), one forced wave solve; every later one is
+    one unforced solve, S v, plus b.  The residual is ||v_k - v_{k-1}|| /
+    ||v_1 - v_0||.  Stagnation (e.g. near resonance) shows up as
+    converged=False after max_iters, never as an exception.  Returns
+    (iterate, report); for rk4 the iterate is a WaveState whose displacement
+    is the Helmholtz solution.
     """
     t0 = time.perf_counter()
     schedule = _schedule_for(problem, config, schedule)
-    x = _zero_data(problem, config)
-    history: list[float] = []
-    denom = None
-    converged = False
-    iters = 0
-    for k in range(config.max_iters):
-        x_new, _ = evolve_and_filter(x, schedule, problem, config.tg,
-                                     config.spec, config.scheme)
-        inc = float(np.linalg.norm(x_new - x))
-        x = x_new
-        iters = k + 1
-        if denom is None:
-            denom = inc if inc > 0 else 1.0
-        history.append(inc / denom)
-        if history[-1] <= config.tol:
-            converged = True
-            break
-    report = IterationReport(history or [0.0], iters, converged,
+    b, _ = evolve_and_filter(_zero_data(problem, config), schedule, problem,
+                             config.tg, config.spec, config.scheme)
+    S = _unforced(problem, config, schedule.omegas)
+    bnorm = float(np.linalg.norm(b))
+    denom = bnorm or 1.0
+    x, iters, history = b, 1, [bnorm / denom]
+    while history[-1] > config.tol and iters < config.max_iters:
+        x_new = S(x)
+        x_new += b
+        history.append(float(np.linalg.norm(x_new - x)) / denom)
+        x, iters = x_new, iters + 1
+    report = IterationReport(history, iters, history[-1] <= config.tol,
                              measured_rate(history), time.perf_counter() - t0,
                              iters)
     return _from_iterate(x, problem, config), report
@@ -192,12 +203,10 @@ def as_affine_system(problem: HelmholtzProblem, config: WaveHoltzConfig,
     b, _ = evolve_and_filter(_zero_data(problem, config), schedule, problem,
                              config.tg, config.spec, config.scheme)
     symmetric = config.scheme == "leapfrog" and set(problem.bcs.sides) == {DIRICHLET}
-    omegas = schedule.omegas
+    S = _unforced(problem, config, schedule.omegas)
 
     def apply(x: np.ndarray) -> np.ndarray:
-        sx, _ = evolve_and_filter(x, None, problem, config.tg, config.spec,
-                                  config.scheme, filter_omegas=omegas)
-        return x - sx
+        return x - S(x)
 
     A = LinearOperator(dimension=b.size, apply=apply, symmetric_hint=symmetric)
     return A, b

@@ -83,17 +83,19 @@ def gmres_solve(A: LinearOperator, b: np.ndarray, config: KrylovConfig):
         return np.zeros(n), IterationReport([0.0], 0, True, 1.0,
                                             time.perf_counter() - t0, 0)
     x = np.zeros(n)
+    r = b.copy()  # b - A 0, which takes no application: A is linear
     history: list[float] = []
     apps = 0
     iters = 0
     converged = False
     m = config.restart
 
-    # Each pass recomputes a true residual (one operator application), so a
-    # convergence claim is always certified outside the Givens estimates.
+    # Each later pass recomputes a true residual (one operator application),
+    # so a convergence claim is always certified outside the Givens estimates.
     while iters < config.max_iters:
-        r = b - A.apply(x)
-        apps += 1
+        if history:
+            r = b - A.apply(x)
+            apps += 1
         beta = float(np.linalg.norm(r))
         cycle_start = beta / bnorm
         history.append(cycle_start)
@@ -184,8 +186,8 @@ def cg_solve(A: LinearOperator, b: np.ndarray, config: KrylovConfig, weight=None
         return np.zeros(n), IterationReport([0.0], 0, True, 1.0,
                                             time.perf_counter() - t0, 0)
     x = np.zeros(n)
-    r = b - A.apply(x)
-    apps = 1
+    r = b.copy()  # b - A 0, which takes no application: A is linear
+    apps = 0
     rs = float(r @ (W * r))
     history = [math.sqrt(float(r @ r)) / bnorm]
     p = r.copy()

@@ -22,6 +22,7 @@ every ``_CHECK_EVERY`` steps and at the end.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -137,24 +138,71 @@ def _csr_adder(A, data):
     return lambda x, out: np.add(out, A @ x, out=out)
 
 
-def _leapfrog_kernel(problem: HelmholtzProblem, dt: float,
-                     schedule: ForcingSchedule | None, times, *fields: ScalarField):
-    """The leapfrog step ``step(cur, prev, m)``: prev <- K cur - prev - dt^2 f(t_m)
-    in place, with K = 2I - dt^2 L and t_m = times[m].
+# The four Horner levels of an RK4 step scale dt M by these factors.
+_RK4_LEVELS = (0.25, 1.0 / 3.0, 0.5, 1.0)
 
-    K shares L's sparsity and is built per solve: its data is -dt^2 L.data
-    with 2 added at the stored diagonals.  Dirichlet rows stay empty, so
-    Dirichlet nodes stay at zero.  The negation of prev and the drive are
-    BLAS calls; the compiled product then adds K cur to each row.
+
+def _scaled_block(problem: HelmholtzProblem, scale: float):
+    """(scale, kernel adding scale * ``problem.first_order_block`` @ x into out)."""
+    block = problem.first_order_block
+    return scale, _csr_adder(block, block.data if scale == 1.0 else block.data * scale)
+
+
+def _products(problem: HelmholtzProblem, dt: float, scheme: str):
+    """The compiled products a step of ``scheme`` makes.
+
+    Leapfrog: the kernel adding K x, K = 2I - dt^2 L on L's sparsity (its data
+    is -dt^2 L.data with 2 added at the stored diagonals; Dirichlet rows stay
+    empty, so Dirichlet nodes stay at zero).  RK4: the four levels'
+    ``_scaled_block`` pairs, at dt/4, dt/3, dt/2 and dt.
     """
+    if scheme == "rk4":
+        return tuple(_scaled_block(problem, s * dt) for s in _RK4_LEVELS)
     if not problem.bcs.energy_conserving:
         raise ValueError("leapfrog requires energy-conserving boundary conditions")
-    _check_grids(problem, *fields)
-    (F, coeffs), L = _drive(schedule, problem, times, -dt * dt), problem.operator[0]
+    L = problem.operator[0]
     data = L.data * (-dt * dt)
     data[problem.diagonal_slots] += 2.0
-    Kx, (scal, axpy), size = _csr_adder(L, data), _blas(), L.shape[0]
-    coeffs = coeffs.tolist()
+    return _csr_adder(L, data)
+
+
+# Prepared solves kept per problem.  A problem meets few systems (a sweep
+# builds one problem per frequency), so a handful covers them; the oldest goes.
+_PREPARED_PER_PROBLEM = 4
+_PREPARED_LOCK = threading.Lock()  # serialises inserting into a cache and trimming it
+
+
+def _prepared(problem: HelmholtzProblem, tg: TimeGrid, spec: FilterSpec, scheme: str,
+              filter_omegas):
+    """What a wave solve needs that is fixed for its system: (the step products
+    of ``_products``, the averaging weights eta_n weight(t_n), the scale 2 dt / T
+    of the average).  Built on first use and cached on the problem under
+    (tg, spec, scheme, filter omegas); it holds no scratch buffers, so solves
+    that share it may run concurrently."""
+    omegas = None if filter_omegas is None else tuple(filter_omegas)
+    key, cache = (tg, spec, scheme, omegas), problem.prepared_solves
+    prep = cache.get(key)
+    if prep is None:
+        weights = tg.eta() * filter_weights(spec, tg, filter_omegas)
+        prep = (_products(problem, tg.dt, scheme), tuple(weights.tolist()),
+                2.0 * tg.dt / tg.T)
+        with _PREPARED_LOCK:
+            cache[key] = prep
+            for stale in list(cache)[:-_PREPARED_PER_PROBLEM]:
+                del cache[stale]
+    return prep
+
+
+def _leapfrog_kernel(problem: HelmholtzProblem, Kx, dt: float,
+                     schedule: ForcingSchedule | None, times):
+    """The leapfrog step ``step(cur, prev, m)``: prev <- K cur - prev - dt^2 f(t_m)
+    in place, with ``Kx`` the product of ``_products`` and t_m = times[m].
+
+    The negation of prev and the drive are BLAS calls; the compiled product
+    then adds K cur to each row.  Unforced, a step makes no drive call.
+    """
+    (F, coeffs), (scal, axpy) = _drive(schedule, problem, times, -dt * dt), _blas()
+    size, coeffs = problem.grid.num_nodes, coeffs.tolist()
 
     def step(cur, prev, m):
         scal(-1.0, prev)
@@ -174,14 +222,14 @@ def _leapfrog_start(step, cur: np.ndarray) -> np.ndarray:
     return prev
 
 
-def _first_order_level(problem: HelmholtzProblem, scale: float, F):
+def _first_order_level(problem: HelmholtzProblem, scaled, F):
     """Kernel ``level(x, out, coeffs)``: out += scale M x + (0, sum_i coeffs[i] F[i])
-    on flat (w, v) arrays: an axpy of x's v half into out's w half, one compiled
-    product of the scaled ``problem.first_order_block`` (its empty Dirichlet rows
-    keep Dirichlet w and v at zero) into out's v half, and an axpy per drive row.
+    on flat (w, v) arrays, for ``scaled = (scale, product)`` of ``_scaled_block``:
+    an axpy of x's v half into out's w half, the compiled product of the scaled
+    block (its empty Dirichlet rows keep Dirichlet w and v at zero) into out's v
+    half, and an axpy per drive row.
     """
-    block, n, axpy = problem.first_order_block, problem.grid.num_nodes, _blas()[1]
-    Mx = _csr_adder(block, block.data if scale == 1.0 else block.data * scale)
+    (scale, Mx), n, axpy = scaled, problem.grid.num_nodes, _blas()[1]
 
     def level(x, out, coeffs):
         axpy(x, out, n, scale, n)
@@ -192,8 +240,8 @@ def _first_order_level(problem: HelmholtzProblem, scale: float, F):
     return level
 
 
-def _rk4_kernel(problem: HelmholtzProblem, dt: float, schedule: ForcingSchedule | None,
-                times, y: np.ndarray):
+def _rk4_kernel(problem: HelmholtzProblem, products, dt: float,
+                schedule: ForcingSchedule | None, times, y: np.ndarray):
     """The RK4 step ``step(m)``: y, flat (w, v), advances in place from times[2m]
     over times[2m + 1] to times[2m + 2].  With A = dt M, on two scratch buffers,
 
@@ -201,14 +249,15 @@ def _rk4_kernel(problem: HelmholtzProblem, dt: float, schedule: ForcingSchedule 
 
     is the stage form with k1..k4 expanded: for the drive g = (0, -f) at those
     times, g0, gh and g1, c1 = dt/4 g0, c2 = dt/6 (g0 + gh), c3 = dt/6 (g0 + 2 gh)
-    and c4 = dt/6 (g0 + 4 gh + g1).  The caller checks y for non-finite values.
+    and c4 = dt/6 (g0 + 4 gh + g1).  ``products`` holds the four levels' scaled
+    blocks, from ``_products``.  The caller checks y for non-finite values.
     """
     (F, g), (t, u) = _drive(schedule, problem, times, -dt / 6.0), np.empty((2, y.size))
     g0, gh, g1 = g[:-1:2], g[1::2], g[2::2]
     coeffs = np.stack([1.5 * g0, g0 + gh, g0 + 2.0 * gh, g0 + 4.0 * gh + g1],
                       axis=1).tolist()
-    levels = [(x, out, _first_order_level(problem, s * dt, F))
-              for x, out, s in ((y, t, 0.25), (t, u, 1.0 / 3.0), (u, t, 0.5), (t, y, 1.0))]
+    levels = [(x, out, _first_order_level(problem, scaled, F))
+              for (x, out), scaled in zip(((y, t), (t, u), (u, t), (t, y)), products)]
 
     def step(m):
         for (x, out, level), c in zip(levels, coeffs[m]):
@@ -226,7 +275,9 @@ def leapfrog_initialize(v: ScalarField, schedule: ForcingSchedule | None,
     Encodes zero initial discrete velocity.  Only valid for energy-conserving
     boundaries (the second-order form has no impedance closure).
     """
-    step = _leapfrog_kernel(problem, dt, schedule, [0.0], v)
+    _check_grids(problem, v)
+    step = _leapfrog_kernel(problem, _products(problem, dt, "leapfrog"), dt,
+                            schedule, [0.0])
     w0 = np.where(problem.dirichlet_mask, 0.0, v.values).ravel()
     wm1 = _leapfrog_start(step, w0)
     _check_finite(wm1, "leapfrog", 0, 0)
@@ -237,7 +288,9 @@ def leapfrog_step(w_n: ScalarField, w_nm1: ScalarField, t_n: float,
                   schedule: ForcingSchedule | None, problem: HelmholtzProblem,
                   dt: float) -> ScalarField:
     """One update w^{n+1} = 2 w^n - w^{n-1} - dt^2 (L w^n + f cos(omega t_n))."""
-    step = _leapfrog_kernel(problem, dt, schedule, [t_n], w_n, w_nm1)
+    _check_grids(problem, w_n, w_nm1)
+    step = _leapfrog_kernel(problem, _products(problem, dt, "leapfrog"), dt,
+                            schedule, [t_n])
     out = w_nm1.values.ravel().copy()
     step(w_n.values.ravel(), out, 0)
     _check_finite(out, "leapfrog", 0, 1)
@@ -255,7 +308,7 @@ def first_order_rhs(state: WaveState, t: float, schedule: ForcingSchedule | None
     _check_grids(problem, state.w)
     y, out = _stacked(state, problem), np.zeros(2 * problem.grid.num_nodes)
     F, g = _drive(schedule, problem, [t], -1.0)
-    _first_order_level(problem, 1.0, F)(y, out, g[0])
+    _first_order_level(problem, _scaled_block(problem, 1.0), F)(y, out, g[0])
     return tuple(ScalarField(problem.grid, c) for c in out.reshape(2, -1))
 
 
@@ -264,7 +317,8 @@ def rk4_step(state: WaveState, t: float, dt: float,
     """Classic four-stage Runge-Kutta update of (w, v)."""
     _check_grids(problem, state.w)
     y, mask = _stacked(state, problem), problem.dirichlet_mask
-    _rk4_kernel(problem, dt, schedule, [t, t + 0.5 * dt, t + dt], y)(0)
+    _rk4_kernel(problem, _products(problem, dt, "rk4"), dt, schedule,
+                [t, t + 0.5 * dt, t + dt], y)(0)
     _check_finite(y, "rk4", 0, 1)
     w, v = (ScalarField(problem.grid, c) for c in y.reshape(2, -1))
     v.values[mask] = state.v.values[mask]  # Dirichlet rows do not move
@@ -294,6 +348,10 @@ def evolve_and_filter(x: np.ndarray, schedule: ForcingSchedule | None,
     the drive, so the homogeneous (zero-forcing) runs behind the affine
     reformulation average with the same weight as the forced ones.
 
+    The step products and the weights are prepared once per system and cached
+    on the problem (``_prepared``); a forced solve builds its drive table per
+    call, and an unforced one builds none.
+
     Returns (filtered, samples) where samples maps step index -> ndarray.
     """
     if scheme == "leapfrog":
@@ -308,21 +366,21 @@ def evolve_and_filter(x: np.ndarray, schedule: ForcingSchedule | None,
                                 f"got {x.size}")
     if filter_omegas is None:
         filter_omegas = schedule.omegas if schedule is not None else None
-    weights = tg.eta() * filter_weights(spec, tg, filter_omegas)
+    products, weights, scale = _prepared(problem, tg, spec, scheme, filter_omegas)
     wanted = {int(s) for s in sample_steps} if sample_steps else set()
     if wanted and (min(wanted) < 0 or max(wanted) > tg.steps):
         raise ValueError("sample steps outside the time grid")
     y = np.where(problem.dirichlet_mask.ravel(), 0.0, x.reshape(shape))
-    acc, samples = evolve(y, schedule, problem, tg, weights, wanted)
-    acc *= 2.0 * tg.dt / tg.T
+    acc, samples = evolve(y, schedule, problem, tg, products, weights, wanted)
+    acc *= scale
     return acc.ravel(), {n: w.reshape(problem.grid.shape) for n, w in samples.items()}
 
 
-def _evolve_leapfrog(cur, schedule, problem, tg, weights, wanted):
+def _evolve_leapfrog(cur, schedule, problem, tg, Kx, w, wanted):
     dt = tg.dt
-    step = _leapfrog_kernel(problem, dt, schedule, dt * np.arange(tg.steps))
+    step = _leapfrog_kernel(problem, Kx, dt, schedule, dt * np.arange(tg.steps))
     prev, axpy = _leapfrog_start(step, cur), _blas()[1]
-    acc, w, size = weights[0] * cur, weights.tolist(), cur.size
+    acc, size = w[0] * cur, cur.size
     samples = {0: cur.copy()} if 0 in wanted else {}
     for lo, hi in _windows(tg.steps):
         for n in range(lo, hi):
@@ -335,11 +393,11 @@ def _evolve_leapfrog(cur, schedule, problem, tg, weights, wanted):
     return acc, samples
 
 
-def _evolve_rk4(y, schedule, problem, tg, weights, wanted):
+def _evolve_rk4(y, schedule, problem, tg, products, w, wanted):
     y, n = y.reshape(-1), problem.grid.num_nodes
     half_steps = 0.5 * tg.dt * np.arange(2 * tg.steps + 1)
-    step = _rk4_kernel(problem, tg.dt, schedule, half_steps, y)
-    acc, w, axpy = weights[0] * y, weights.tolist(), _blas()[1]
+    step = _rk4_kernel(problem, products, tg.dt, schedule, half_steps, y)
+    acc, axpy = w[0] * y, _blas()[1]
     samples = {0: y[:n].copy()} if 0 in wanted else {}
     for lo, hi in _windows(tg.steps):
         for m in range(lo, hi):

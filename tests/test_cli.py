@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from waveholtz import ScalarField, UniformGrid, WaveHoltzConfig, inner_product
+from waveholtz import (
+    InstabilityError,
+    ScalarField,
+    UniformGrid,
+    WaveHoltzConfig,
+    cli,
+    inner_product,
+)
 from waveholtz.cli import (
     ConfigError,
     build_problem,
@@ -104,7 +111,7 @@ def test_rhs_evals_count_rk4_stages(tmp_path):
                     "[solver]\nmethod = gmres\ntol = 1e-8\n\n"
                     "[sweep]\nomegas = 10\n")
     (r,) = run_sweep(parse_config(path), tmp_path / "out")["results"]
-    assert (r.operator_applications, r.rhs_evals) == (16, 16 * 63 * 4)
+    assert (r.operator_applications, r.rhs_evals) == (15, 15 * 63 * 4)
 
 
 def test_rhs_evals_count_leapfrog_start_up(tmp_path):
@@ -297,6 +304,32 @@ def test_c08_sweep_gmres_counts_pinned(tmp_path):
     for omega, iters in expected.items():
         r = run_single(cfg, omega)
         assert r.iters in iters, (omega, r.iters)
-        assert r.operator_applications == r.iters + 3
+        assert r.operator_applications == r.iters + 2  # b and the certify pass
         assert r.converged
         assert r.history[-1] <= cfg.tol  # the certified true residual
+
+
+def test_cg_breakdown_exits_with_solver_error(tmp_path, capsys):
+    # the C08 line at omega = 20 is indefinite, so CG meets nonpositive
+    # curvature: one stderr line and exit code 4, not a traceback
+    path = tmp_path / "c08_cg.ini"
+    path.write_text("[problem]\ndim = 1\nlo = -6\nhi = 6\nn = auto\nbc = dirichlet\n"
+                    "forcing = gaussian1d\n\n"
+                    "[solver]\nmethod = cg\ntol = 1e-10\nmax_iters = 2000\n"
+                    "krylov_max_iters = 1000\nrestart = 1000\n\n"
+                    "[sweep]\nomegas = 20\n")
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("solver error: <Ap, p> =")
+    assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+def test_instability_exits_with_solver_error(tmp_path, capsys, monkeypatch):
+    def unstable(*args, **kwargs):
+        raise InstabilityError("leapfrog produced non-finite values between steps 0 and 64")
+
+    monkeypatch.setattr(cli, "solve", unstable)
+    path = _write_config(tmp_path)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == ("solver error: leapfrog produced non-finite "
+                                       "values between steps 0 and 64\n")

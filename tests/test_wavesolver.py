@@ -432,8 +432,9 @@ def test_public_matvec_fallback_matches_compiled_kernel(bc, scheme, rng, monkeyp
              if scheme == "leapfrog" else default_rk4_steps(p, p.omega, 1))
     x = rng.standard_normal(p.grid.num_nodes * (1 if scheme == "leapfrog" else 2))
 
-    def run():
-        return evolve_and_filter(x, sched, p, TimeGrid(p.omega, 1, steps),
+    def run():  # on a fresh problem: the product is prepared once per problem
+        fresh = problem_1d(omega=3.0, n=40, bc=bc)
+        return evolve_and_filter(x, sched, fresh, TimeGrid(p.omega, 1, steps),
                                  FilterSpec.standard(p.omega), scheme)[0]
 
     compiled = run()
@@ -459,3 +460,118 @@ def test_rk4_keeps_dirichlet_rows_exactly_zero(dim, rng):
     dirichlet = np.tile(p.dirichlet_mask.ravel(), 2)
     assert np.all(out[dirichlet] == 0.0)
     assert np.all(out[~dirichlet] != 0.0)
+
+
+@pytest.mark.parametrize("bc,scheme,forced", [("dirichlet", "leapfrog", False),
+                                              ("dirichlet", "leapfrog", True),
+                                              ("impedance", "rk4", False),
+                                              ("impedance", "rk4", True)])
+def test_prepared_solve_repeats_bit_for_bit(bc, scheme, forced, rng):
+    # the second solve of a system reuses the first one's prepared products
+    # and weights; both equal a solve on a fresh problem, bit for bit
+    p, fresh = (problem_1d(omega=3.0, n=40, bc=bc) for _ in range(2))
+    steps = (default_leapfrog_steps(p, p.omega, 1) if scheme == "leapfrog"
+             else default_rk4_steps(p, p.omega, 1))
+    tg, spec = TimeGrid(p.omega, 1, steps), FilterSpec.standard(p.omega)
+    x = rng.standard_normal(p.grid.num_nodes * (1 if scheme == "leapfrog" else 2))
+
+    def run(problem):
+        sched = ForcingSchedule.single(problem)
+        return evolve_and_filter(x, sched if forced else None, problem, tg, spec,
+                                 scheme, filter_omegas=sched.omegas)[0]
+
+    first = run(p)
+    assert len(p.prepared_solves) == 1
+    assert np.array_equal(run(p), first)
+    assert len(p.prepared_solves) == 1
+    assert np.array_equal(run(fresh), first)
+
+
+def test_prepared_solves_stay_within_their_bound(rng):
+    # one problem cycling through more systems than the cache holds keeps at
+    # most the bound, and every solve still equals one on a fresh problem
+    bound = wavesolver._PREPARED_PER_PROBLEM
+    p = problem_1d(omega=3.0, n=30)
+    x = rng.standard_normal(p.grid.num_nodes)
+    steps = default_leapfrog_steps(p, p.omega, 1)
+    grids = [TimeGrid(p.omega, 1, steps + k) for k in range(bound + 2)]
+    spec = FilterSpec.standard(p.omega)
+    for _ in range(2):
+        for tg in grids:
+            out, _ = evolve_and_filter(x, None, p, tg, spec, "leapfrog",
+                                       filter_omegas=[p.omega])
+            ref, _ = evolve_and_filter(x, None, problem_1d(omega=3.0, n=30), tg, spec,
+                                       "leapfrog", filter_omegas=[p.omega])
+            assert np.array_equal(out, ref)
+            assert len(p.prepared_solves) <= bound
+    assert len(p.prepared_solves) == bound
+
+
+@pytest.mark.parametrize("change", ["tg", "spec", "filter_omegas"])
+def test_prepared_solve_never_lends_another_systems_weights(change, rng):
+    # a second system on the same problem gets its own products and weights:
+    # it matches a fresh problem and differs from the first system
+    p = problem_1d(omega=3.0, n=30)
+    x = rng.standard_normal(p.grid.num_nodes)
+    steps = default_leapfrog_steps(p, p.omega, 1)
+    a = {"tg": TimeGrid(p.omega, 1, steps), "spec": FilterSpec.standard(p.omega),
+         "filter_omegas": (p.omega,)}
+    other = {"tg": TimeGrid(p.omega, 1, steps + 1),
+             "spec": FilterSpec.standard(p.omega, constant=0.3),
+             "filter_omegas": (p.omega, 2.0 * p.omega)}
+    b = {**a, change: other[change]}
+
+    def run(problem, kw):
+        return evolve_and_filter(x, None, problem, kw["tg"], kw["spec"], "leapfrog",
+                                 filter_omegas=kw["filter_omegas"])[0]
+
+    out_a, out_b = run(p, a), run(p, b)
+    assert len(p.prepared_solves) == 2
+    assert np.array_equal(out_b, run(problem_1d(omega=3.0, n=30), b))
+    assert np.array_equal(run(p, a), out_a)
+    assert not np.array_equal(out_a, out_b)
+
+
+def test_prepared_solves_shared_across_threads(rng):
+    # threads solving on one problem over more systems than the cache holds
+    # get the same averages as solves on fresh problems, and the cache stays
+    # within its bound
+    import sys
+    import threading
+
+    bound = wavesolver._PREPARED_PER_PROBLEM
+    p = problem_1d(omega=3.0, n=20)
+    x = rng.standard_normal(p.grid.num_nodes)
+    steps = default_leapfrog_steps(p, p.omega, 1)
+    grids = [TimeGrid(p.omega, 1, steps + k) for k in range(bound + 3)]
+    spec = FilterSpec.standard(p.omega)
+
+    def run(problem, tg):
+        return evolve_and_filter(x, None, problem, tg, spec, "leapfrog",
+                                 filter_omegas=[p.omega])[0]
+
+    refs = [run(problem_1d(omega=3.0, n=20), tg) for tg in grids]
+    bad = []
+
+    def work(shift):
+        try:
+            for k in range(40):
+                i = (k + shift) % len(grids)
+                if not np.array_equal(run(p, grids[i]), refs[i]):
+                    bad.append(i)
+        except Exception as exc:  # a thread's exception would not fail the test
+            bad.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad
+    assert len(p.prepared_solves) <= bound
