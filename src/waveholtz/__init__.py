@@ -29,7 +29,6 @@ from .filters import (
     TunableFilterResult,
     beta_by_quadrature,
     beta_continuous,
-    beta_discrete_at_mode,
     beta_second_derivative,
     cfl_check,
     corrected_forcing_frequency,
@@ -79,9 +78,6 @@ from .wavesolver import (
     InstabilityError,
     evolve_and_filter,
     first_order_rhs,
-    leapfrog_initialize,
-    leapfrog_step,
-    rk4_step,
 )
 
 __version__ = "0.1.0"

@@ -165,20 +165,7 @@ def parse_config(path) -> RunConfig:
         else:
             raise ConfigError("bc needs one tag, or one per side")
 
-        solver = cp["solver"] if cp.has_section("solver") else {}
-        filt = cp["filter"] if cp.has_section("filter") else {}
         sweep = cp["sweep"]
-        out = cp["output"] if cp.has_section("output") else {}
-
-        def get(section, key, default, cast=str):
-            raw = section.get(key, None)
-            if raw is None:
-                return default
-            if cast is bool:
-                return str(raw).strip().lower() in ("1", "true", "yes", "on")
-            return cast(raw)
-
-        steps = get(solver, "steps", None, int)
         return RunConfig(
             dim=dim,
             lo=lo,
@@ -189,32 +176,30 @@ def parse_config(path) -> RunConfig:
             forcing=prob.get("forcing", "gaussian1d" if dim == 1 else "gaussian2d"),
             bc=bc,
             impedance_alpha=prob.getfloat("impedance_alpha", math.sqrt(0.5)),
-            method=get(solver, "method", "fixed_point"),
-            tol=get(solver, "tol", 1e-10, float),
-            max_iters=get(solver, "max_iters", 1000, int),
-            periods=get(solver, "periods", 1, int),
-            steps=steps,
-            scheme=get(solver, "scheme", "auto"),
-            correction=get(solver, "correction", False, bool),
-            restart=get(solver, "restart", 100, int),
-            krylov_tol=get(solver, "krylov_tol", None, float),
-            krylov_max_iters=get(solver, "krylov_max_iters", None, int),
-            filter_kind=get(filt, "kind", "standard"),
-            filter_constant=get(filt, "constant", 0.25, float),
-            a0=get(filt, "a0", -0.25, float),
-            a_rest=tuple(
-                float(t)
-                for t in str(get(filt, "a", "")).replace(",", " ").split()
-            ),
-            n_coeffs=get(filt, "n_coeffs", 12, int),
-            resonant_lambda=get(filt, "resonant_lambda", None, float),
+            method=cp.get("solver", "method", fallback="fixed_point"),
+            tol=cp.getfloat("solver", "tol", fallback=1e-10),
+            max_iters=cp.getint("solver", "max_iters", fallback=1000),
+            periods=cp.getint("solver", "periods", fallback=1),
+            steps=cp.getint("solver", "steps", fallback=None),
+            scheme=cp.get("solver", "scheme", fallback="auto"),
+            correction=cp.getboolean("solver", "correction", fallback=False),
+            restart=cp.getint("solver", "restart", fallback=100),
+            krylov_tol=cp.getfloat("solver", "krylov_tol", fallback=None),
+            krylov_max_iters=cp.getint("solver", "krylov_max_iters", fallback=None),
+            filter_kind=cp.get("filter", "kind", fallback="standard"),
+            filter_constant=cp.getfloat("filter", "constant", fallback=0.25),
+            a0=cp.getfloat("filter", "a0", fallback=-0.25),
+            a_rest=tuple(float(t) for t in
+                         cp.get("filter", "a", fallback="").replace(",", " ").split()),
+            n_coeffs=cp.getint("filter", "n_coeffs", fallback=12),
+            resonant_lambda=cp.getfloat("filter", "resonant_lambda", fallback=None),
             omegas=_parse_omegas(sweep.get("omegas", sweep.get("omega", ""))),
-            outdir=get(out, "dir", "out"),
-            dump_fields=get(out, "dump_fields", True, bool),
+            outdir=cp.get("output", "dir", fallback="out"),
+            dump_fields=cp.getboolean("output", "dump_fields", fallback=True),
         )
     except ConfigError:
         raise
-    except Exception as exc:  # missing sections/keys, bad literals
+    except Exception as exc:  # missing sections/keys, bad literals and booleans
         raise ConfigError(f"bad config {path}: {exc}") from exc
 
 
@@ -241,10 +226,7 @@ def _build_filter(cfg: RunConfig, problem: HelmholtzProblem,
                   wh: WaveHoltzConfig) -> FilterSpec:
     omega = wh.tg.omega
     if cfg.filter_kind == "standard":
-        if cfg.filter_constant != 0.25:
-            return FilterSpec.standard(omega, periods=cfg.periods,
-                                       constant=cfg.filter_constant)
-        return wh.spec
+        return FilterSpec.standard(omega, periods=cfg.periods, constant=cfg.filter_constant)
     if cfg.filter_kind == "tunable":
         return FilterSpec.tunable(omega, cfg.a0, cfg.a_rest, periods=cfg.periods)
     if cfg.filter_kind == "optimize":
@@ -303,10 +285,13 @@ class RunResult:
 def run_single(cfg: RunConfig, omega: float) -> RunResult:
     problem = build_problem(cfg, omega)
     scheme = None if cfg.scheme == "auto" else cfg.scheme
-    wh = WaveHoltzConfig.build(
-        problem, periods=cfg.periods, steps=cfg.steps, scheme=scheme,
-        max_iters=cfg.max_iters, tol=cfg.tol, correction=cfg.correction,
-    )
+    try:
+        wh = WaveHoltzConfig.build(
+            problem, periods=cfg.periods, steps=cfg.steps, scheme=scheme,
+            max_iters=cfg.max_iters, tol=cfg.tol, correction=cfg.correction,
+        )
+    except ValueError as exc:  # e.g. an unstable step count, or correction with rk4
+        raise ConfigError(f"omega = {omega:g}: {exc}") from exc
     wh.spec = _build_filter(cfg, problem, wh)
     kc = None
     if cfg.method in ("gmres", "cg"):

@@ -121,13 +121,6 @@ class ScalarField:
     def constant(cls, grid: UniformGrid, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(value)))
 
-    @classmethod
-    def from_function(cls, grid: UniformGrid, fn) -> "ScalarField":
-        return cls(grid, fn(*grid.meshgrid()))
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
 
 # Side ordering: (x_lo, x_hi) in 1D, (x_lo, x_hi, y_lo, y_hi) in 2D.
 @dataclass(frozen=True)
@@ -373,7 +366,6 @@ class WaveState:
 
     w: ScalarField
     v: ScalarField
-    t: float = 0.0
 
     def __post_init__(self):
         if self.w.grid != self.v.grid:
@@ -381,7 +373,4 @@ class WaveState:
 
     @classmethod
     def zeros(cls, grid: UniformGrid) -> "WaveState":
-        return cls(ScalarField.zeros(grid), ScalarField.zeros(grid), 0.0)
-
-    def copy(self) -> "WaveState":
-        return WaveState(self.w.copy(), self.v.copy(), self.t)
+        return cls(ScalarField.zeros(grid), ScalarField.zeros(grid))

@@ -199,15 +199,6 @@ def shifted_eigenvalue(lambda_j, dt: float):
     return float(out) if np.ndim(lambda_j) == 0 else out
 
 
-def beta_discrete_at_mode(lambda_j, omega: float, tg: TimeGrid,
-                          spec: FilterSpec | None = None):
-    """beta_h evaluated at the leapfrog-shifted eigenvalue lambda_tilde_j."""
-    if spec is None:
-        spec = FilterSpec.standard(omega, periods=tg.periods)
-    lam_t = shifted_eigenvalue(lambda_j, tg.dt)
-    return beta_by_quadrature(lam_t, spec, tg)
-
-
 def modified_frequency(omega: float, dt: float) -> float:
     """omega_tilde = 2 sin(dt omega / 2)/dt, the frequency the leapfrog
     iteration actually solves for; omega - omega_tilde <= dt^2 omega^3 / 24."""

@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DIRICHLET, NEUMANN, HelmholtzProblem, ScalarField, WaveState
-from .filters import FilterSpec, TimeGrid
+from .core import NEUMANN, HelmholtzProblem, ScalarField, WaveState
+from .filters import FilterSpec, TimeGrid, cfl_check
 from .krylov import (
     IterationReport,
     KrylovConfig,
@@ -66,10 +66,14 @@ class WaveHoltzConfig:
               steps: int | None = None, scheme: str | None = None,
               spec: FilterSpec | None = None, omegas=None,
               max_iters: int = 500, tol: float = 1e-10,
-              correction: bool = False, dt_safety: float = 0.7,
-              rk4_safety: float = 1.0) -> "WaveHoltzConfig":
+              correction: bool = False) -> "WaveHoltzConfig":
         """Defaults: leapfrog when energy conserving (else rk4); dt from the
         scheme's stability rule with M rounded up so M*dt = T exactly.
+
+        A leapfrog ``dt``, given ``steps`` or not, must meet ``cfl_check`` at
+        the highest drive frequency, or this raises ValueError before any
+        wave solve.  The bound is conservative: it rejects some step counts
+        that would still solve.
 
         ``omegas`` (multi-frequency) makes the window span ``periods`` of the
         lowest frequency and sizes dt against the highest.
@@ -91,16 +95,18 @@ class WaveHoltzConfig:
         base = problem.omega if omegas is None else float(min(omegas))
         top = problem.omega if omegas is None else float(max(omegas))
         if steps is None:
-            if scheme == "leapfrog":
-                steps = default_leapfrog_steps(problem, base, periods,
-                                               omega_max=top, safety=dt_safety)
-            else:
-                steps = default_rk4_steps(problem, base, periods, safety=rk4_safety)
+            steps = (default_leapfrog_steps(problem, base, periods, omega_max=top)
+                     if scheme == "leapfrog" else default_rk4_steps(problem, base, periods))
         steps = int(math.ceil(steps / periods)) * periods  # whole steps per period
         if correction:
             dt = 2.0 * math.sin(math.pi * periods / steps) / base
             base = 2.0 * math.pi * periods / (steps * dt)
         tg = TimeGrid(base, periods, steps)
+        if scheme == "leapfrog":
+            cfl = cfl_check(top, tg.dt, problem.lambda_max_estimate())
+            if not cfl.stable:
+                raise ValueError(f"leapfrog is unstable at {steps} steps: "
+                                 f"{cfl.violations[0]}")
         if spec is None:
             spec = FilterSpec.standard(base, periods=periods)
         return cls(tg=tg, spec=spec, scheme=scheme, max_iters=max_iters, tol=tol)
@@ -127,7 +133,7 @@ def _from_iterate(x: np.ndarray, problem, config):
     grid = problem.grid
     if config.scheme == "rk4":
         w, v = x.reshape((2, *grid.shape))
-        return WaveState(ScalarField(grid, w), ScalarField(grid, v), 0.0)
+        return WaveState(ScalarField(grid, w), ScalarField(grid, v))
     return ScalarField(grid, x.reshape(grid.shape))
 
 
@@ -202,13 +208,12 @@ def as_affine_system(problem: HelmholtzProblem, config: WaveHoltzConfig,
     schedule = _schedule_for(problem, config, schedule)
     b, _ = evolve_and_filter(_zero_data(problem, config), schedule, problem,
                              config.tg, config.spec, config.scheme)
-    symmetric = config.scheme == "leapfrog" and set(problem.bcs.sides) == {DIRICHLET}
     S = _unforced(problem, config, schedule.omegas)
 
     def apply(x: np.ndarray) -> np.ndarray:
         return x - S(x)
 
-    A = LinearOperator(dimension=b.size, apply=apply, symmetric_hint=symmetric)
+    A = LinearOperator(dimension=b.size, apply=apply)
     return A, b
 
 

@@ -24,7 +24,6 @@ class LinearOperator:
 
     dimension: int
     apply: Callable[[np.ndarray], np.ndarray]
-    symmetric_hint: bool = False
 
 
 @dataclass

@@ -116,12 +116,6 @@ def _blas():
     return dscal, daxpy
 
 
-def _check_grids(problem: HelmholtzProblem, *fields: ScalarField):
-    # the compiled kernel checks no sizes
-    if any(f.grid != problem.grid for f in fields):
-        raise GridMismatchError("field grid does not match problem grid")
-
-
 def _csr_adder(A, data):
     """Kernel (x, out) adding into out the product with the CSR matrix of A's
     shape and sparsity that holds ``data``.
@@ -268,35 +262,6 @@ def _rk4_kernel(problem: HelmholtzProblem, products, dt: float,
     return step
 
 
-def leapfrog_initialize(v: ScalarField, schedule: ForcingSchedule | None,
-                        problem: HelmholtzProblem, dt: float):
-    """Start-up pair (w^0, w^-1) = (v, v - dt^2/2 (L v + f(0))).
-
-    Encodes zero initial discrete velocity.  Only valid for energy-conserving
-    boundaries (the second-order form has no impedance closure).
-    """
-    _check_grids(problem, v)
-    step = _leapfrog_kernel(problem, _products(problem, dt, "leapfrog"), dt,
-                            schedule, [0.0])
-    w0 = np.where(problem.dirichlet_mask, 0.0, v.values).ravel()
-    wm1 = _leapfrog_start(step, w0)
-    _check_finite(wm1, "leapfrog", 0, 0)
-    return ScalarField(problem.grid, w0), ScalarField(problem.grid, wm1)
-
-
-def leapfrog_step(w_n: ScalarField, w_nm1: ScalarField, t_n: float,
-                  schedule: ForcingSchedule | None, problem: HelmholtzProblem,
-                  dt: float) -> ScalarField:
-    """One update w^{n+1} = 2 w^n - w^{n-1} - dt^2 (L w^n + f cos(omega t_n))."""
-    _check_grids(problem, w_n, w_nm1)
-    step = _leapfrog_kernel(problem, _products(problem, dt, "leapfrog"), dt,
-                            schedule, [t_n])
-    out = w_nm1.values.ravel().copy()
-    step(w_n.values.ravel(), out, 0)
-    _check_finite(out, "leapfrog", 0, 1)
-    return ScalarField(problem.grid, out)
-
-
 def first_order_rhs(state: WaveState, t: float, schedule: ForcingSchedule | None,
                     problem: HelmholtzProblem):
     """(dw/dt, dv/dt) = (v, -L w - f(t)) with impedance ghosts closed from v.
@@ -305,30 +270,14 @@ def first_order_rhs(state: WaveState, t: float, schedule: ForcingSchedule | None
     at the boundary node (the B v term of the operator); Dirichlet rows stay
     zero.  This is M y + g, one level of the RK4 kernel.
     """
-    _check_grids(problem, state.w)
-    y, out = _stacked(state, problem), np.zeros(2 * problem.grid.num_nodes)
+    if state.w.grid != problem.grid:  # the compiled kernel checks no sizes
+        raise GridMismatchError("field grid does not match problem grid")
+    y = np.concatenate([state.w.values.ravel(),
+                        np.where(problem.dirichlet_mask, 0.0, state.v.values).ravel()])
+    out = np.zeros_like(y)
     F, g = _drive(schedule, problem, [t], -1.0)
     _first_order_level(problem, _scaled_block(problem, 1.0), F)(y, out, g[0])
     return tuple(ScalarField(problem.grid, c) for c in out.reshape(2, -1))
-
-
-def rk4_step(state: WaveState, t: float, dt: float,
-             schedule: ForcingSchedule | None, problem: HelmholtzProblem) -> WaveState:
-    """Classic four-stage Runge-Kutta update of (w, v)."""
-    _check_grids(problem, state.w)
-    y, mask = _stacked(state, problem), problem.dirichlet_mask
-    _rk4_kernel(problem, _products(problem, dt, "rk4"), dt, schedule,
-                [t, t + 0.5 * dt, t + dt], y)(0)
-    _check_finite(y, "rk4", 0, 1)
-    w, v = (ScalarField(problem.grid, c) for c in y.reshape(2, -1))
-    v.values[mask] = state.v.values[mask]  # Dirichlet rows do not move
-    return WaveState(w, v, state.t + dt)
-
-
-def _stacked(state: WaveState, problem: HelmholtzProblem) -> np.ndarray:
-    """The flat (w, v) copy of a state with the Dirichlet velocities zeroed."""
-    return np.concatenate([state.w.values.ravel(),
-                           np.where(problem.dirichlet_mask, 0.0, state.v.values).ravel()])
 
 
 def evolve_and_filter(x: np.ndarray, schedule: ForcingSchedule | None,
@@ -341,8 +290,9 @@ def evolve_and_filter(x: np.ndarray, schedule: ForcingSchedule | None,
     values, w first, for rk4.  The average (2 dt / T) sum_n eta_n weight(t_n)
     y^n is accumulated online in the same layout and returned flat; under
     rk4 the one scalar weight multiplies both components.  ``sample_steps``
-    requests copies of the displacement, in grid shape, at those step
-    indices (for multi-frequency extraction).
+    requests copies of the iterate at those step indices (for multi-frequency
+    extraction): the displacement in grid shape for leapfrog, and the pair
+    (w, v), shape (2, *grid.shape), for rk4.
 
     ``filter_omegas`` pins the multi-frequency filter weight independently of
     the drive, so the homogeneous (zero-forcing) runs behind the affine
@@ -373,7 +323,8 @@ def evolve_and_filter(x: np.ndarray, schedule: ForcingSchedule | None,
     y = np.where(problem.dirichlet_mask.ravel(), 0.0, x.reshape(shape))
     acc, samples = evolve(y, schedule, problem, tg, products, weights, wanted)
     acc *= scale
-    return acc.ravel(), {n: w.reshape(problem.grid.shape) for n, w in samples.items()}
+    sample_shape = (*shape[:-1], *problem.grid.shape)
+    return acc.ravel(), {n: s.reshape(sample_shape) for n, s in samples.items()}
 
 
 def _evolve_leapfrog(cur, schedule, problem, tg, Kx, w, wanted):
@@ -394,17 +345,17 @@ def _evolve_leapfrog(cur, schedule, problem, tg, Kx, w, wanted):
 
 
 def _evolve_rk4(y, schedule, problem, tg, products, w, wanted):
-    y, n = y.reshape(-1), problem.grid.num_nodes
+    y = y.reshape(-1)
     half_steps = 0.5 * tg.dt * np.arange(2 * tg.steps + 1)
     step = _rk4_kernel(problem, products, tg.dt, schedule, half_steps, y)
     acc, axpy = w[0] * y, _blas()[1]
-    samples = {0: y[:n].copy()} if 0 in wanted else {}
+    samples = {0: y.copy()} if 0 in wanted else {}
     for lo, hi in _windows(tg.steps):
         for m in range(lo, hi):
             step(m)
             axpy(y, acc, y.size, w[m + 1])
             if m + 1 in wanted:
-                samples[m + 1] = y[:n].copy()
+                samples[m + 1] = y.copy()
         _check_finite(y, "rk4", lo, hi)
     return acc, samples
 

@@ -7,6 +7,8 @@ from waveholtz import (
     ScalarField,
     UniformGrid,
 )
+from waveholtz.core import _lap_values
+from waveholtz.filters import filter_weights
 
 
 def gaussian_forcing_1d(grid, omega):
@@ -85,3 +87,49 @@ def random_interior_field(grid, rng):
         sl[axis] = -1
         vals[tuple(sl)] = 0.0
     return ScalarField(grid, vals)
+
+
+def reference_states(p, x, sched, tg, scheme):
+    """The states y^0 .. y^steps of a plain loop over the stencil of _lap_values:
+    the displacement for leapfrog (started with zero velocity), the stacked
+    (w, v) for rk4; ``sched`` None is unforced."""
+    dt, shape, mask = tg.dt, p.grid.shape, p.dirichlet_mask
+
+    def drive(t):
+        if sched is None:
+            return 0.0
+        d = sum(np.cos(om * t) * f.values for om, f in zip(sched.omegas, sched.forcings))
+        return np.where(mask, 0.0, d)
+
+    if scheme == "leapfrog":
+        w = np.where(mask, 0.0, x.reshape(shape))
+        prev = w - 0.5 * dt * dt * (_lap_values(p, w) + drive(0.0))
+        yield w
+        for n in range(tg.steps):
+            w, prev = 2.0 * w - prev - dt * dt * (_lap_values(p, w) + drive(n * dt)), w
+            yield w
+    else:
+        def f(w, v, t):
+            return (np.where(mask, 0.0, v),
+                    np.where(mask, 0.0, -_lap_values(p, w, v) - drive(t)))
+
+        w, v = np.where(mask, 0.0, x.reshape(2, *shape))
+        yield np.stack([w, v])
+        for n in range(tg.steps):
+            t = n * dt
+            k1 = f(w, v, t)
+            k2 = f(w + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1], t + 0.5 * dt)
+            k3 = f(w + 0.5 * dt * k2[0], v + 0.5 * dt * k2[1], t + 0.5 * dt)
+            k4 = f(w + dt * k3[0], v + dt * k3[1], t + dt)
+            w = w + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            v = v + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+            yield np.stack([w, v])
+
+
+def reference_evolve(p, x, sched, tg, spec, scheme):
+    """The filtered average of ``reference_states``, accumulated step by step."""
+    weights = tg.eta() * filter_weights(spec, tg, sched.omegas)
+    acc = 0.0
+    for weight, y in zip(weights, reference_states(p, x, sched, tg, scheme)):
+        acc = acc + weight * y
+    return (2.0 * tg.dt / tg.T * acc).ravel()

@@ -333,3 +333,28 @@ def test_instability_exits_with_solver_error(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
     assert capsys.readouterr().err == ("solver error: leapfrog produced non-finite "
                                        "values between steps 0 and 64\n")
+
+
+@pytest.mark.parametrize("section,key,literal", [("solver", "correction", "ture"),
+                                                 ("output", "dump_fields", "maybe")])
+def test_bad_boolean_literal_is_a_config_error(tmp_path, section, key, literal):
+    # any literal but 1/0, true/false, yes/no and on/off is rejected, not read as false
+    path = _write_config(tmp_path)
+    path.write_text(path.read_text().replace(f"[{section}]\n",
+                                             f"[{section}]\n{key} = {literal}\n"))
+    with pytest.raises(ConfigError, match=f"Not a boolean: {literal}"):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert not (out / "summary.csv").exists()
+
+
+def test_unstable_leapfrog_dt_is_a_config_error(tmp_path, capsys):
+    # 117 steps over one period at omega = 5, n = 100 break the leapfrog bound
+    path = _write_config(tmp_path, omegas="5")
+    path.write_text(path.read_text().replace("n = 60", "n = 100")
+                    .replace("periods = 1", "periods = 1\nsteps = 117"))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert "stability limit" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()

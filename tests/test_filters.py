@@ -8,7 +8,6 @@ from waveholtz import (
     TimeGrid,
     beta_by_quadrature,
     beta_continuous,
-    beta_discrete_at_mode,
     beta_second_derivative,
     cfl_check,
     corrected_forcing_frequency,
@@ -127,7 +126,9 @@ def test_shifted_eigenvalue_and_mode_beta():
     # the mode whose shift lands exactly on omega has beta 1
     lam = 2.0 * math.sin(0.5 * tg.dt * omega) / tg.dt
     assert shifted_eigenvalue(lam, tg.dt) == pytest.approx(omega, rel=1e-14)
-    assert beta_discrete_at_mode(lam, omega, tg) == pytest.approx(1.0, abs=1e-13)
+    beta = beta_by_quadrature(shifted_eigenvalue(lam, tg.dt), FilterSpec.standard(omega),
+                              tg)
+    assert beta == pytest.approx(1.0, abs=1e-13)
 
 
 def test_shifted_eigenvalue_cfl_error_names_value():
@@ -141,8 +142,9 @@ def test_mode_beta_richardson_to_continuous():
     errs = []
     for M in (200, 400, 800):
         tg = TimeGrid(omega, 1, M)
-        errs.append(abs(beta_discrete_at_mode(lam, omega, tg)
-                        - beta_continuous(lam / omega)))
+        beta = beta_by_quadrature(shifted_eigenvalue(lam, tg.dt),
+                                  FilterSpec.standard(omega), tg)
+        errs.append(abs(beta - beta_continuous(lam / omega)))
     assert errs[0] / errs[1] >= 3.5
     assert errs[1] / errs[2] >= 3.5
 
@@ -158,7 +160,8 @@ def test_mode_beta_bounded_by_rate_bound():
     T = TWO_PI / p.omega
     M = int(math.ceil(T / dt))
     tg = TimeGrid(p.omega, 1, M)
-    betas = beta_discrete_at_mode(sd.lambdas, p.omega, tg)
+    betas = beta_by_quadrature(shifted_eigenvalue(sd.lambdas, tg.dt),
+                               FilterSpec.standard(p.omega), tg)
     assert np.max(np.abs(betas)) <= rho + 1e-12
 
 

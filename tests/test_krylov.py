@@ -12,9 +12,9 @@ from waveholtz import (
 )
 
 
-def _mat_op(M, symmetric=False):
+def _mat_op(M):
     M = np.asarray(M, dtype=float)
-    return LinearOperator(M.shape[0], lambda x: M @ x, symmetric_hint=symmetric)
+    return LinearOperator(M.shape[0], lambda x: M @ x)
 
 
 def test_gmres_identity_one_iteration():
@@ -107,7 +107,7 @@ def test_gmres_stagnation_reports_not_converged():
 
 def test_cg_diagonal_system():
     d = np.arange(1.0, 51.0)
-    A = _mat_op(np.diag(d), symmetric=True)
+    A = _mat_op(np.diag(d))
     b = np.ones(50)
     x, rep = cg_solve(A, b, KrylovConfig(method="cg", tol=1e-12, max_iters=200))
     assert rep.converged
@@ -119,7 +119,7 @@ def test_cg_matches_gmres(rng):
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     M = Q @ np.diag(np.linspace(1.0, 4.0, n)) @ Q.T
     b = rng.standard_normal(n)
-    xc, repc = cg_solve(_mat_op(M, True), b, KrylovConfig(tol=1e-12, max_iters=200))
+    xc, repc = cg_solve(_mat_op(M), b, KrylovConfig(tol=1e-12, max_iters=200))
     xg, repg = gmres_solve(_mat_op(M), b, KrylovConfig(tol=1e-12, restart=40,
                                                        max_iters=200))
     assert repc.converged and repg.converged
@@ -128,7 +128,7 @@ def test_cg_matches_gmres(rng):
 
 def test_cg_operator_count_is_iters():
     d = np.linspace(1.0, 2.0, 15)
-    A = _mat_op(np.diag(d), symmetric=True)
+    A = _mat_op(np.diag(d))
     b = np.ones(15)
     _, rep = cg_solve(A, b, KrylovConfig(tol=1e-12, max_iters=100))
     assert rep.operator_applications == rep.iters  # no application for A 0
@@ -136,7 +136,7 @@ def test_cg_operator_count_is_iters():
 
 def test_cg_rhs_scaling_invariance(rng):
     d = np.linspace(0.5, 5.0, 20)
-    A = _mat_op(np.diag(d), symmetric=True)
+    A = _mat_op(np.diag(d))
     b = rng.standard_normal(20)
     cfg = KrylovConfig(tol=1e-12, max_iters=100)
     x1, _ = cg_solve(A, b, cfg)
@@ -145,7 +145,7 @@ def test_cg_rhs_scaling_invariance(rng):
 
 
 def test_cg_indefinite_raises():
-    A = _mat_op(np.diag([1.0, -1.0]), symmetric=True)
+    A = _mat_op(np.diag([1.0, -1.0]))
     with pytest.raises(IndefiniteOperatorError):
         cg_solve(A, np.array([0.3, 1.0]), KrylovConfig(tol=1e-10, max_iters=10))
 
@@ -160,7 +160,7 @@ def test_cg_on_slightly_nonsymmetric_operator_is_honest(rng):
     M = base + (skew - skew.T) / 2.0 + 0.02 * rng.standard_normal((n, n))
     b = rng.standard_normal(n)
     try:
-        x, rep = cg_solve(_mat_op(M, symmetric=True), b,
+        x, rep = cg_solve(_mat_op(M), b,
                           KrylovConfig(tol=1e-10, max_iters=300))
     except IndefiniteOperatorError:
         return  # legitimate outcome for a non-SPD operator

@@ -5,23 +5,25 @@ import pytest
 
 from waveholtz import (
     BoundarySpec,
+    FilterSpec,
     ForcingSchedule,
     HelmholtzProblem,
     KrylovConfig,
     ResonanceError,
     ScalarField,
+    TimeGrid,
     UniformGrid,
     WaveHoltzConfig,
     apply_discrete_laplacian,
     dirichlet_box_spectrum,
     direct_helmholtz_solve,
     direct_rk4_solve,
+    evolve_and_filter,
     helmholtz_residual,
     modified_frequency,
     norm2,
     pi_apply,
     pi_apply_spectral,
-    rk4_step,
     solve,
     trapezoid_reference,
 )
@@ -223,12 +225,15 @@ def test_direct_rk4_solve_is_the_gmres_limit_2d_open_box():
     p = problem_2d(omega=6.5, bc="impedance")
     _, ref, err, cfg = _rk4_gmres_against_oracle(p, 10, 1e-10)
     assert err <= 10 * 1e-10
-    # the oracle's state is the periodic RK4 response: one period of public
-    # steps returns to it
-    state, sched = ref, ForcingSchedule.single(p)
-    for k in range(cfg.tg.steps // cfg.tg.periods):
-        state = rk4_step(state, k * cfg.tg.dt, cfg.tg.dt, sched, p)
-    assert np.max(np.abs(_flat(state) - _flat(ref))) <= 1e-11 * np.max(np.abs(_flat(ref)))
+    # the oracle's state is the periodic RK4 response: one period of steps,
+    # both halves sampled, returns to it
+    M = cfg.tg.steps // cfg.tg.periods
+    one_period = TimeGrid(cfg.tg.omega, 1, M)
+    _, samples = evolve_and_filter(_flat(ref), ForcingSchedule.single(p), p, one_period,
+                                   FilterSpec.standard(p.omega), "rk4", sample_steps=[M])
+    assert samples[M].shape == (2, *p.grid.shape)
+    y, y0 = samples[M].ravel(), _flat(ref)
+    assert np.max(np.abs(y - y0)) <= 1e-11 * np.max(np.abs(y0))
 
 
 def test_pi_spectral_fixed_point():

@@ -25,10 +25,9 @@ from waveholtz import (
     solve,
 )
 from waveholtz.core import _lap_values
-from waveholtz.filters import filter_weights
 from waveholtz.wavesolver import default_leapfrog_steps, default_rk4_steps
 
-from conftest import problem_1d
+from conftest import problem_1d, reference_evolve
 
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True)
 SIDES = st.sampled_from(["dirichlet", "neumann"])
@@ -141,41 +140,6 @@ def test_assembled_operator_matches_stencil(seed, dim, n, sides, alpha):
     assert not np.any(np.diff(L.indptr)[p.dirichlet_mask.ravel()])
 
 
-def _reference_evolve(p, x, sched, tg, spec, scheme):
-    """Filtered average from a plain loop over the stencil of _lap_values."""
-    dt, shape, mask = tg.dt, p.grid.shape, p.dirichlet_mask
-    weights = tg.eta() * filter_weights(spec, tg, sched.omegas)
-
-    def drive(t):
-        d = sum(np.cos(om * t) * f.values for om, f in zip(sched.omegas, sched.forcings))
-        return np.where(mask, 0.0, d)
-
-    if scheme == "leapfrog":
-        w = np.where(mask, 0.0, x.reshape(shape))
-        prev = w - 0.5 * dt * dt * (_lap_values(p, w) + drive(0.0))
-        acc = weights[0] * w
-        for n in range(tg.steps):
-            w, prev = 2.0 * w - prev - dt * dt * (_lap_values(p, w) + drive(n * dt)), w
-            acc = acc + weights[n + 1] * w
-    else:
-        def f(w, v, t):
-            return (np.where(mask, 0.0, v),
-                    np.where(mask, 0.0, -_lap_values(p, w, v) - drive(t)))
-
-        w, v = np.where(mask, 0.0, x.reshape(2, *shape))
-        acc = weights[0] * np.stack([w, v])
-        for n in range(tg.steps):
-            t = n * dt
-            k1 = f(w, v, t)
-            k2 = f(w + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1], t + 0.5 * dt)
-            k3 = f(w + 0.5 * dt * k2[0], v + 0.5 * dt * k2[1], t + 0.5 * dt)
-            k4 = f(w + dt * k3[0], v + dt * k3[1], t + dt)
-            w = w + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-            v = v + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-            acc = acc + weights[n + 1] * np.stack([w, v])
-    return (2.0 * dt / tg.T * acc).ravel()
-
-
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2]),
        n=st.tuples(st.integers(3, 10), st.integers(3, 10)),
@@ -193,5 +157,5 @@ def test_evolve_and_filter_matches_reference_loop(seed, dim, n, sides, scheme, t
     spec = FilterSpec.standard(p.omega)
     x = rng.standard_normal(p.grid.num_nodes * (1 if scheme == "leapfrog" else 2))
     got = evolve_and_filter(x, sched, p, tg, spec, scheme)[0]
-    ref = _reference_evolve(p, x, sched, tg, spec, scheme)
+    ref = reference_evolve(p, x, sched, tg, spec, scheme)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

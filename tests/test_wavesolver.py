@@ -17,17 +17,14 @@ from waveholtz import (
     evolve_and_filter,
     first_order_rhs,
     inner_product,
-    leapfrog_initialize,
-    leapfrog_step,
     modified_frequency,
-    rk4_step,
     shifted_eigenvalue,
 )
 from waveholtz.core import _lap_values, apply_discrete_laplacian
 from waveholtz import wavesolver
 from waveholtz.wavesolver import default_leapfrog_steps, default_rk4_steps
 
-from conftest import problem_1d, problem_2d, random_interior_field
+from conftest import problem_1d, problem_2d, random_interior_field, reference_states
 
 
 def _eigenmode(problem, j):
@@ -41,36 +38,46 @@ def _eigenmode(problem, j):
     return ScalarField(problem.grid, phi), lam
 
 
-def test_leapfrog_initialize_zero():
+def _samples(p, x, sched, dt, steps, scheme, at):
+    """evolve_and_filter's samples at steps ``at`` of a run of ``steps`` steps
+    of size ``dt`` (to roundoff) from the flat iterate x."""
+    tg = TimeGrid(2.0 * math.pi / (dt * steps), 1, steps)
+    return evolve_and_filter(x, sched, p, tg, FilterSpec.standard(tg.omega), scheme,
+                             sample_steps=at)[1]
+
+
+def test_leapfrog_start_zero():
     p = problem_1d(n=20, forcing="zero")
     sched = ForcingSchedule.single(p)
-    w0, wm1 = leapfrog_initialize(ScalarField.zeros(p.grid), sched, p, 0.01)
-    assert not np.any(w0.values) and not np.any(wm1.values)
+    s = _samples(p, np.zeros(p.grid.num_nodes), sched, 0.01, 4, "leapfrog", [0, 1])
+    assert not np.any(s[0]) and not np.any(s[1])
 
 
-def test_leapfrog_initialize_forced():
+def test_leapfrog_start_forced():
+    # from zero data, w^1 = -w^-1 - dt^2 f(0) = -dt^2/2 f(0)
     p = problem_1d(n=20)
     dt = 0.01
     sched = ForcingSchedule.single(p)
-    w0, wm1 = leapfrog_initialize(ScalarField.zeros(p.grid), sched, p, dt)
-    assert not np.any(w0.values)
+    s = _samples(p, np.zeros(p.grid.num_nodes), sched, dt, 4, "leapfrog", [0, 1])
+    assert not np.any(s[0])
     expect = -0.5 * dt * dt * p.forcing.values
-    assert np.max(np.abs(wm1.values - expect)) < 1e-15
+    assert np.max(np.abs(s[1] - expect)) < 1e-15
 
 
-def test_leapfrog_initialize_eigenmode():
+def test_leapfrog_start_eigenmode():
+    # zero initial velocity: w^1 = K w^0 / 2 = (1 - dt^2 lambda^2 / 2) phi
     p = problem_1d(n=32, forcing="zero")
     phi, lam = _eigenmode(p, 3)
     dt = 0.005
-    w0, wm1 = leapfrog_initialize(phi, None, p, dt)
+    s = _samples(p, phi.values.ravel(), None, dt, 4, "leapfrog", [1])
     expect = (1.0 - 0.5 * dt * dt * lam * lam) * phi.values
-    assert np.max(np.abs(wm1.values - expect)) < 1e-12
+    assert np.max(np.abs(s[1] - expect)) < 1e-12
 
 
 def test_leapfrog_requires_energy_conserving():
     p = problem_1d(n=20, bc="impedance", forcing="zero")
     with pytest.raises(ValueError):
-        leapfrog_initialize(ScalarField.zeros(p.grid), None, p, 0.01)
+        _samples(p, np.zeros(p.grid.num_nodes), None, 0.01, 4, "leapfrog", [1])
 
 
 def test_leapfrog_unforced_eigenmode_trajectory():
@@ -79,12 +86,11 @@ def test_leapfrog_unforced_eigenmode_trajectory():
     phi, lam = _eigenmode(p, 5)
     dt = 0.9 * 2.0 / p.lambda_max_estimate()
     lam_t = shifted_eigenvalue(lam, dt)
-    cur, prev = leapfrog_initialize(phi, None, p, dt)
-    for n in range(1, 1001):
-        cur, prev = leapfrog_step(cur, prev, (n - 1) * dt, None, p, dt), cur
-        if n % 250 == 0:
-            expect = math.cos(lam_t * n * dt) * phi.values
-            assert np.max(np.abs(cur.values - expect)) < 1e-11
+    at = [250, 500, 750, 1000]
+    s = _samples(p, phi.values.ravel(), None, dt, 1000, "leapfrog", at)
+    for n in at:
+        expect = math.cos(lam_t * n * dt) * phi.values
+        assert np.max(np.abs(s[n] - expect)) < 1e-11
 
 
 def test_leapfrog_forced_single_mode_closed_form():
@@ -99,14 +105,12 @@ def test_leapfrog_forced_single_mode_closed_form():
     wt = modified_frequency(prob.omega, dt)
     lam_t = shifted_eigenvalue(lam, dt)
     vinf = fhat / (wt**2 - lam**2)
-    w, wm1 = leapfrog_initialize(ScalarField.zeros(prob.grid), sched, prob, dt)
-    cur, prev = w, wm1
+    s = _samples(prob, np.zeros(prob.grid.num_nodes), sched, dt, 400, "leapfrog",
+                 range(1, 401))
     for n in range(400):
-        nxt = leapfrog_step(cur, prev, n * dt, sched, prob, dt)
-        prev, cur = cur, nxt
         t = (n + 1) * dt
         expect = vinf * (math.cos(prob.omega * t) - math.cos(lam_t * t)) * phi.values
-        assert np.max(np.abs(cur.values - expect)) < 1e-10
+        assert np.max(np.abs(s[n + 1] - expect)) < 1e-10
 
 
 def test_leapfrog_energy_conservation():
@@ -114,8 +118,9 @@ def test_leapfrog_energy_conservation():
     phi, lam = _eigenmode(p, 4)
     dt = 0.5 * 2.0 / p.lambda_max_estimate()
     steps = int(10 * 2 * math.pi / (lam * dt))
-    w, wm1 = leapfrog_initialize(phi, None, p, dt)
-    cur, prev = w.values, wm1.values
+    # unforced from zero velocity, the start-up value w^-1 equals w^1
+    cur = phi.values
+    prev = _samples(p, cur.ravel(), None, dt, steps, "leapfrog", [1])[1]
 
     def energy(wn, wnm1):
         diff = ScalarField(p.grid, (wn - wnm1) / dt)
@@ -137,13 +142,9 @@ def test_leapfrog_instability_detection():
     p = problem_1d(n=50, forcing="zero")
     phi, _ = _eigenmode(p, 7)
     dt = 4.0 / p.lambda_max_estimate()  # far beyond the stability bound
-    w, wm1 = leapfrog_initialize(phi, None, p, dt)
-    cur, prev = w, wm1
     with pytest.raises(InstabilityError, match="step"), \
             np.errstate(over="ignore", invalid="ignore"):
-        for n in range(4000):
-            nxt = leapfrog_step(cur, prev, n * dt, None, p, dt)
-            prev, cur = cur, nxt
+        _samples(p, phi.values.ravel(), None, dt, 4000, "leapfrog", None)
 
 
 def _step_window(excinfo):
@@ -153,14 +154,12 @@ def _step_window(excinfo):
     return int(found[1]), int(found[2])
 
 
-def _first_failing_step(advance, steps):
-    """1-based index of the first single public step that raises."""
-    for n in range(steps):
-        try:
-            advance(n)
-        except InstabilityError:
-            return n + 1
-    return None
+def _first_nonfinite_step(p, x, tg, scheme):
+    """The first step at which the same trajectory, stepped one at a time by
+    the reference loop, is not finite; None if it stays finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = enumerate(reference_states(p, x, None, tg, scheme))
+        return next((n for n, y in states if not np.isfinite(y).all()), None)
 
 
 def test_evolve_and_filter_leapfrog_instability_names_window():
@@ -174,14 +173,8 @@ def test_evolve_and_filter_leapfrog_instability_names_window():
         evolve_and_filter(phi.values.ravel(), None, p, tg, FilterSpec.standard(p.omega),
                           "leapfrog")
     lo, hi = _step_window(excinfo)
-    # the same trajectory one public step at a time fails inside that window
-    state = list(leapfrog_initialize(phi, None, p, tg.dt))
-
-    def advance(n):
-        state[:] = leapfrog_step(*state, n * tg.dt, None, p, tg.dt), state[0]
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        first = _first_failing_step(advance, tg.steps)
+    # the same trajectory one step at a time fails inside that window
+    first = _first_nonfinite_step(p, phi.values.ravel(), tg, "leapfrog")
     assert first is not None and lo < first <= hi <= tg.steps
     assert hi - lo <= wavesolver._CHECK_EVERY
 
@@ -195,14 +188,7 @@ def test_evolve_and_filter_rk4_instability_names_window(rng):
             np.errstate(over="ignore", invalid="ignore"):
         evolve_and_filter(x, None, p, tg, FilterSpec.standard(p.omega), "rk4")
     lo, hi = _step_window(excinfo)
-    w, v = (ScalarField(p.grid, c) for c in x.reshape(2, -1))
-    state = [WaveState(w, v, 0.0)]
-
-    def advance(n):
-        state[0] = rk4_step(state[0], n * tg.dt, tg.dt, None, p)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        first = _first_failing_step(advance, tg.steps)
+    first = _first_nonfinite_step(p, x, tg, "rk4")
     assert first is not None and lo < first <= hi <= tg.steps
     assert hi - lo <= wavesolver._CHECK_EVERY
 
@@ -232,7 +218,7 @@ def test_first_order_rhs_zero():
 def test_first_order_rhs_dirichlet_matches_laplacian(rng):
     p = problem_1d(n=30, forcing="zero")
     w = random_interior_field(p.grid, rng)
-    st = WaveState(w, ScalarField.zeros(p.grid), 0.0)
+    st = WaveState(w, ScalarField.zeros(p.grid))
     dw, dv = first_order_rhs(st, 0.0, None, p)
     lw = apply_discrete_laplacian(p, w)
     assert np.max(np.abs(dv.values + lw.values)) < 1e-13
@@ -251,7 +237,7 @@ def test_first_order_rhs_impedance_ghost_closure():
     x = g.axis_coords(0)
     w = x.copy()
     v = np.full(g.shape, 0.37)
-    st = WaveState(ScalarField(g, w), ScalarField(g, v), 0.0)
+    st = WaveState(ScalarField(g, w), ScalarField(g, v))
     dw, dv = first_order_rhs(st, 0.0, None, p)
     ratio = bcs.impedance_alpha / bcs.impedance_beta  # = 1
     ghost_left = w[1] - 2 * h * ratio * v[0]
@@ -266,28 +252,31 @@ def test_first_order_rhs_impedance_ghost_closure():
 
 def test_rk4_zero_state():
     p = problem_1d(n=20, bc="impedance", forcing="zero")
-    st = WaveState.zeros(p.grid)
-    out = rk4_step(st, 0.0, 0.01, None, p)
-    assert not np.any(out.w.values) and not np.any(out.v.values)
-    assert out.t == pytest.approx(0.01)
+    s = _samples(p, np.zeros(2 * p.grid.num_nodes), None, 0.01, 4, "rk4", [1])
+    assert s[1].shape == (2, *p.grid.shape)
+    assert not np.any(s[1][0]) and not np.any(s[1][1])
 
 
-def _pair_energy(p, st):
-    lw = apply_discrete_laplacian(p, st.w)
-    return 0.5 * (inner_product(st.v, st.v) + inner_product(lw, st.w))
+def _pair_energy(p, y):
+    w, v = (ScalarField(p.grid, c) for c in y)
+    lw = apply_discrete_laplacian(p, w)
+    return 0.5 * (inner_product(v, v) + inner_product(lw, w))
+
+
+def _at_rest(field):
+    """The flat rk4 iterate (w, v) = (field, 0)."""
+    return np.concatenate([field.values.ravel(), np.zeros(field.grid.num_nodes)])
 
 
 def test_rk4_energy_drift_small():
     # fundamental mode over one period at dt = h/2: drift ~ 2 pi lam^5 dt^5 / 72
     p = problem_1d(n=40, forcing="zero")
     phi, lam = _eigenmode(p, 1)
-    st = WaveState(phi, ScalarField.zeros(p.grid), 0.0)
     dt = p.grid.h[0] / 2.0
     steps = int(math.ceil(2 * math.pi / (lam * dt)))
-    e0 = _pair_energy(p, st)
-    for n in range(steps):
-        st = rk4_step(st, n * dt, dt, None, p)
-    assert abs(_pair_energy(p, st) - e0) < 1e-8 * abs(e0)
+    s = _samples(p, _at_rest(phi), None, dt, steps, "rk4", [0, steps])
+    e0 = _pair_energy(p, s[0])
+    assert abs(_pair_energy(p, s[steps]) - e0) < 1e-8 * abs(e0)
 
 
 def test_rk4_fourth_order_self_convergence():
@@ -297,11 +286,8 @@ def test_rk4_fourth_order_self_convergence():
     t_end = 1.0
     errs = []
     for steps in (40, 80, 160):
-        dt = t_end / steps
-        st = WaveState(phi, ScalarField.zeros(p.grid), 0.0)
-        for n in range(steps):
-            st = rk4_step(st, n * dt, dt, None, p)
-        errs.append(np.max(np.abs(st.w.values - math.cos(lam * t_end) * phi.values)))
+        w, _ = _samples(p, _at_rest(phi), None, t_end / steps, steps, "rk4", [steps])[steps]
+        errs.append(np.max(np.abs(w - math.cos(lam * t_end) * phi.values)))
     assert errs[0] / errs[1] > 12.0
     assert errs[1] / errs[2] > 12.0
 
@@ -312,22 +298,21 @@ def test_rk4_impedance_energy_nonincreasing():
     p = HelmholtzProblem(g, ScalarField.constant(g, 1.0), ScalarField.zeros(g),
                          5.0, BoundarySpec.all_impedance(1))
     x = g.axis_coords(0)
-    st = WaveState(ScalarField(g, np.exp(-80 * (x - 0.4) ** 2)),
-                   ScalarField.zeros(g), 0.0)
     h = g.h[0]
     eta = np.ones(g.shape)
     eta[0] = eta[-1] = 0.5
     dt = 0.9 * h
+    s = _samples(p, _at_rest(ScalarField(g, np.exp(-80 * (x - 0.4) ** 2))), None, dt,
+                 300, "rk4", range(301))
 
-    def energy(st):
-        w, v = st.w.values, st.v.values
+    def energy(y):
+        w, v = y
         return 0.5 * (h * float(eta @ (v * v))
                       + h * float(np.sum(((w[1:] - w[:-1]) / h) ** 2)))
 
-    e_prev = energy(st)
+    e_prev = energy(s[0])
     for k in range(300):
-        st = rk4_step(st, k * dt, dt, None, p)
-        e = energy(st)
+        e = energy(s[k + 1])
         assert e <= e_prev + 1e-12 * max(e_prev, 1.0)
         e_prev = e
 
@@ -412,7 +397,7 @@ def test_forcing_schedule_validation():
 def test_first_order_rhs_forced_matches_stencil(rng):
     p = problem_1d(omega=2.0, n=24, bc=("impedance", "dirichlet"))
     w, v = rng.standard_normal((2, p.grid.num_nodes))
-    st = WaveState(ScalarField(p.grid, w), ScalarField(p.grid, v), 0.0)
+    st = WaveState(ScalarField(p.grid, w), ScalarField(p.grid, v))
     dw, dv = first_order_rhs(st, 0.3, ForcingSchedule.single(p), p)
     expect = -_lap_values(p, w, v) - math.cos(0.6) * p.forcing.values
     expect[-1] = 0.0
