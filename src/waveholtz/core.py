@@ -237,52 +237,40 @@ class HelmholtzProblem:
     def operator(self):
         """(L, B) with ``_lap_values(self, w, v) = L @ w + B * v`` on flat values.
 
-        L is CSR over all N nodes, probed from the stencil with 3 (1D) or 5
-        (2D) coloured vectors: colour i mod 3, or (i + 2j) mod 5, differs
-        across every stencil, so each probe yields one entry per row (Curtis,
-        Powell & Reid 1974).  Dirichlet rows are empty; impedance rows hold
-        the closure at zero velocity, and the length-N array B is the diagonal
-        coupling of their ghosts to the velocity.  Built on first use.
+        L is DIA over all N nodes, on the stencil's 3 (1D) or 5 (2D) diagonals
+        in ascending offset order, probed with as many coloured vectors:
+        colour i mod 3, or (i + 2j) mod 5, differs across every stencil, so
+        each probe yields one entry per row (Curtis, Powell & Reid 1974).
+        Dirichlet rows are zero; impedance rows hold the closure at zero
+        velocity, and the length-N array B is the diagonal coupling of their
+        ghosts to the velocity.  Built on first use.
         """
-        from scipy.sparse import csr_matrix
+        from scipy.sparse import dia_matrix
 
         dim, shape, n = self.grid.dim, self.grid.shape, self.grid.num_nodes
         # flat offsets of the stencil neighbours, and each one's colour minus the row's
         if dim == 1:
-            offsets, shifts = [-1, 0, 1], [2, 0, 1]
+            offsets, shifts = np.array([-1, 0, 1]), [2, 0, 1]
         else:
-            offsets, shifts = [-shape[1], -1, 0, 1, shape[1]], [4, 3, 0, 2, 1]
-        colours, slot = len(offsets), np.argsort(shifts)
+            offsets, shifts = np.array([-shape[1], -1, 0, 1, shape[1]]), [4, 3, 0, 2, 1]
+        colours, slot, rows = len(offsets), np.argsort(shifts), np.arange(n)
         colour = (np.array([1, 2][:dim]) @ np.indices(shape).reshape(dim, -1)) % colours
-        table, zero = np.zeros((n, colours)), np.zeros(shape)
-        for c in range(colours):  # table[i, k]: the entry of row i at i + offsets[k]
+        data, zero = np.zeros((colours, n)), np.zeros(shape)
+        for c in range(colours):  # data[k, i + offsets[k]]: the entry of row i there
+            k = slot[(c - colour) % colours]
             col = _lap_values(self, (colour == c).reshape(shape) * 1.0, zero).ravel()
-            table[np.arange(n), slot[(c - colour) % colours]] = col
-        stored = table != 0.0
-        indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
-        cols = (np.arange(n)[:, None] + np.array(offsets))[stored]
-        L = csr_matrix((table[stored], cols, indptr), shape=(n, n))
+            data[k, (rows + offsets[k]) % n] = col  # 0 for a ghost outside the grid
+        L = dia_matrix((data, offsets), shape=(n, n))
         return L, _lap_values(self, zero, np.ones(shape)).ravel()
 
     @cached_property
-    def diagonal_slots(self) -> np.ndarray:
-        """Positions in ``operator[0].data`` of the stored diagonal entries.
-
-        Every row but the empty Dirichlet ones stores its (positive) diagonal.
-        """
-        L = self.operator[0]
-        rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))
-        return np.flatnonzero(L.indices == rows)
-
-    @cached_property
     def first_order_block(self):
-        """The N x 2N CSR block [-L | -diag(B)]: dv/dt of the unforced (w, v).
+        """The N x 2N block [-L | -diag(B)], dv/dt of the unforced (w, v), as
+        its two N x N DIA halves (-L, -diag(B)); their Dirichlet rows are zero."""
+        from scipy.sparse import dia_matrix
 
-        Impedance rows gain their B entry; Dirichlet rows stay empty.
-        """
-        from scipy.sparse import diags, hstack
-
-        return hstack([-self.operator[0], diags(-self.operator[1])], format="csr")
+        L, B = self.operator
+        return -L, dia_matrix((-B[None], [0]), shape=L.shape)
 
     @cached_property
     def prepared_solves(self) -> dict:

@@ -138,7 +138,7 @@ def assemble_operator(problem: HelmholtzProblem):
     if not problem.bcs.energy_conserving:
         raise UnsupportedProblemError("assembly covers energy-conserving problems")
     free = np.flatnonzero(~problem.dirichlet_mask.ravel())
-    return problem.operator[0][free][:, free], free
+    return problem.operator[0].tocsr()[free][:, free], free
 
 
 def direct_helmholtz_solve(problem: HelmholtzProblem, sigma: float) -> ScalarField:
@@ -189,7 +189,8 @@ def direct_rk4_solve(problem: HelmholtzProblem, dt: float) -> WaveState:
 
     (L, B), n = problem.operator, problem.grid.num_nodes
     free = np.flatnonzero(~np.tile(problem.dirichlet_mask.ravel(), 2))
-    A = (dt * bmat([[None, identity(n)], [-L, -diags(B)]], format="csr"))[free][:, free]
+    M = bmat([[None, identity(n)], [-L.tocsr(), -diags(B)]], format="csr")
+    A = (dt * M)[free][:, free]
     e = np.concatenate([np.zeros(n), -problem.forcing.values.ravel()])[free]
     z = np.exp(0.5j * problem.omega * dt)
     D = dt / 6.0 * ((1 + 4 * z + z * z) * e

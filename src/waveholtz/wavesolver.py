@@ -94,15 +94,15 @@ def _drive(schedule: ForcingSchedule | None, problem: HelmholtzProblem, times,
 
 @cache
 def _compiled_matvec():
-    """SciPy's compiled CSR kernel, which adds A @ x into a given buffer; None
+    """SciPy's compiled DIA kernel, which adds A @ x into a given buffer; None
     (the kernels then use ``A @ x``) if this SciPy lacks it or it fails a
     one-entry check, since it is private API."""
     try:
-        from scipy.sparse._sparsetools import csr_matvec
+        from scipy.sparse._sparsetools import dia_matvec
 
-        out, ij = np.ones(1), np.array([0, 1], dtype=np.int32)
-        csr_matvec(1, 1, ij, ij[:1], np.array([2.0]), np.array([3.0]), out)
-        return csr_matvec if out[0] == 7.0 else None
+        out = np.ones(1)
+        dia_matvec(1, 1, 1, 1, np.zeros(1, np.int32), np.array([[2.0]]), np.array([3.0]), out)
+        return dia_matvec if out[0] == 7.0 else None
     except (ImportError, TypeError, ValueError):  # moved, renamed or re-signed
         return None
 
@@ -116,19 +116,19 @@ def _blas():
     return dscal, daxpy
 
 
-def _csr_adder(A, data):
-    """Kernel (x, out) adding into out the product with the CSR matrix of A's
-    shape and sparsity that holds ``data``.
+def _dia_adder(A, data):
+    """Kernel (x, out) adding into out the product with the DIA matrix of A's
+    shape and offsets that holds ``data``.
 
-    The compiled kernel needs no temporary: at N = 101 it takes 2.5 us where
-    ``A @ x`` takes 7 us.
+    The compiled kernel needs no temporary: at N = 130 it takes 1.0 us where
+    adding ``A @ x`` takes 4.8 us.
     """
     matvec = _compiled_matvec()
     if matvec is not None:
-        return partial(matvec, *A.shape, A.indptr, A.indices, data)
-    from scipy.sparse import csr_matrix
+        return partial(matvec, *A.shape, *data.shape, A.offsets, data)
+    from scipy.sparse import dia_matrix
 
-    A = csr_matrix((data, A.indices, A.indptr), shape=A.shape)
+    A = dia_matrix((data, A.offsets), shape=A.shape)
     return lambda x, out: np.add(out, A @ x, out=out)
 
 
@@ -137,18 +137,27 @@ _RK4_LEVELS = (0.25, 1.0 / 3.0, 0.5, 1.0)
 
 
 def _scaled_block(problem: HelmholtzProblem, scale: float):
-    """(scale, kernel adding scale * ``problem.first_order_block`` @ x into out)."""
-    block = problem.first_order_block
-    return scale, _csr_adder(block, block.data if scale == 1.0 else block.data * scale)
+    """(scale, kernel adding scale * [-L | -diag(B)] @ x into out): the scaled
+    halves of ``problem.first_order_block``, -L times x's w half and then
+    -diag(B) times its v half, so each row gains its entries in column order."""
+    n = problem.grid.num_nodes
+    Lx, Bx = (_dia_adder(A, A.data if scale == 1.0 else A.data * scale)
+              for A in problem.first_order_block)
+
+    def product(x, out):
+        Lx(x[:n], out)
+        Bx(x[n:], out)
+
+    return scale, product
 
 
 def _products(problem: HelmholtzProblem, dt: float, scheme: str):
     """The compiled products a step of ``scheme`` makes.
 
-    Leapfrog: the kernel adding K x, K = 2I - dt^2 L on L's sparsity (its data
-    is -dt^2 L.data with 2 added at the stored diagonals; Dirichlet rows stay
-    empty, so Dirichlet nodes stay at zero).  RK4: the four levels'
-    ``_scaled_block`` pairs, at dt/4, dt/3, dt/2 and dt.
+    Leapfrog: the kernel adding K x, K = 2I - dt^2 L on L's diagonals (2 is
+    added to the offset-0 diagonal off the Dirichlet rows, which stay zero, so
+    Dirichlet nodes stay at zero).  RK4: the four levels' ``_scaled_block``
+    pairs, at dt/4, dt/3, dt/2 and dt.
     """
     if scheme == "rk4":
         return tuple(_scaled_block(problem, s * dt) for s in _RK4_LEVELS)
@@ -156,8 +165,8 @@ def _products(problem: HelmholtzProblem, dt: float, scheme: str):
         raise ValueError("leapfrog requires energy-conserving boundary conditions")
     L = problem.operator[0]
     data = L.data * (-dt * dt)
-    data[problem.diagonal_slots] += 2.0
-    return _csr_adder(L, data)
+    data[L.offsets == 0, ~problem.dirichlet_mask.ravel()] += 2.0
+    return _dia_adder(L, data)
 
 
 # Prepared solves kept per problem.  A problem meets few systems (a sweep
@@ -219,8 +228,8 @@ def _leapfrog_start(step, cur: np.ndarray) -> np.ndarray:
 def _first_order_level(problem: HelmholtzProblem, scaled, F):
     """Kernel ``level(x, out, coeffs)``: out += scale M x + (0, sum_i coeffs[i] F[i])
     on flat (w, v) arrays, for ``scaled = (scale, product)`` of ``_scaled_block``:
-    an axpy of x's v half into out's w half, the compiled product of the scaled
-    block (its empty Dirichlet rows keep Dirichlet w and v at zero) into out's v
+    an axpy of x's v half into out's w half, the compiled products of the scaled
+    block (its zero Dirichlet rows keep Dirichlet w and v at zero) into out's v
     half, and an axpy per drive row.
     """
     (scale, Mx), n, axpy = scaled, problem.grid.num_nodes, _blas()[1]

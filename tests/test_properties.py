@@ -136,8 +136,13 @@ def test_assembled_operator_matches_stencil(seed, dim, n, sides, alpha):
     ref = _lap_values(p, w, v).ravel()
     got = L @ w.ravel() + B * v.ravel()
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
-    assert np.max(np.diff(L.indptr)) <= 2 * dim + 1
-    assert not np.any(np.diff(L.indptr)[p.dirichlet_mask.ravel()])
+    # the stored diagonals are the stencil's 2 dim + 1, each zero on Dirichlet rows
+    stencil = [-1, 0, 1] if dim == 1 else [-p.grid.shape[1], -1, 0, 1, p.grid.shape[1]]
+    assert L.offsets.tolist() == stencil
+    rows = np.flatnonzero(p.dirichlet_mask)
+    for diagonal, offset in zip(L.data, L.offsets):
+        cols = rows + offset
+        assert not np.any(diagonal[cols[(cols >= 0) & (cols < p.grid.num_nodes)]])
 
 
 @SETTINGS

@@ -1,5 +1,6 @@
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -407,10 +408,10 @@ def test_first_order_rhs_forced_matches_stencil(rng):
 
 @pytest.mark.parametrize("bc,scheme", [("neumann", "leapfrog"), ("impedance", "rk4")])
 def test_public_matvec_fallback_matches_compiled_kernel(bc, scheme, rng, monkeypatch):
-    # the compiled CSR kernel is private SciPy API; without it the kernels
+    # the compiled DIA kernel is private SciPy API; without it the kernels
     # step with L @ x and must give the same averages to roundoff
     if wavesolver._compiled_matvec() is None:
-        pytest.skip("this SciPy has no compatible compiled csr_matvec")
+        pytest.skip("this SciPy has no compatible compiled dia_matvec")
     p = problem_1d(omega=3.0, n=40, bc=bc)
     sched = ForcingSchedule([p.forcing] * 2, [p.omega, 2.0 * p.omega])  # forced, two frequencies
     steps = (default_leapfrog_steps(p, p.omega, 1, omega_max=2.0 * p.omega)
@@ -427,6 +428,61 @@ def test_public_matvec_fallback_matches_compiled_kernel(bc, scheme, rng, monkeyp
     fallback = run()
     assert not np.array_equal(fallback, compiled)  # the two paths really differ
     assert np.max(np.abs(fallback - compiled)) <= 1e-13 * np.max(np.abs(compiled))
+
+
+def _csr_products(problem, dt, scheme):
+    """``wavesolver._products`` on CSR copies of ``problem.operator``'s entries,
+    stepped by SciPy's compiled ``csr_matvec``, which adds each row's stored
+    entries into the buffer in column order."""
+    from scipy.sparse import diags, hstack
+    from scipy.sparse._sparsetools import csr_matvec
+
+    L, B = problem.operator
+    L = L.tocsr()  # drops the stored zeros
+
+    def adder(A):
+        return partial(csr_matvec, *A.shape, A.indptr, A.indices, A.data)
+
+    if scheme == "leapfrog":
+        return adder(L * (-dt * dt) + diags(2.0 * ~problem.dirichlet_mask.ravel()))
+    block = hstack([-L, diags(-B)], format="csr")
+    return tuple((s * dt, adder(block * (s * dt))) for s in wavesolver._RK4_LEVELS)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("scheme,sides", [
+    ("leapfrog", (("dirichlet", "neumann"), ("dirichlet", "neumann", "neumann", "dirichlet"))),
+    ("rk4", (("impedance", "impedance"), ("impedance", "dirichlet", "impedance", "impedance"))),
+])
+def test_dia_steps_bit_for_bit_like_csr(dim, scheme, sides, rng, monkeypatch):
+    # the DIA kernel adds the diagonals in ascending offset order, which is
+    # CSR's column order within a row, and a stored zero adds an exact +-0:
+    # a solve equals one stepping CSR products of the same entries, bit for
+    # bit.  Sampled states may differ in the sign of a zero on Dirichlet
+    # nodes, which array_equal lets pass; the averages start those nodes at
+    # +0, which adding +-0 keeps.
+    sparsetools = pytest.importorskip("scipy.sparse._sparsetools")
+    if not hasattr(sparsetools, "csr_matvec") or wavesolver._compiled_matvec() is None:
+        pytest.skip("this SciPy lacks its compiled csr_matvec or dia_matvec")
+
+    def fresh():  # the products are prepared once per problem
+        if dim == 1:
+            return problem_1d(omega=3.0, n=40, bc=sides[0])
+        return problem_2d(omega=3.0, n=14, bc=sides[1])
+
+    p = fresh()
+    sched = ForcingSchedule([p.forcing] * 2, [p.omega, 2.0 * p.omega])
+    steps = (default_leapfrog_steps(p, p.omega, 1, omega_max=2.0 * p.omega)
+             if scheme == "leapfrog" else default_rk4_steps(p, p.omega, 1))
+    tg, spec = TimeGrid(p.omega, 1, steps), FilterSpec.standard(p.omega)
+    x = rng.standard_normal(p.grid.num_nodes * (1 if scheme == "leapfrog" else 2))
+    wanted = [1, steps // 2, steps]
+    dia = evolve_and_filter(x, sched, fresh(), tg, spec, scheme, sample_steps=wanted)
+    monkeypatch.setattr(wavesolver, "_products", _csr_products)
+    csr = evolve_and_filter(x, sched, fresh(), tg, spec, scheme, sample_steps=wanted)
+    assert dia[0].tobytes() == csr[0].tobytes()
+    for n in wanted:
+        assert np.array_equal(dia[1][n], csr[1][n])
 
 
 @pytest.mark.parametrize("dim", [1, 2])
