@@ -16,8 +16,7 @@ import csv
 import math
 import os
 import sys
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from .core import (
 )
 from .filters import FilterSpec, fixed_point_rate_bound, optimize_tunable_filter
 from .iteration import WaveHoltzConfig, solve
-from .krylov import IndefiniteOperatorError, KrylovConfig
+from .krylov import IndefiniteOperatorError, IterationReport, KrylovConfig
 from .oracle import UnsupportedProblemError, dirichlet_box_spectrum
 from .wavesolver import InstabilityError
 
@@ -108,34 +107,38 @@ def csq_presets(name: str, grid: UniformGrid, value: float = 1.0) -> ScalarField
 
 @dataclass
 class RunConfig:
-    dim: int
+    """A parsed config: the library's own checked objects, plus the values
+    that only the CLI reads."""
+
     lo: tuple
     hi: tuple
-    n_spec: str            # integer literal or "auto"
+    n: int | None          # None: 10*ceil(omega) nodes in 1D, 8*ceil(omega) in 2D
     csq: str
     csq_value: float
     forcing: str
-    bc: tuple
-    impedance_alpha: float
+    bcs: BoundarySpec
     method: str
     tol: float
     max_iters: int
     periods: int
     steps: int | None
-    scheme: str
+    scheme: str | None     # None: leapfrog when energy conserving, else rk4
     correction: bool
-    restart: int
-    krylov_tol: float | None
-    krylov_max_iters: int | None
-    filter_kind: str
-    filter_constant: float
-    a0: float
-    a_rest: tuple
-    n_coeffs: int
-    resonant_lambda: float | None
+    krylov: KrylovConfig | None
+    # a spec at omega = 1, moved to each run's omega, or the
+    # (resonant_lambda, n_coeffs) target of a filter designed per run
+    filter: FilterSpec | tuple
     omegas: tuple
     outdir: str
     dump_fields: bool = True
+
+    @property
+    def dim(self) -> int:
+        return len(self.lo)
+
+
+def _floats(text: str) -> tuple:
+    return tuple(float(t) for t in text.replace(",", " ").split())
 
 
 def _parse_omegas(text: str) -> tuple:
@@ -143,108 +146,131 @@ def _parse_omegas(text: str) -> tuple:
     if ":" in text:
         lo, hi, count = text.split(":")
         return tuple(np.linspace(float(lo), float(hi), int(count)))
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
+    return _floats(text)
 
 
 def parse_config(path) -> RunConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    try:
-        prob = cp["problem"]
-        dim = prob.getint("dim", 1)
-        lo, hi = (tuple(float(t) for t in prob.get(k, d).replace(",", " ").split())
-                  for k, d in (("lo", "0"), ("hi", "1")))
-        lo, hi = (t * dim if len(t) == 1 else t for t in (lo, hi))
-        bc_raw = prob.get("bc", "dirichlet").replace(",", " ").split()
-        if len(bc_raw) == 1:
-            bc = tuple(bc_raw * (2 * dim))
-        elif len(bc_raw) == 2 * dim:
-            bc = tuple(bc_raw)
-        else:
-            raise ConfigError("bc needs one tag, or one per side")
+    """Read and check an INI config before any solve.
 
-        sweep = cp["sweep"]
-        return RunConfig(
-            dim=dim,
+    A bad value, a key this function does not read (in any section), or an
+    empty sweep raises ConfigError.  Values that are only checked against a
+    frequency (the step count, the filter design) fail in ``run_single``.
+    """
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    read = set()
+
+    def get(section, key, fallback, getter=cp.get):
+        read.add((section, key))
+        return getter(section, key, fallback=fallback)
+
+    try:
+        if not cp.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        dim = get("problem", "dim", 1, cp.getint)
+        lo, hi = (_floats(get("problem", k, d)) for k, d in (("lo", "0"), ("hi", "1")))
+        lo, hi = (t * dim if len(t) == 1 else t for t in (lo, hi))
+        if len(lo) != dim or len(hi) != dim:
+            raise ConfigError("lo and hi need one value, or one per axis")
+        sides = get("problem", "bc", "dirichlet").replace(",", " ").split()
+        if len(sides) not in (1, 2 * dim):
+            raise ConfigError("bc needs one tag, or one per side")
+        bcs = BoundarySpec(tuple(sides * (2 * dim) if len(sides) == 1 else sides),
+                           get("problem", "impedance_alpha", math.sqrt(0.5), cp.getfloat))
+        n = get("problem", "n", "auto").strip()
+
+        method = get("solver", "method", "fixed_point")
+        if method not in ("fixed_point", "gmres", "cg"):
+            raise ConfigError(f"unknown method {method!r}")
+        tol = get("solver", "tol", 1e-10, cp.getfloat)
+        max_iters = get("solver", "max_iters", 1000, cp.getint)
+        restart = get("solver", "restart", 100, cp.getint)
+        krylov_max_iters = get("solver", "krylov_max_iters", max_iters, cp.getint)
+        periods = get("solver", "periods", 1, cp.getint)
+        scheme = get("solver", "scheme", "auto")
+
+        kind = get("filter", "kind", "standard")
+        a0 = get("filter", "a0", -0.25, cp.getfloat)
+        a_rest = _floats(get("filter", "a", ""))
+        target = (get("filter", "resonant_lambda", None, cp.getfloat),
+                  get("filter", "n_coeffs", 12, cp.getint))
+        if kind == "standard":
+            filt = FilterSpec.standard(1.0, periods=periods)
+        elif kind == "tunable":
+            filt = FilterSpec.tunable(1.0, a0, a_rest, periods=periods)
+        elif kind == "optimize":
+            if target[0] is None:
+                raise ConfigError("filter kind 'optimize' needs resonant_lambda")
+            filt = target
+        else:
+            raise ConfigError(f"unknown filter kind {kind!r}")
+
+        omegas = _parse_omegas(get("sweep", "omegas", ""))
+        if not omegas:
+            raise ConfigError("sweep block lists no frequencies")
+        if not all(0 < w < math.inf for w in omegas):
+            raise ConfigError("sweep frequencies must be positive and finite")
+
+        cfg = RunConfig(
             lo=lo,
             hi=hi,
-            n_spec=prob.get("n", "auto").strip(),
-            csq=prob.get("csq", "constant"),
-            csq_value=prob.getfloat("csq_value", 1.0),
-            forcing=prob.get("forcing", "gaussian1d" if dim == 1 else "gaussian2d"),
-            bc=bc,
-            impedance_alpha=prob.getfloat("impedance_alpha", math.sqrt(0.5)),
-            method=cp.get("solver", "method", fallback="fixed_point"),
-            tol=cp.getfloat("solver", "tol", fallback=1e-10),
-            max_iters=cp.getint("solver", "max_iters", fallback=1000),
-            periods=cp.getint("solver", "periods", fallback=1),
-            steps=cp.getint("solver", "steps", fallback=None),
-            scheme=cp.get("solver", "scheme", fallback="auto"),
-            correction=cp.getboolean("solver", "correction", fallback=False),
-            restart=cp.getint("solver", "restart", fallback=100),
-            krylov_tol=cp.getfloat("solver", "krylov_tol", fallback=None),
-            krylov_max_iters=cp.getint("solver", "krylov_max_iters", fallback=None),
-            filter_kind=cp.get("filter", "kind", fallback="standard"),
-            filter_constant=cp.getfloat("filter", "constant", fallback=0.25),
-            a0=cp.getfloat("filter", "a0", fallback=-0.25),
-            a_rest=tuple(float(t) for t in
-                         cp.get("filter", "a", fallback="").replace(",", " ").split()),
-            n_coeffs=cp.getint("filter", "n_coeffs", fallback=12),
-            resonant_lambda=cp.getfloat("filter", "resonant_lambda", fallback=None),
-            omegas=_parse_omegas(sweep.get("omegas", sweep.get("omega", ""))),
-            outdir=cp.get("output", "dir", fallback="out"),
-            dump_fields=cp.getboolean("output", "dump_fields", fallback=True),
+            n=None if n.lower() == "auto" else int(n),
+            csq=get("problem", "csq", "constant"),
+            csq_value=get("problem", "csq_value", 1.0, cp.getfloat),
+            forcing=get("problem", "forcing", "gaussian1d" if dim == 1 else "gaussian2d"),
+            bcs=bcs,
+            method=method,
+            tol=tol,
+            max_iters=max_iters,
+            periods=periods,
+            steps=get("solver", "steps", None, cp.getint),
+            scheme=None if scheme == "auto" else scheme,
+            correction=get("solver", "correction", False, cp.getboolean),
+            krylov=None if method == "fixed_point" else KrylovConfig(
+                method=method, restart=restart, tol=tol, max_iters=krylov_max_iters),
+            filter=filt,
+            omegas=omegas,
+            outdir=get("output", "dir", "out"),
+            dump_fields=get("output", "dump_fields", True, cp.getboolean),
         )
-    except ConfigError:
-        raise
-    except Exception as exc:  # missing sections/keys, bad literals and booleans
+    except (ValueError, configparser.Error) as exc:  # bad literals, rejected values
         raise ConfigError(f"bad config {path}: {exc}") from exc
-
-
-def _resolve_n(cfg: RunConfig, omega: float) -> int:
-    if cfg.n_spec.lower() == "auto":
-        # fixed points per wavelength: 10*ceil(omega) nodes in 1D, 8*ceil(omega) in 2D
-        return (10 if cfg.dim == 1 else 8) * int(math.ceil(omega))
-    return int(cfg.n_spec)
+    unknown = [f"[{s}] {k}" for s in cp.sections() for k in cp[s] if (s, k) not in read]
+    if unknown:
+        raise ConfigError(f"{path}: unknown " + ", ".join(unknown))
+    return cfg
 
 
 def build_problem(cfg: RunConfig, omega: float) -> HelmholtzProblem:
-    n = _resolve_n(cfg, omega)
+    n = cfg.n
+    if n is None:  # fixed points per wavelength
+        n = (10 if cfg.dim == 1 else 8) * int(math.ceil(omega))
     if cfg.dim == 1:
         grid = UniformGrid.line(cfg.lo[0], cfg.hi[0], n)
     else:
         grid = UniformGrid.box(cfg.lo, cfg.hi, n)
     csq = csq_presets(cfg.csq, grid, cfg.csq_value)
     forcing = forcing_presets(cfg.forcing, grid, omega)
-    bcs = BoundarySpec(cfg.bc, impedance_alpha=cfg.impedance_alpha)
-    return HelmholtzProblem(grid, csq, forcing, omega, bcs)
+    return HelmholtzProblem(grid, csq, forcing, omega, cfg.bcs)
 
 
 def _build_filter(cfg: RunConfig, problem: HelmholtzProblem,
                   wh: WaveHoltzConfig) -> FilterSpec:
     omega = wh.tg.omega
-    if cfg.filter_kind == "standard":
-        return FilterSpec.standard(omega, periods=cfg.periods, constant=cfg.filter_constant)
-    if cfg.filter_kind == "tunable":
-        return FilterSpec.tunable(omega, cfg.a0, cfg.a_rest, periods=cfg.periods)
-    if cfg.filter_kind == "optimize":
-        if cfg.resonant_lambda is None:
-            raise ConfigError("filter kind 'optimize' needs resonant_lambda")
-        try:
-            lam_t = dirichlet_box_spectrum(problem).shifted_lambdas(wh.tg.dt)
-            hi, extra = float(lam_t.max()) * 1.02, lam_t
-        except UnsupportedProblemError:
-            hi, extra = None, None
-        result = optimize_tunable_filter(
-            omega, cfg.resonant_lambda, cfg.n_coeffs, wh.tg,
-            sample_hi=hi, extra_penalty_points=extra,
-        )
-        if result.warning:
-            print(f"warning: {result.warning}", file=sys.stderr)
-        return result.spec
-    raise ConfigError(f"unknown filter kind {cfg.filter_kind!r}")
+    if isinstance(cfg.filter, FilterSpec):
+        return replace(cfg.filter, omega=omega)
+    resonant_lambda, n_coeffs = cfg.filter
+    try:
+        lam_t = dirichlet_box_spectrum(problem).shifted_lambdas(wh.tg.dt)
+        hi, extra = float(lam_t.max()) * 1.02, lam_t
+    except UnsupportedProblemError:
+        hi, extra = None, None
+    result = optimize_tunable_filter(
+        omega, resonant_lambda, n_coeffs, wh.tg,
+        sample_hi=hi, extra_penalty_points=extra,
+    )
+    if result.warning:
+        print(f"warning: {result.warning}", file=sys.stderr)
+    return result.spec
 
 
 # ---------------------------------------------------------------------------
@@ -255,56 +281,38 @@ def _build_filter(cfg: RunConfig, problem: HelmholtzProblem,
 class RunResult:
     omega: float
     method: str
-    n: int
-    dofs: int
-    iters: int
-    operator_applications: int
+    grid: UniformGrid
+    report: IterationReport
     rhs_evals: int
-    converged: bool
-    final_residual: float
-    measured_rate: float
     delta_h: float | None
     rate_bound: float | None
-    wall_time: float
-    history: list = field(default_factory=list)
-    solution: np.ndarray | None = None
-    grid: UniformGrid | None = None
+    solution: np.ndarray
 
     def row(self) -> list[str]:
+        rep = self.report
         return [
-            _fmt(self.omega), self.method, str(self.n), str(self.dofs),
-            str(self.iters), str(self.operator_applications),
-            str(self.rhs_evals), str(int(self.converged)),
-            _fmt(self.final_residual), _fmt(self.measured_rate),
+            _fmt(self.omega), self.method, str(self.grid.n[0]),
+            str(self.grid.num_nodes), str(rep.iters),
+            str(rep.operator_applications), str(self.rhs_evals),
+            str(int(rep.converged)), _fmt(rep.residual_history[-1]),
+            _fmt(rep.measured_rate),
             "" if self.delta_h is None else _fmt(self.delta_h),
             "" if self.rate_bound is None else _fmt(self.rate_bound),
-            _fmt(self.wall_time),
+            _fmt(rep.wall_time),
         ]
 
 
 def run_single(cfg: RunConfig, omega: float) -> RunResult:
-    problem = build_problem(cfg, omega)
-    scheme = None if cfg.scheme == "auto" else cfg.scheme
-    try:
+    try:  # values rejected at this omega, e.g. an unstable step count
+        problem = build_problem(cfg, omega)
         wh = WaveHoltzConfig.build(
-            problem, periods=cfg.periods, steps=cfg.steps, scheme=scheme,
+            problem, periods=cfg.periods, steps=cfg.steps, scheme=cfg.scheme,
             max_iters=cfg.max_iters, tol=cfg.tol, correction=cfg.correction,
         )
-    except ValueError as exc:  # e.g. an unstable step count, or correction with rk4
+        wh.spec = _build_filter(cfg, problem, wh)
+    except ValueError as exc:
         raise ConfigError(f"omega = {omega:g}: {exc}") from exc
-    wh.spec = _build_filter(cfg, problem, wh)
-    kc = None
-    if cfg.method in ("gmres", "cg"):
-        kc = KrylovConfig(
-            method=cfg.method,
-            restart=cfg.restart,
-            tol=cfg.tol if cfg.krylov_tol is None else cfg.krylov_tol,
-            max_iters=cfg.max_iters if cfg.krylov_max_iters is None
-            else cfg.krylov_max_iters,
-        )
-    t0 = time.perf_counter()
-    result, report = solve(problem, wh, method=cfg.method, krylov=kc)
-    wall = time.perf_counter() - t0
+    result, report = solve(problem, wh, method=cfg.method, krylov=cfg.krylov)
 
     delta_h = rate_bound = None
     try:
@@ -312,27 +320,18 @@ def run_single(cfg: RunConfig, omega: float) -> RunResult:
         rate_bound = fixed_point_rate_bound(delta_h)
     except (UnsupportedProblemError, ValueError):
         pass
-    sol_values = result.w.values if hasattr(result, "w") else result.values
     # leapfrog evaluates L once more at start-up; RK4 four times per step
     steps = wh.tg.steps
     rhs_per_solve = steps + 1 if wh.scheme == "leapfrog" else 4 * steps
     return RunResult(
         omega=omega,
         method=cfg.method,
-        n=_resolve_n(cfg, omega),
-        dofs=problem.grid.num_nodes,
-        iters=report.iters,
-        operator_applications=report.operator_applications,
+        grid=problem.grid,
+        report=report,
         rhs_evals=report.operator_applications * rhs_per_solve,
-        converged=report.converged,
-        final_residual=report.residual_history[-1],
-        measured_rate=report.measured_rate,
         delta_h=delta_h,
         rate_bound=rate_bound,
-        wall_time=wall,
-        history=list(report.residual_history),
-        solution=sol_values,
-        grid=problem.grid,
+        solution=result.w.values if hasattr(result, "w") else result.values,
     )
 
 
@@ -388,9 +387,9 @@ def run_sweep(cfg: RunConfig, outdir: Path) -> dict:
         with (outdir / f"history_{tag}.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iter", "residual"])
-            for i, res in enumerate(r.history):
+            for i, res in enumerate(r.report.residual_history):
                 writer.writerow([str(i), _fmt(res)])
-        if cfg.dump_fields and r.solution is not None:
+        if cfg.dump_fields:
             write_field_dump(outdir / f"solution_{tag}.bin", r.grid, r.solution)
     return {"summary": summary, "results": results}
 
@@ -406,27 +405,23 @@ def report_summary(paths) -> str:
     for path in paths:
         path = Path(path)
         rows = []
-        with path.open() as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ConfigError(f"{path}: empty CSV")
-            if header[: len(CSV_COLUMNS)] != CSV_COLUMNS:
-                raise ConfigError(f"{path}:1: unexpected header")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(CSV_COLUMNS):
-                    raise ConfigError(f"{path}:{lineno}: expected "
-                                      f"{len(CSV_COLUMNS)} columns, got {len(row)}")
+        with path.open(newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames != CSV_COLUMNS:
+                raise ConfigError(f"{path}:1: expected the header {','.join(CSV_COLUMNS)}")
+            for row in reader:
+                where = f"{path}:{reader.line_num}"
+                if None in row or None in row.values():
+                    raise ConfigError(f"{where}: expected {len(CSV_COLUMNS)} columns")
                 try:
                     rows.append({
-                        "omega": float(row[0]), "method": row[1],
-                        "iters": int(row[4]), "converged": row[7] == "1",
-                        "measured_rate": float(row[9]),
-                        "rate_bound": float(row[11]) if row[11] else None,
+                        "omega": float(row["omega"]), "method": row["method"],
+                        "iters": int(row["iters"]), "converged": row["converged"] == "1",
+                        "measured_rate": float(row["measured_rate"]),
+                        "rate_bound": float(row["rate_bound"]) if row["rate_bound"] else None,
                     })
                 except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+                    raise ConfigError(f"{where}: {exc}") from exc
         lines.append(f"== {path}")
         if not rows:
             lines.append("  no rows")
@@ -496,18 +491,17 @@ def main(argv=None) -> int:
             return 0
 
         cfg = parse_config(args.config)
-        if not cfg.omegas:
-            raise ConfigError("sweep block lists no frequencies")
         if args.command == "solve" and len(cfg.omegas) != 1:
             raise ConfigError("solve expects exactly one sweep frequency")
         outdir = _outdir_from(args, cfg)
         out = run_sweep(cfg, outdir)
         for r in out["results"]:
-            status = "ok" if r.converged else "NOT CONVERGED"
-            print(f"omega={r.omega:.6g} method={r.method} iters={r.iters} "
-                  f"residual={r.final_residual:.3e} [{status}]")
+            rep = r.report
+            status = "ok" if rep.converged else "NOT CONVERGED"
+            print(f"omega={r.omega:.6g} method={r.method} iters={rep.iters} "
+                  f"residual={rep.residual_history[-1]:.3e} [{status}]")
         print(f"wrote {out['summary']}")
-        if args.strict and any(not r.converged for r in out["results"]):
+        if args.strict and any(not r.report.converged for r in out["results"]):
             return 3
         return 0
     except ConfigError as exc:

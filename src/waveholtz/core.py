@@ -51,8 +51,8 @@ class UniformGrid:
         for a, b, m in zip(self.lo, self.hi, self.n):
             if m < 2:
                 raise ValueError("need at least 2 cells per dimension")
-            if not b > a:
-                raise ValueError("grid extents must satisfy hi > lo")
+            if not (math.isfinite(a) and math.isfinite(b) and b > a):
+                raise ValueError("grid extents must be finite with hi > lo")
 
     @classmethod
     def line(cls, lo, hi, n):
@@ -196,8 +196,8 @@ class HelmholtzProblem:
             raise ValueError("boundary spec dimension does not match grid")
         if not self.omega > 0:
             raise ValueError("omega must be positive")
-        if not np.all(self.csq.values > 0):
-            raise ValueError("c^2 must be strictly positive everywhere")
+        if not np.all((self.csq.values > 0) & np.isfinite(self.csq.values)):
+            raise ValueError("c^2 must be finite and strictly positive everywhere")
         f = self.forcing.values.copy()
         f[self.dirichlet_mask] = 0.0
         self.forcing = ScalarField(self.grid, f)

@@ -85,6 +85,8 @@ class WaveHoltzConfig:
         filtering at omega_bar then makes the limit solve the unmodified
         discrete equation at omega.  Leapfrog and one frequency only.
         """
+        if periods < 1 or (steps is not None and steps < 2):
+            raise ValueError("need at least 1 period and 2 steps")
         if scheme is None:
             scheme = "leapfrog" if problem.bcs.energy_conserving else "rk4"
         if correction and scheme != "leapfrog":
@@ -154,16 +156,20 @@ def pi_apply(v, problem: HelmholtzProblem, config: WaveHoltzConfig,
     return _from_iterate(out, problem, config)
 
 
-def _unforced(problem: HelmholtzProblem, config: WaveHoltzConfig, omegas):
-    """x -> S x, Pi's linear part: one unforced wave solve, filtered with the
-    weight of the drive at ``omegas``."""
+def _affine_parts(problem: HelmholtzProblem, config: WaveHoltzConfig, schedule):
+    """(x -> S x, b) with Pi(v) = S v + b.  b = Pi(0) costs one forced wave
+    solve now; each S x one unforced solve, filtered with the weight of the
+    drive's frequencies."""
+    schedule = _schedule_for(problem, config, schedule)
+    b, _ = evolve_and_filter(_zero_data(problem, config), schedule, problem,
+                             config.tg, config.spec, config.scheme)
 
-    def apply(x: np.ndarray) -> np.ndarray:
+    def S(x: np.ndarray) -> np.ndarray:
         sx, _ = evolve_and_filter(x, None, problem, config.tg, config.spec,
-                                  config.scheme, filter_omegas=omegas)
+                                  config.scheme, filter_omegas=schedule.omegas)
         return sx
 
-    return apply
+    return S, b
 
 
 def fixed_point_solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
@@ -178,10 +184,7 @@ def fixed_point_solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
     is the Helmholtz solution.
     """
     t0 = time.perf_counter()
-    schedule = _schedule_for(problem, config, schedule)
-    b, _ = evolve_and_filter(_zero_data(problem, config), schedule, problem,
-                             config.tg, config.spec, config.scheme)
-    S = _unforced(problem, config, schedule.omegas)
+    S, b = _affine_parts(problem, config, schedule)
     bnorm = float(np.linalg.norm(b))
     denom = bnorm or 1.0
     x, iters, history = b, 1, [bnorm / denom]
@@ -205,10 +208,7 @@ def as_affine_system(problem: HelmholtzProblem, config: WaveHoltzConfig,
     from zero data.  A is a matrix-free LinearOperator on the flat iterate of
     ``evolve_and_filter`` (displacement, or the stacked pair for rk4).
     """
-    schedule = _schedule_for(problem, config, schedule)
-    b, _ = evolve_and_filter(_zero_data(problem, config), schedule, problem,
-                             config.tg, config.spec, config.scheme)
-    S = _unforced(problem, config, schedule.omegas)
+    S, b = _affine_parts(problem, config, schedule)
 
     def apply(x: np.ndarray) -> np.ndarray:
         return x - S(x)

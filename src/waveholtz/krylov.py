@@ -36,6 +36,8 @@ class KrylovConfig:
     def __post_init__(self):
         if self.restart < 1:
             raise ValueError("restart must be >= 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
 

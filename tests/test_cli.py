@@ -1,6 +1,11 @@
+import math
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from waveholtz import iteration
 from waveholtz import (
     InstabilityError,
     ScalarField,
@@ -63,7 +68,7 @@ def test_parse_config_roundtrip(tmp_path):
     assert cfg.dim == 1
     assert cfg.omegas == (1.22, 4.0)
     assert cfg.method == "gmres"
-    assert cfg.bc == ("dirichlet", "dirichlet")
+    assert cfg.bcs.sides == ("dirichlet", "dirichlet")
 
 
 def test_parse_config_range_syntax(tmp_path):
@@ -111,14 +116,14 @@ def test_rhs_evals_count_rk4_stages(tmp_path):
                     "[solver]\nmethod = gmres\ntol = 1e-8\n\n"
                     "[sweep]\nomegas = 10\n")
     (r,) = run_sweep(parse_config(path), tmp_path / "out")["results"]
-    assert (r.operator_applications, r.rhs_evals) == (15, 15 * 63 * 4)
+    assert (r.report.operator_applications, r.rhs_evals) == (15, 15 * 63 * 4)
 
 
 def test_rhs_evals_count_leapfrog_start_up(tmp_path):
     cfg = parse_config(_write_config(tmp_path))
     (r,) = run_sweep(cfg, tmp_path / "out")["results"]
     steps = WaveHoltzConfig.build(build_problem(cfg, 1.22)).tg.steps
-    assert r.rhs_evals == r.operator_applications * (steps + 1)
+    assert r.rhs_evals == r.report.operator_applications * (steps + 1)
 
 
 def test_field_dump_round_trip(tmp_path, rng):
@@ -189,6 +194,13 @@ def test_report_summary_empty_and_malformed(tmp_path):
     with pytest.raises(ConfigError, match=":2"):
         report_summary([bad])
 
+    # the header must match exactly, not by prefix
+    extra = tmp_path / "extra.csv"
+    extra.write_text(empty.read_text().replace("wall_time", "wall_time,note")
+                     + "2.0,gmres,10,11,6,1,1,1,1e-11,0.5,,,0.1,x\n")
+    with pytest.raises(ConfigError, match=r"extra\.csv:1: expected the header"):
+        report_summary([extra])
+
 
 def test_main_exit_codes(tmp_path, monkeypatch):
     path = _write_config(tmp_path)
@@ -250,8 +262,6 @@ dir = {outdir}
 
 
 def test_cli_tunable_filter_path(tmp_path):
-    import math
-
     path = tmp_path / "tun.ini"
     path.write_text(TUNABLE_CONFIG.format(
         kind="tunable", reslam=4 * math.pi, omega=2.0,
@@ -261,8 +271,6 @@ def test_cli_tunable_filter_path(tmp_path):
 
 
 def test_cli_optimize_filter_path(tmp_path):
-    import math
-
     path = tmp_path / "opt.ini"
     path.write_text(TUNABLE_CONFIG.format(
         kind="optimize", reslam=4 * math.pi, omega=4.1 * math.pi,
@@ -302,11 +310,11 @@ def test_c08_sweep_gmres_counts_pinned(tmp_path):
     # a knife edge: another BLAS's reduction order may tip it to 146.
     expected = {20.0: {75}, 40.0: {145, 146}, 60.0: {212}, 80.0: {280}}
     for omega, iters in expected.items():
-        r = run_single(cfg, omega)
-        assert r.iters in iters, (omega, r.iters)
-        assert r.operator_applications == r.iters + 2  # b and the certify pass
-        assert r.converged
-        assert r.history[-1] <= cfg.tol  # the certified true residual
+        rep = run_single(cfg, omega).report
+        assert rep.iters in iters, (omega, rep.iters)
+        assert rep.operator_applications == rep.iters + 2  # b and the certify pass
+        assert rep.converged
+        assert rep.residual_history[-1] <= cfg.tol  # the certified true residual
 
 
 def test_cg_breakdown_exits_with_solver_error(tmp_path, capsys):
@@ -358,3 +366,62 @@ def test_unstable_leapfrog_dt_is_a_config_error(tmp_path, capsys):
     assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
     assert "stability limit" in capsys.readouterr().err
     assert not (out / "summary.csv").exists()
+
+
+def _replace_line(text, old, new):
+    assert old in text
+    return text.replace(old, new)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: _replace_line(t, "bc = dirichlet", "bc = dirichlett"),
+    lambda t: _replace_line(t, "method = gmres", "method = gmress"),
+    lambda t: _replace_line(t, "periods = 1", "periods = 1\nrestart = 0"),
+    lambda t: _replace_line(t, "omegas = 1.22", "omegas = 5 -1"),
+    lambda t: _replace_line(t, "omegas = 1.22", "omegas = 2 inf"),
+    lambda t: _replace_line(t, "n = 60", "n = abc"),
+    lambda t: _replace_line(t, "hi = 1", "hi = inf"),
+    lambda t: _replace_line(t, "periods = 1", "periods = 0"),
+    lambda t: _replace_line(t, "periods = 1", "periods = 1\nkrylov_max_iters = 0"),
+    lambda t: _replace_line(t, "tol = 1e-10", "tols = 1e-2\nmax_itres = 3"),
+    lambda t: _replace_line(t, "tol = 1e-10", "tol = 1e-10\nkrylov_tol = 1e-8"),
+    lambda t: TUNABLE_CONFIG.format(kind="tunable", reslam=1.0, omega=2.0, outdir="out")
+    .replace("a0 = -0.1", "a0 = 0.7"),
+    lambda t: TUNABLE_CONFIG.format(kind="optimize", reslam=4 * math.pi,
+                                    omega=4 * math.pi, outdir="out"),
+], ids=["bc", "method", "restart", "omegas", "omegas-inf", "n", "hi-inf", "periods",
+        "krylov_max_iters", "misspelt-keys", "krylov_tol", "tunable-a0",
+        "optimize-at-resonance"])
+def test_rejected_value_exits_2_before_any_wave_solve(tmp_path, capsys, monkeypatch, edit):
+    solves = []
+    evolve = iteration.evolve_and_filter
+    monkeypatch.setattr(iteration, "evolve_and_filter",
+                        lambda *a, **kw: solves.append(1) or evolve(*a, **kw))
+    path = _write_config(tmp_path)
+    path.write_text(edit(path.read_text()))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+    assert solves == []
+    assert not (out / "summary.csv").exists()
+
+
+def test_unknown_keys_are_named(tmp_path):
+    path = _write_config(tmp_path)
+    path.write_text(path.read_text().replace("tol = 1e-10", "tols = 1e-2\nmax_itres = 3")
+                    + "\n[solvr]\nrestart = 5\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            "unknown [solver] tols, [solver] max_itres, [solvr] restart")):
+        parse_config(path)
+
+
+def test_readme_config_runs(tmp_path):
+    # the README's sample config is the documentation of every key
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    assert (out / "summary.csv").exists()
