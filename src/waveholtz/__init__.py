@@ -29,9 +29,7 @@ from .filters import (
     TunableFilterResult,
     beta_by_quadrature,
     beta_continuous,
-    beta_second_derivative,
     cfl_check,
-    corrected_forcing_frequency,
     filter_weights,
     fixed_point_rate_bound,
     modified_frequency,

@@ -209,6 +209,9 @@ def parse_config(path) -> RunConfig:
             raise ConfigError("sweep block lists no frequencies")
         if not all(0 < w < math.inf for w in omegas):
             raise ConfigError("sweep frequencies must be positive and finite")
+        tags = [_omega_tag(w) for w in omegas]
+        if len(set(tags)) < len(tags):  # the tag names each run's files
+            raise ConfigError("sweep frequencies must differ within 6 significant digits")
 
         cfg = RunConfig(
             lo=lo,

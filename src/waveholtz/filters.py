@@ -61,7 +61,7 @@ class TimeGrid:
 class FilterSpec:
     """Weight function multiplying the trajectory inside the time average.
 
-    standard:  weight(t) = cos(omega t) - constant      (constant 1/4)
+    standard:  weight(t) = cos(omega t) - 1/4
     tunable:   weight(t) = cos(omega t) + a0 + sum_n a_n sin(n omega t)
 
     Tunable filters require |a0| < 1/2 and fix a_1 = (1 + 4 a0)/(2 pi), the
@@ -73,7 +73,6 @@ class FilterSpec:
     omega: float
     kind: str = "standard"
     periods: int = 1
-    constant: float = 0.25
     a0: float = -0.25
     a: tuple[float, ...] = ()
 
@@ -90,8 +89,8 @@ class FilterSpec:
                 raise ValueError("tunable filter requires a_1 = (1 + 4 a0)/(2 pi)")
 
     @classmethod
-    def standard(cls, omega, periods=1, constant=0.25):
-        return cls(omega=omega, kind="standard", periods=periods, constant=constant)
+    def standard(cls, omega, periods=1):
+        return cls(omega=omega, kind="standard", periods=periods)
 
     @classmethod
     def tunable(cls, omega, a0, a_rest=(), periods=1):
@@ -109,7 +108,7 @@ class FilterSpec:
         """Evaluate the filter weight at time(s) t."""
         t = np.asarray(t, dtype=float)
         if self.kind == "standard":
-            return np.cos(self.omega * t) - self.constant
+            return np.cos(self.omega * t) - 0.25
         n_omega = self.omega * np.arange(1, len(self.a) + 1)
         sines = np.sin(np.multiply.outer(t, n_omega))  # one column per term
         return np.cos(self.omega * t) + self.a0 + sines @ self.a
@@ -119,7 +118,7 @@ def filter_weights(spec: FilterSpec, tg: TimeGrid, omegas=None) -> np.ndarray:
     """Weight samples over the time grid, including the multi-frequency form.
 
     With several drive frequencies the standard weight generalises to
-    ``sum_i cos(omega_i t) - constant`` (a single constant, not one per
+    ``sum_i cos(omega_i t) - 1/4`` (a single constant, not one per
     frequency).  Tunable filters are single-frequency only.
     """
     t = tg.times()
@@ -129,7 +128,7 @@ def filter_weights(spec: FilterSpec, tg: TimeGrid, omegas=None) -> np.ndarray:
         return spec.weight(t)
     if spec.kind != "standard":
         raise ValueError("multi-frequency filtering supports the standard kind only")
-    acc = -spec.constant * np.ones_like(t)
+    acc = -0.25 * np.ones_like(t)
     for w in omegas:
         acc += np.cos(w * t)
     return acc
@@ -154,11 +153,8 @@ def beta_continuous(r, spec: FilterSpec | None = None):
     filters have no closed form here; evaluate those with
     :func:`beta_by_quadrature`.
     """
-    if spec is not None:
-        if spec.kind != "standard" or spec.periods != 1:
-            raise ValueError("closed form only covers the standard one-period filter")
-        if spec.constant != 0.25:
-            raise ValueError("closed form assumes the 1/4 filter constant")
+    if spec is not None and (spec.kind != "standard" or spec.periods != 1):
+        raise ValueError("closed form only covers the standard one-period filter")
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0):
         raise ValueError("normalised frequency r must be nonnegative")
@@ -166,7 +162,7 @@ def beta_continuous(r, spec: FilterSpec | None = None):
     return float(out) if np.isscalar(r) or r_arr.ndim == 0 else out
 
 
-def beta_by_quadrature(lam, spec: FilterSpec, tg: TimeGrid, omegas=None):
+def beta_by_quadrature(lam, spec: FilterSpec, tg: TimeGrid):
     """Trapezoid-rule transfer function beta_h(lambda).
 
     beta_h(lambda) = (2 dt / T) sum_n eta_n weight(t_n) cos(lambda t_n).
@@ -176,7 +172,7 @@ def beta_by_quadrature(lam, spec: FilterSpec, tg: TimeGrid, omegas=None):
     """
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
     t = tg.times()
-    wq = tg.eta() * filter_weights(spec, tg, omegas)
+    wq = tg.eta() * filter_weights(spec, tg)
     vals = (2.0 * tg.dt / tg.T) * (np.cos(np.outer(lam_arr, t)) @ wq)
     return float(vals[0]) if np.isscalar(lam) or np.ndim(lam) == 0 else vals
 
@@ -205,18 +201,6 @@ def modified_frequency(omega: float, dt: float) -> float:
     if not dt * omega < math.pi:
         raise ValueError(f"dt*omega = {dt * omega:.6g} must be < pi")
     return 2.0 * math.sin(0.5 * dt * omega) / dt
-
-
-def corrected_forcing_frequency(omega: float, dt: float) -> float:
-    """omega_bar = (2/dt) asin(dt omega / 2), whose leapfrog image is omega.
-
-    Driving at omega_bar makes the limit solve the unmodified discrete
-    Helmholtz equation at omega only when the window and filter are built at
-    omega_bar too, as ``WaveHoltzConfig.build(correction=True)`` does."""
-    x = 0.5 * dt * omega
-    if x > 1.0:
-        raise ValueError(f"dt*omega = {dt * omega:.6g} must be <= 2")
-    return (2.0 / dt) * math.asin(x)
 
 
 def fixed_point_rate_bound(delta_h: float) -> float:
@@ -270,15 +254,6 @@ def cfl_check(omega: float, dt: float, lambda_max: float,
                      tuple(violations))
 
 
-def beta_second_derivative(spec: FilterSpec, lam, tg: TimeGrid):
-    """d^2 beta / d lambda^2 by quadrature: the integrand gains -t^2 cos(lambda t)."""
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    t = tg.times()
-    wq = tg.eta() * spec.weight(t) * t * t
-    vals = -(2.0 * tg.dt / tg.T) * (np.cos(np.outer(lam_arr, t)) @ wq)
-    return float(vals[0]) if np.ndim(lam) == 0 else vals
-
-
 @dataclass
 class TunableFilterResult:
     spec: FilterSpec
@@ -318,10 +293,6 @@ def optimize_tunable_filter(
     n_coeffs: int,
     tg: TimeGrid,
     *,
-    deriv_weight: float = 10.6,
-    penalty_weight: float = 0.1,
-    penalty_exponent: int = 20,
-    exclusion_radius: float = 0.1,
     n_samples: int = 400,
     sample_hi: float | None = None,
     extra_penalty_points=None,
@@ -329,10 +300,10 @@ def optimize_tunable_filter(
 ) -> TunableFilterResult:
     """Design a tunable filter sharpening the transfer function at a resonance.
 
-    Minimises  J = w_d * beta''(lambda_res) + w_p * sum_j |beta(r_j)|^p  over
+    Minimises  J = 10.6 beta''(lambda_res) + 0.1 sum_j |beta(r_j)|^20  over
     the free coefficients x = (a0, a_2, ..., a_{n_coeffs-1}); a_1 follows from
     a0.  The r_j are equispaced over [0, sample_hi] (default 4*omega)
-    excluding a small window around the resonant value;
+    excluding those within 0.1 of the resonant value;
     ``extra_penalty_points`` appends specific frequencies (e.g. a problem's
     shifted eigenvalues) to the fence.  The penalty only restrains where it
     samples, so sample_hi should cover the spectrum the iteration will see.
@@ -355,7 +326,7 @@ def optimize_tunable_filter(
     r = np.linspace(0.0, hi, n_samples)
     if extra_penalty_points is not None:
         r = np.concatenate([r, np.asarray(extra_penalty_points, dtype=float)])
-    keep = np.abs(r - resonant_lambda) > exclusion_radius
+    keep = np.abs(r - resonant_lambda) > 0.1
     lam_samples = np.concatenate([[resonant_lambda], r[keep]])
     b_base, b_mat, b2_base, b2_mat = _tunable_cost_matrices(
         omega, tg, n_coeffs, lam_samples
@@ -367,15 +338,14 @@ def optimize_tunable_filter(
     e = np.eye(n_coeffs)[1] / TWO_PI
     g2_base, g2 = b2_base[0] + b2_mat[0] @ e, b2_mat[0] @ T
     pb, P = b_base[1:] + b_mat[1:] @ e, b_mat[1:] @ T
-    p = penalty_exponent
 
     def cost_and_grad(x):
         with np.errstate(over="ignore", invalid="ignore"):
             z = pb + P @ x
             az = np.abs(z)
-            zp1 = az ** (p - 1)
-            cost = deriv_weight * (g2_base + g2 @ x) + penalty_weight * (zp1 @ az)
-            grad = deriv_weight * g2 + penalty_weight * p * (P.T @ (zp1 * np.sign(z)))
+            zp1 = az ** 19
+            cost = 10.6 * (g2_base + g2 @ x) + 0.1 * (zp1 @ az)
+            grad = 10.6 * g2 + 0.1 * 20 * (P.T @ (zp1 * np.sign(z)))
         return float(cost), grad
 
     x_standard = np.r_[-0.25, np.zeros(ndim - 1)]

@@ -264,14 +264,13 @@ def extraction_matrix(freqs, times) -> np.ndarray:
     return np.cos(np.outer(times, freqs))
 
 
-def choose_sampling_times(freqs, m_per_period: int, dt: float,
-                          cond_limit: float = 1e8, seed: int = 0):
+def choose_sampling_times(freqs, m_per_period: int, dt: float):
     """Pick N distinct step-aligned times in one base period for extraction.
 
     Candidates are structured patterns (equispaced interior points, half-period
-    spreads) plus seeded random draws from the step grid; the set with the
-    smallest condition number of cos(omega_j t_i) wins.  Deterministic for a
-    fixed seed.
+    spreads) plus 200 random draws from the step grid, seeded with 0; the set
+    with the smallest condition number of cos(omega_j t_i) wins, if that
+    number is below 1e8.
     """
     freqs = np.asarray(freqs, dtype=float)
     N = freqs.size
@@ -286,7 +285,7 @@ def choose_sampling_times(freqs, m_per_period: int, dt: float,
         patterns.append([round(i * m_per_period / p) for i in range(N)])
     patterns.append([round(i * m_per_period / (2 * (N - 1))) for i in range(N)])
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(200):
         patterns.append(sorted(rng.choice(m_per_period, size=N, replace=False)))
 
@@ -299,9 +298,9 @@ def choose_sampling_times(freqs, m_per_period: int, dt: float,
         c = np.linalg.cond(extraction_matrix(freqs, times))
         if c < best_cond:
             best_cond, best_idx = c, idx
-    if best_idx is None or not best_cond < cond_limit:
+    if best_idx is None or not best_cond < 1e8:
         raise SamplingConditionError(
-            f"no sampling pattern reached condition < {cond_limit:.1e} "
+            "no sampling pattern reached condition < 1e8 "
             f"(best {best_cond:.3e}); try a finer step grid or other times"
         )
     return np.array(best_idx, dtype=float) * dt

@@ -29,7 +29,7 @@ from functools import cache, partial
 import numpy as np
 
 from .core import GridMismatchError, HelmholtzProblem, ScalarField, WaveState
-from .filters import FilterSpec, TimeGrid, filter_weights
+from .filters import FilterSpec, TimeGrid, cfl_check, filter_weights
 
 
 class InstabilityError(RuntimeError):
@@ -141,8 +141,7 @@ def _scaled_block(problem: HelmholtzProblem, scale: float):
     halves of ``problem.first_order_block``, -L times x's w half and then
     -diag(B) times its v half, so each row gains its entries in column order."""
     n = problem.grid.num_nodes
-    Lx, Bx = (_dia_adder(A, A.data if scale == 1.0 else A.data * scale)
-              for A in problem.first_order_block)
+    Lx, Bx = (_dia_adder(A, A.data * scale) for A in problem.first_order_block)
 
     def product(x, out):
         Lx(x[:n], out)
@@ -273,20 +272,19 @@ def _rk4_kernel(problem: HelmholtzProblem, products, dt: float,
 
 def first_order_rhs(state: WaveState, t: float, schedule: ForcingSchedule | None,
                     problem: HelmholtzProblem):
-    """(dw/dt, dv/dt) = (v, -L w - f(t)) with impedance ghosts closed from v.
+    """(dw/dt, dv/dt) = (v, -L w - B v - f(t)) from ``problem.operator``.
 
     On impedance sides the ghost value enforces alpha*v + beta*(n . D0 w) = 0
     at the boundary node (the B v term of the operator); Dirichlet rows stay
-    zero.  This is M y + g, one level of the RK4 kernel.
+    zero.
     """
-    if state.w.grid != problem.grid:  # the compiled kernel checks no sizes
+    if state.w.grid != problem.grid:
         raise GridMismatchError("field grid does not match problem grid")
-    y = np.concatenate([state.w.values.ravel(),
-                        np.where(problem.dirichlet_mask, 0.0, state.v.values).ravel()])
-    out = np.zeros_like(y)
+    (L, B), shape = problem.operator, problem.grid.shape
+    v = np.where(problem.dirichlet_mask, 0.0, state.v.values).ravel()
     F, g = _drive(schedule, problem, [t], -1.0)
-    _first_order_level(problem, _scaled_block(problem, 1.0), F)(y, out, g[0])
-    return tuple(ScalarField(problem.grid, c) for c in out.reshape(2, -1))
+    dv = -(L @ state.w.values.ravel()) - B * v + sum(c * f for f, c in zip(F, g[0]))
+    return tuple(ScalarField(problem.grid, c.reshape(shape)) for c in (v, dv))
 
 
 def evolve_and_filter(x: np.ndarray, schedule: ForcingSchedule | None,
@@ -370,28 +368,23 @@ def _evolve_rk4(y, schedule, problem, tg, products, w, wanted):
 
 
 def default_leapfrog_steps(problem: HelmholtzProblem, tg_omega: float,
-                           periods: int, omega_max: float | None = None,
-                           safety: float = 0.7) -> int:
+                           periods: int, omega_max: float | None = None) -> int:
     """Step count M so that dt = T/M meets the leapfrog stability bounds.
 
-    Targets dt = safety * 2 / lambda_max_estimate, tightened by the hard
-    stability bound dt < 2/(lambda_max + 2 omega/pi) and the time-resolution
-    cap dt*omega <= 1, then rounds M up so M*dt = T exactly.
+    Targets dt = 0.7 * 2 / lambda_max_estimate, tightened to 0.95 of
+    ``cfl_check``'s stability limit and to its time-resolution cap
+    dt*omega <= 1, then rounds M up so M*dt = T exactly.
     """
     lam = problem.lambda_max_estimate()
     w = problem.omega if omega_max is None else omega_max
-    dt_target = min(
-        safety * 2.0 / lam,
-        0.95 * 2.0 / (lam + 2.0 * w / math.pi),
-        1.0 / w,
-    )
+    limits = cfl_check(w, 0.0, lam)  # only the limits are read, not the verdict
+    dt_target = min(0.7 * 2.0 / lam, 0.95 * limits.stability_limit, limits.accuracy_limit)
     T = periods * 2.0 * math.pi / tg_omega
     return max(2, math.ceil(T / dt_target))
 
 
-def default_rk4_steps(problem: HelmholtzProblem, tg_omega: float, periods: int,
-                      safety: float = 1.0) -> int:
-    """Step count for RK4 from dt = safety * h_min / c_max, rounded up."""
-    dt_target = safety * min(problem.grid.h) / problem.max_wave_speed
+def default_rk4_steps(problem: HelmholtzProblem, tg_omega: float, periods: int) -> int:
+    """Step count for RK4 from dt = h_min / c_max, rounded up."""
+    dt_target = min(problem.grid.h) / problem.max_wave_speed
     T = periods * 2.0 * math.pi / tg_omega
     return max(2, math.ceil(T / dt_target))

@@ -379,6 +379,8 @@ def _replace_line(text, old, new):
     lambda t: _replace_line(t, "periods = 1", "periods = 1\nrestart = 0"),
     lambda t: _replace_line(t, "omegas = 1.22", "omegas = 5 -1"),
     lambda t: _replace_line(t, "omegas = 1.22", "omegas = 2 inf"),
+    lambda t: _replace_line(t, "omegas = 1.22", "omegas = 2 2.0000001"),
+    lambda t: _replace_line(t, "omegas = 1.22", "omegas = 2 2"),
     lambda t: _replace_line(t, "n = 60", "n = abc"),
     lambda t: _replace_line(t, "hi = 1", "hi = inf"),
     lambda t: _replace_line(t, "periods = 1", "periods = 0"),
@@ -389,7 +391,8 @@ def _replace_line(text, old, new):
     .replace("a0 = -0.1", "a0 = 0.7"),
     lambda t: TUNABLE_CONFIG.format(kind="optimize", reslam=4 * math.pi,
                                     omega=4 * math.pi, outdir="out"),
-], ids=["bc", "method", "restart", "omegas", "omegas-inf", "n", "hi-inf", "periods",
+], ids=["bc", "method", "restart", "omegas", "omegas-inf", "omegas-same-tag",
+        "omegas-repeated", "n", "hi-inf", "periods",
         "krylov_max_iters", "misspelt-keys", "krylov_tol", "tunable-a0",
         "optimize-at-resonance"])
 def test_rejected_value_exits_2_before_any_wave_solve(tmp_path, capsys, monkeypatch, edit):
@@ -425,3 +428,16 @@ def test_readme_config_runs(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
     assert (out / "summary.csv").exists()
+
+
+def test_readme_python_runs():
+    # the README's python blocks run in order in one namespace, as a reader
+    # pastes them
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(block, namespace)
+    assert namespace["report"].converged
+    assert namespace["result"].report.converged

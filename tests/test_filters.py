@@ -8,9 +8,7 @@ from waveholtz import (
     TimeGrid,
     beta_by_quadrature,
     beta_continuous,
-    beta_second_derivative,
     cfl_check,
-    corrected_forcing_frequency,
     fixed_point_rate_bound,
     modified_frequency,
     optimize_tunable_filter,
@@ -178,19 +176,6 @@ def test_modified_frequency():
         modified_frequency(10.0, 1.0)
 
 
-def test_corrected_forcing_frequency():
-    for omega, dt in ((1.22, 0.01), (10.0, 0.05), (3.7, 0.21)):
-        wbar = corrected_forcing_frequency(omega, dt)
-        assert modified_frequency(wbar, dt) == pytest.approx(omega, rel=1e-14)
-    assert corrected_forcing_frequency(10.0, 0.05) == pytest.approx(
-        40.0 * math.asin(0.25)
-    )
-    dt = 0.4
-    assert corrected_forcing_frequency(2.0 / dt, dt) == pytest.approx(math.pi / dt)
-    with pytest.raises(ValueError):
-        corrected_forcing_frequency(3.0, 1.0)
-
-
 def test_rate_bound_values():
     assert fixed_point_rate_bound(1.0) == pytest.approx(0.7)
     assert fixed_point_rate_bound(2.0) == pytest.approx(0.6)
@@ -240,11 +225,19 @@ def test_tunable_invariants():
     assert spec.a[0] == pytest.approx(1.0 / TWO_PI)
 
 
+def _beta2(spec, lam, tg):
+    """beta''(lam) of a tunable spec from the filter design's linear rows."""
+    coeffs = np.array([spec.a0, *spec.a])
+    _, _, b2_base, b2_mat = _tunable_cost_matrices(spec.omega, tg, coeffs.size,
+                                                   np.atleast_1d(lam))
+    return b2_base + b2_mat @ coeffs
+
+
 def test_beta_second_derivative_standard_peak():
     omega = 2.0
     tg = TimeGrid(omega, 1, 4000)
-    spec = FilterSpec.standard(omega)
-    d2 = beta_second_derivative(spec, omega, tg)
+    spec = FilterSpec.tunable(omega, a0=-0.25)  # the standard filter
+    (d2,) = _beta2(spec, omega, tg)
     assert d2 < 0.0
     b1 = 0.5 * (0.5 + TWO_PI**2 / 3.0 - 1.0)
     assert d2 == pytest.approx(-2.0 * b1 / omega**2, rel=1e-5)
@@ -259,12 +252,13 @@ def test_beta_second_derivative_fd_oracle():
         fd = (beta_by_quadrature(lam + eps, spec, tg)
               - 2.0 * beta_by_quadrature(lam, spec, tg)
               + beta_by_quadrature(lam - eps, spec, tg)) / eps**2
-        assert beta_second_derivative(spec, lam, tg) == pytest.approx(fd, abs=1e-5)
+        assert _beta2(spec, lam, tg)[0] == pytest.approx(fd, abs=1e-5)
 
 
 def test_optimizer_linear_maps_match_public_evaluators():
     # the design cost uses precomputed coefficient->beta maps; they must agree
-    # with beta_by_quadrature / beta_second_derivative for any tunable spec
+    # with beta_by_quadrature and the quadrature sum of beta'' for any tunable
+    # spec: d^2/dlam^2 of cos(lam t) is -t^2 cos(lam t)
     omega = 4.1 * math.pi
     tg = TimeGrid(omega, 1, 91)
     lam = np.array([2.0, 4 * math.pi, 20.0, 45.0])
@@ -273,8 +267,10 @@ def test_optimizer_linear_maps_match_public_evaluators():
     coeffs = np.array([spec.a0, *spec.a])
     assert np.max(np.abs(b_base + b_mat @ coeffs
                          - beta_by_quadrature(lam, spec, tg))) < 1e-14
-    assert np.max(np.abs(b2_base + b2_mat @ coeffs
-                         - beta_second_derivative(spec, lam, tg))) < 1e-14
+    t = tg.times()
+    beta2 = -(2.0 * tg.dt / tg.T) * (np.cos(np.outer(lam, t))
+                                     @ (tg.eta() * spec.weight(t) * t * t))
+    assert np.max(np.abs(b2_base + b2_mat @ coeffs - beta2)) < 1e-14
 
 
 def test_optimize_tunable_filter_improves_cost():

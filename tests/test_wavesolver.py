@@ -558,7 +558,7 @@ def test_prepared_solve_never_lends_another_systems_weights(change, rng):
     a = {"tg": TimeGrid(p.omega, 1, steps), "spec": FilterSpec.standard(p.omega),
          "filter_omegas": (p.omega,)}
     other = {"tg": TimeGrid(p.omega, 1, steps + 1),
-             "spec": FilterSpec.standard(p.omega, constant=0.3),
+             "spec": FilterSpec.tunable(p.omega, a0=-0.1),
              "filter_omegas": (p.omega, 2.0 * p.omega)}
     b = {**a, change: other[change]}
 
