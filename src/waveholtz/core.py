@@ -12,7 +12,7 @@ Dirichlet boundary values are stored as hard zeros, never eliminated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -188,6 +188,9 @@ class HelmholtzProblem:
     forcing: ScalarField
     omega: float
     bcs: BoundarySpec
+    # (key, parts) of the last system solved on this problem; see
+    # ``wavesolver._prepared``
+    prepared: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.csq.grid != self.grid or self.forcing.grid != self.grid:
@@ -262,21 +265,6 @@ class HelmholtzProblem:
             data[k, (rows + offsets[k]) % n] = col  # 0 for a ghost outside the grid
         L = dia_matrix((data, offsets), shape=(n, n))
         return L, _lap_values(self, zero, np.ones(shape)).ravel()
-
-    @cached_property
-    def first_order_block(self):
-        """The N x 2N block [-L | -diag(B)], dv/dt of the unforced (w, v), as
-        its two N x N DIA halves (-L, -diag(B)); their Dirichlet rows are zero."""
-        from scipy.sparse import dia_matrix
-
-        L, B = self.operator
-        return -L, dia_matrix((-B[None], [0]), shape=L.shape)
-
-    @cached_property
-    def prepared_solves(self) -> dict:
-        """Wave-solve parts fixed for this system, by solve settings; filled
-        and bounded by ``wavesolver.evolve_and_filter``."""
-        return {}
 
     @property
     def max_wave_speed(self) -> float:

@@ -236,12 +236,14 @@ def solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
     method: "fixed_point", "gmres" or "cg".  Krylov methods run on the
     affine reformulation; their report counts operator applications, i.e.
     wave solves, and its wall time includes the forced solve that builds b.
-    Returns (iterate, report).
+    A ``krylov`` config must name the same method.  Returns (iterate, report).
     """
+    if method not in ("fixed_point", "gmres", "cg"):
+        raise ValueError(f"unknown method {method!r}")
+    if krylov is not None and krylov.method != method:
+        raise ValueError(f"a KrylovConfig for {krylov.method!r} cannot drive {method!r}")
     if method == "fixed_point":
         return fixed_point_solve(problem, config, schedule)
-    if method not in ("gmres", "cg"):
-        raise ValueError(f"unknown method {method!r}")
     if krylov is None:
         krylov = KrylovConfig(method=method, tol=config.tol,
                               max_iters=config.max_iters)
@@ -324,7 +326,8 @@ def multifreq_solve(problem: HelmholtzProblem, schedule: ForcingSchedule,
     filter weight, then evolved one more base period and sampled at N
     step-aligned times; inverting cos(omega_j t_i) separates the individual
     solutions.  Frequencies must be integer multiples of the lowest so the
-    window is a common period.
+    window is a common period.  The period check and the choice of sampling
+    times come first, so impossible sampling fails before any wave solve.
     """
     omegas = schedule.omegas
     ratios = omegas / omegas[0]
@@ -332,9 +335,6 @@ def multifreq_solve(problem: HelmholtzProblem, schedule: ForcingSchedule,
         raise ValueError("frequencies must be integer multiples of the lowest")
     if config.scheme != "leapfrog":
         raise ValueError("multi-frequency extraction is implemented for leapfrog")
-
-    v, report = solve(problem, config, method=method, krylov=krylov,
-                      schedule=schedule)
 
     tg = config.tg
     if tg.steps % tg.periods != 0:
@@ -344,6 +344,8 @@ def multifreq_solve(problem: HelmholtzProblem, schedule: ForcingSchedule,
     A = extraction_matrix(omegas, times)
     cond = float(np.linalg.cond(A))
 
+    v, report = solve(problem, config, method=method, krylov=krylov,
+                      schedule=schedule)
     steps = [int(round(t / tg.dt)) for t in times]
     one_period = TimeGrid(tg.omega, 1, m1)
     spec1 = replace(config.spec, periods=1)

@@ -22,7 +22,6 @@ every ``_CHECK_EVERY`` steps and at the end.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -67,25 +66,17 @@ class ForcingSchedule:
 _CHECK_EVERY = 64
 
 
-def _windows(steps: int):
-    """Step windows (lo, hi] of at most ``_CHECK_EVERY`` steps covering 0..steps."""
-    return ((lo, min(lo + _CHECK_EVERY, steps)) for lo in range(0, steps, _CHECK_EVERY))
-
-
-def _check_finite(y: np.ndarray, scheme: str, lo: int, hi: int):
-    if not np.isfinite(y).all():
-        raise InstabilityError(f"{scheme} produced non-finite values between steps "
-                               f"{lo} and {hi}")
-
-
 def _drive(schedule: ForcingSchedule | None, problem: HelmholtzProblem, times,
            scale: float = 1.0):
     """Per-solve drive: the k nonzero forcings f_i as flat rows with zero
     Dirichlet entries, and the table scale * cos(omega_i t) at ``times``,
-    shape (len(times), k); k = 0 when unforced.
+    shape (len(times), k); k = 0 when unforced.  A schedule on another grid
+    raises ``GridMismatchError``, before any step.
     """
     if schedule is None:
         return [], np.empty((len(times), 0))
+    if schedule.forcings[0].grid != problem.grid:
+        raise GridMismatchError("the schedule's forcings are not on the problem grid")
     pairs = [(np.where(problem.dirichlet_mask, 0.0, f.values).ravel(), w)
              for f, w in zip(schedule.forcings, schedule.omegas)]
     pairs = [(f, w) for f, w in pairs if f.any()]
@@ -116,19 +107,19 @@ def _blas():
     return dscal, daxpy
 
 
-def _dia_adder(A, data):
-    """Kernel (x, out) adding into out the product with the DIA matrix of A's
-    shape and offsets that holds ``data``.
+def _dia_adder(offsets, data):
+    """Kernel (x, out) adding into out the product with the square DIA matrix
+    that holds ``data`` on ``offsets``.
 
     The compiled kernel needs no temporary: at N = 130 it takes 1.0 us where
     adding ``A @ x`` takes 4.8 us.
     """
-    matvec = _compiled_matvec()
+    n, matvec = data.shape[1], _compiled_matvec()
     if matvec is not None:
-        return partial(matvec, *A.shape, *data.shape, A.offsets, data)
+        return partial(matvec, n, n, *data.shape, offsets, data)
     from scipy.sparse import dia_matrix
 
-    A = dia_matrix((data, A.offsets), shape=A.shape)
+    A = dia_matrix((data, offsets), shape=(n, n))
     return lambda x, out: np.add(out, A @ x, out=out)
 
 
@@ -136,138 +127,125 @@ def _dia_adder(A, data):
 _RK4_LEVELS = (0.25, 1.0 / 3.0, 0.5, 1.0)
 
 
-def _scaled_block(problem: HelmholtzProblem, scale: float):
-    """(scale, kernel adding scale * [-L | -diag(B)] @ x into out): the scaled
-    halves of ``problem.first_order_block``, -L times x's w half and then
-    -diag(B) times its v half, so each row gains its entries in column order."""
-    n = problem.grid.num_nodes
-    Lx, Bx = (_dia_adder(A, A.data * scale) for A in problem.first_order_block)
-
-    def product(x, out):
-        Lx(x[:n], out)
-        Bx(x[n:], out)
-
-    return scale, product
-
-
 def _products(problem: HelmholtzProblem, dt: float, scheme: str):
     """The compiled products a step of ``scheme`` makes.
 
     Leapfrog: the kernel adding K x, K = 2I - dt^2 L on L's diagonals (2 is
     added to the offset-0 diagonal off the Dirichlet rows, which stay zero, so
-    Dirichlet nodes stay at zero).  RK4: the four levels' ``_scaled_block``
-    pairs, at dt/4, dt/3, dt/2 and dt.
+    Dirichlet nodes stay at zero).  RK4: per level, at s = dt/4, dt/3, dt/2
+    and dt, the pair (s, kernel adding s [-L | -diag(B)] x into out), which
+    adds -s L times x's w half and then -s diag(B) times its v half, so each
+    row gains its entries in column order.
     """
+    L, B = problem.operator
     if scheme == "rk4":
-        return tuple(_scaled_block(problem, s * dt) for s in _RK4_LEVELS)
+        n, diagonal = problem.grid.num_nodes, np.zeros(1, L.offsets.dtype)
+
+        def level(s):
+            Lx, Bx = _dia_adder(L.offsets, L.data * -s), _dia_adder(diagonal, B[None] * -s)
+
+            def product(x, out):
+                Lx(x[:n], out)
+                Bx(x[n:], out)
+
+            return s, product
+
+        return tuple(level(s * dt) for s in _RK4_LEVELS)
     if not problem.bcs.energy_conserving:
         raise ValueError("leapfrog requires energy-conserving boundary conditions")
-    L = problem.operator[0]
     data = L.data * (-dt * dt)
     data[L.offsets == 0, ~problem.dirichlet_mask.ravel()] += 2.0
-    return _dia_adder(L, data)
-
-
-# Prepared solves kept per problem.  A problem meets few systems (a sweep
-# builds one problem per frequency), so a handful covers them; the oldest goes.
-_PREPARED_PER_PROBLEM = 4
-_PREPARED_LOCK = threading.Lock()  # serialises inserting into a cache and trimming it
+    return _dia_adder(L.offsets, data)
 
 
 def _prepared(problem: HelmholtzProblem, tg: TimeGrid, spec: FilterSpec, scheme: str,
               filter_omegas):
     """What a wave solve needs that is fixed for its system: (the step products
     of ``_products``, the averaging weights eta_n weight(t_n), the scale 2 dt / T
-    of the average).  Built on first use and cached on the problem under
-    (tg, spec, scheme, filter omegas); it holds no scratch buffers, so solves
-    that share it may run concurrently."""
+    of the average).  Kept in the problem's one slot, ``problem.prepared``,
+    under (tg, spec, scheme, filter omegas) and rebuilt when another system
+    runs.  The slot is read once and replaced by one assignment of an
+    immutable pair, and it holds no work buffers, so solves that share a
+    problem need no lock."""
     omegas = None if filter_omegas is None else tuple(filter_omegas)
-    key, cache = (tg, spec, scheme, omegas), problem.prepared_solves
-    prep = cache.get(key)
-    if prep is None:
-        weights = tg.eta() * filter_weights(spec, tg, filter_omegas)
-        prep = (_products(problem, tg.dt, scheme), tuple(weights.tolist()),
-                2.0 * tg.dt / tg.T)
-        with _PREPARED_LOCK:
-            cache[key] = prep
-            for stale in list(cache)[:-_PREPARED_PER_PROBLEM]:
-                del cache[stale]
-    return prep
+    key, slot = (tg, spec, scheme, omegas), problem.prepared  # one read: see above
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    weights = tg.eta() * filter_weights(spec, tg, filter_omegas)
+    parts = (_products(problem, tg.dt, scheme), tuple(weights.tolist()), 2.0 * tg.dt / tg.T)
+    problem.prepared = (key, parts)
+    return parts
 
 
-def _leapfrog_kernel(problem: HelmholtzProblem, Kx, dt: float,
-                     schedule: ForcingSchedule | None, times):
-    """The leapfrog step ``step(cur, prev, m)``: prev <- K cur - prev - dt^2 f(t_m)
-    in place, with ``Kx`` the product of ``_products`` and t_m = times[m].
+def _leapfrog_kernel(problem: HelmholtzProblem, Kx, schedule: ForcingSchedule | None,
+                     tg: TimeGrid, y: np.ndarray):
+    """The leapfrog step ``step(m) -> w^{m+1}``: prev <- K cur - prev - dt^2 f(t_m)
+    in place, with ``Kx`` the product of ``_products``, then the two buffers
+    swap.  It starts from cur = y and w^-1 = K y / 2 - (dt^2/2) f(0), which
+    encodes zero initial velocity.
 
     The negation of prev and the drive are BLAS calls; the compiled product
     then adds K cur to each row.  Unforced, a step makes no drive call.
     """
-    (F, coeffs), (scal, axpy) = _drive(schedule, problem, times, -dt * dt), _blas()
-    size, coeffs = problem.grid.num_nodes, coeffs.tolist()
+    dt, (scal, axpy) = tg.dt, _blas()
+    F, coeffs = _drive(schedule, problem, dt * np.arange(tg.steps), -dt * dt)
+    coeffs, cur, prev = coeffs.tolist(), y, np.zeros_like(y)
 
-    def step(cur, prev, m):
+    def step(m):
+        nonlocal cur, prev
         scal(-1.0, prev)
         if F:
             for f, c in zip(F, coeffs[m]):
-                axpy(f, prev, size, c)
+                axpy(f, prev, y.size, c)
         Kx(cur, prev)
+        cur, prev = prev, cur
+        return cur
 
+    step(0)  # K y - dt^2 f(0), into the zero buffer
+    cur, prev = prev, cur
+    scal(0.5, prev)
     return step
 
 
-def _leapfrog_start(step, cur: np.ndarray) -> np.ndarray:
-    """w^-1 = K w^0 / 2 - (dt^2/2) f(0), which encodes zero initial velocity."""
-    prev = np.zeros_like(cur)
-    step(cur, prev, 0)
-    _blas()[0](0.5, prev)
-    return prev
-
-
-def _first_order_level(problem: HelmholtzProblem, scaled, F):
-    """Kernel ``level(x, out, coeffs)``: out += scale M x + (0, sum_i coeffs[i] F[i])
-    on flat (w, v) arrays, for ``scaled = (scale, product)`` of ``_scaled_block``:
-    an axpy of x's v half into out's w half, the compiled products of the scaled
-    block (its zero Dirichlet rows keep Dirichlet w and v at zero) into out's v
-    half, and an axpy per drive row.
-    """
-    (scale, Mx), n, axpy = scaled, problem.grid.num_nodes, _blas()[1]
-
-    def level(x, out, coeffs):
-        axpy(x, out, n, scale, n)
-        Mx(x, out[n:])
-        for f, c in zip(F, coeffs):
-            axpy(f, out, n, c, 0, 1, n)
-
-    return level
-
-
-def _rk4_kernel(problem: HelmholtzProblem, products, dt: float,
-                schedule: ForcingSchedule | None, times, y: np.ndarray):
-    """The RK4 step ``step(m)``: y, flat (w, v), advances in place from times[2m]
-    over times[2m + 1] to times[2m + 2].  With A = dt M, on two scratch buffers,
+def _rk4_kernel(problem: HelmholtzProblem, products, schedule: ForcingSchedule | None,
+                tg: TimeGrid, y: np.ndarray):
+    """The RK4 step ``step(m) -> y``: y, flat (w, v), advances in place from
+    t_m over t_m + dt/2 to t_{m+1}.  With A = dt M, on two work buffers,
 
         t = y + A/4 y + c1,  u = y + A/3 t + c2,  t = y + A/2 u + c3,  y += A t + c4
 
     is the stage form with k1..k4 expanded: for the drive g = (0, -f) at those
     times, g0, gh and g1, c1 = dt/4 g0, c2 = dt/6 (g0 + gh), c3 = dt/6 (g0 + 2 gh)
     and c4 = dt/6 (g0 + 4 gh + g1).  ``products`` holds the four levels' scaled
-    blocks, from ``_products``.  The caller checks y for non-finite values.
+    blocks, from ``_products``.  A level out += s M x + (0, sum_i c_i f_i) is
+    an axpy of x's v half into out's w half, the scaled block's products (its
+    zero Dirichlet rows keep Dirichlet w and v at zero) into out's v half, and
+    an axpy per drive row.
     """
-    (F, g), (t, u) = _drive(schedule, problem, times, -dt / 6.0), np.empty((2, y.size))
+    n, dt, axpy = problem.grid.num_nodes, tg.dt, _blas()[1]
+    F, g = _drive(schedule, problem, 0.5 * dt * np.arange(2 * tg.steps + 1), -dt / 6.0)
     g0, gh, g1 = g[:-1:2], g[1::2], g[2::2]
     coeffs = np.stack([1.5 * g0, g0 + gh, g0 + 2.0 * gh, g0 + 4.0 * gh + g1],
                       axis=1).tolist()
-    levels = [(x, out, _first_order_level(problem, scaled, F))
-              for (x, out), scaled in zip(((y, t), (t, u), (u, t), (t, y)), products)]
+    t, u = np.empty((2, y.size))
+    levels = [(x, out, out[n:], s, Mx)
+              for (x, out), (s, Mx) in zip(((y, t), (t, u), (u, t), (t, y)), products)]
 
     def step(m):
-        for (x, out, level), c in zip(levels, coeffs[m]):
+        for (x, out, v_out, s, Mx), c in zip(levels, coeffs[m]):
             if out is not y:
                 np.copyto(out, y)
-            level(x, out, c)
+            axpy(x, out, n, s, n)
+            Mx(x, v_out)
+            for f, cf in zip(F, c):
+                axpy(f, out, n, cf, 0, 1, n)
+        return y
 
     return step
+
+
+# Per scheme: the iterate's length in nodes, and the function that builds its step.
+_SCHEMES = {"leapfrog": (1, _leapfrog_kernel), "rk4": (2, _rk4_kernel)}
 
 
 def first_order_rhs(state: WaveState, t: float, schedule: ForcingSchedule | None,
@@ -305,66 +283,43 @@ def evolve_and_filter(x: np.ndarray, schedule: ForcingSchedule | None,
     the drive, so the homogeneous (zero-forcing) runs behind the affine
     reformulation average with the same weight as the forced ones.
 
-    The step products and the weights are prepared once per system and cached
+    The step products and the weights are prepared once per system and kept
     on the problem (``_prepared``); a forced solve builds its drive table per
-    call, and an unforced one builds none.
+    call, and an unforced one builds none.  Both schemes run the one loop
+    below: step, add the weighted state into the average, sample, and check
+    for non-finite values every ``_CHECK_EVERY`` steps.
 
     Returns (filtered, samples) where samples maps step index -> ndarray.
     """
-    if scheme == "leapfrog":
-        evolve, shape = _evolve_leapfrog, (problem.grid.num_nodes,)
-    elif scheme == "rk4":
-        evolve, shape = _evolve_rk4, (2, problem.grid.num_nodes)
-    else:
+    if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    x = np.asarray(x, dtype=float)
-    if x.size != math.prod(shape):
-        raise GridMismatchError(f"a {scheme} iterate has {math.prod(shape)} values, "
-                                f"got {x.size}")
+    parts, kernel = _SCHEMES[scheme]
+    x, size = np.asarray(x, dtype=float), parts * problem.grid.num_nodes
+    if x.size != size:
+        raise GridMismatchError(f"a {scheme} iterate has {size} values, got {x.size}")
     if filter_omegas is None:
         filter_omegas = schedule.omegas if schedule is not None else None
-    products, weights, scale = _prepared(problem, tg, spec, scheme, filter_omegas)
+    products, w, scale = _prepared(problem, tg, spec, scheme, filter_omegas)
     wanted = {int(s) for s in sample_steps} if sample_steps else set()
     if wanted and (min(wanted) < 0 or max(wanted) > tg.steps):
         raise ValueError("sample steps outside the time grid")
-    y = np.where(problem.dirichlet_mask.ravel(), 0.0, x.reshape(shape))
-    acc, samples = evolve(y, schedule, problem, tg, products, weights, wanted)
-    acc *= scale
-    sample_shape = (*shape[:-1], *problem.grid.shape)
-    return acc.ravel(), {n: s.reshape(sample_shape) for n, s in samples.items()}
-
-
-def _evolve_leapfrog(cur, schedule, problem, tg, Kx, w, wanted):
-    dt = tg.dt
-    step = _leapfrog_kernel(problem, Kx, dt, schedule, dt * np.arange(tg.steps))
-    prev, axpy = _leapfrog_start(step, cur), _blas()[1]
-    acc, size = w[0] * cur, cur.size
-    samples = {0: cur.copy()} if 0 in wanted else {}
-    for lo, hi in _windows(tg.steps):
-        for n in range(lo, hi):
-            step(cur, prev, n)
-            cur, prev = prev, cur
-            axpy(cur, acc, size, w[n + 1])
-            if n + 1 in wanted:
-                samples[n + 1] = cur.copy()
-        _check_finite(cur, "leapfrog", lo, hi)
-    return acc, samples
-
-
-def _evolve_rk4(y, schedule, problem, tg, products, w, wanted):
-    y = y.reshape(-1)
-    half_steps = 0.5 * tg.dt * np.arange(2 * tg.steps + 1)
-    step = _rk4_kernel(problem, products, tg.dt, schedule, half_steps, y)
+    y = np.where(problem.dirichlet_mask.ravel(), 0.0, x.reshape(parts, -1)).ravel()
+    step = kernel(problem, products, schedule, tg, y)
     acc, axpy = w[0] * y, _blas()[1]
     samples = {0: y.copy()} if 0 in wanted else {}
-    for lo, hi in _windows(tg.steps):
+    for lo in range(0, tg.steps, _CHECK_EVERY):
+        hi = min(lo + _CHECK_EVERY, tg.steps)
         for m in range(lo, hi):
-            step(m)
-            axpy(y, acc, y.size, w[m + 1])
+            y = step(m)
+            axpy(y, acc, size, w[m + 1])
             if m + 1 in wanted:
                 samples[m + 1] = y.copy()
-        _check_finite(y, "rk4", lo, hi)
-    return acc, samples
+        if not np.isfinite(y).all():
+            raise InstabilityError(f"{scheme} produced non-finite values between steps "
+                                   f"{lo} and {hi}")
+    acc *= scale
+    shape = (parts, *problem.grid.shape) if parts > 1 else problem.grid.shape
+    return acc, {n: s.reshape(shape) for n, s in samples.items()}
 
 
 def default_leapfrog_steps(problem: HelmholtzProblem, tg_omega: float,

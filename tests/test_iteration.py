@@ -9,6 +9,7 @@ from waveholtz import (
     KrylovConfig,
     SamplingConditionError,
     ScalarField,
+    TimeGrid,
     WaveHoltzConfig,
     WaveState,
     as_affine_system,
@@ -231,6 +232,50 @@ def test_krylov_wall_time_includes_b_solve():
     assert rep.wall_time >= 0.9 * outside
 
 
+def _count_wave_solves(monkeypatch):
+    """A list that gains one entry per call of ``iteration.evolve_and_filter``."""
+    evolve, calls = iteration.evolve_and_filter, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(iteration, "evolve_and_filter", counted)
+    return calls
+
+
+@pytest.mark.parametrize("hi,n", [(2.0, 40), (1.0, 50)])
+def test_solve_rejects_a_schedule_on_another_grid(hi, n, monkeypatch):
+    # a forcing on [0, 2] with the problem's node count, or on [0, 1] with
+    # another, fails before the first leapfrog step
+    from waveholtz import GridMismatchError, UniformGrid, wavesolver
+
+    p = problem_1d(omega=2.0, n=40)
+    grid = UniformGrid.line(0.0, hi, n)
+    sched = ForcingSchedule([ScalarField.constant(grid, 1.0)], [p.omega])
+    products, steps = wavesolver._products, []
+
+    def counted(problem, dt, scheme):
+        Kx = products(problem, dt, scheme)
+        return lambda x, out: (steps.append(1), Kx(x, out))
+
+    monkeypatch.setattr(wavesolver, "_products", counted)
+    with pytest.raises(GridMismatchError):
+        solve(p, WaveHoltzConfig.build(p), "gmres", schedule=sched)
+    assert not steps
+
+
+@pytest.mark.parametrize("method,other", [("cg", "gmres"), ("gmres", "cg"),
+                                          ("fixed_point", "gmres")])
+def test_solve_rejects_a_krylov_config_of_another_method(method, other, monkeypatch):
+    p = problem_1d(omega=2.0, n=40)
+    calls = _count_wave_solves(monkeypatch)
+    with pytest.raises(ValueError, match="KrylovConfig"):
+        solve(p, WaveHoltzConfig.build(p), method,
+              krylov=KrylovConfig(method=other, restart=2))
+    assert not calls
+
+
 def test_krylov_methods_agree_with_fixed_point():
     p = problem_1d(omega=2.0, n=50)
     cfg = WaveHoltzConfig.build(p, tol=1e-11, max_iters=400)
@@ -367,6 +412,18 @@ def test_multifreq_extracts_components():
         ref = direct_helmholtz_solve(pj, modified_frequency(float(om), cfg.tg.dt))
         assert np.max(np.abs(u.values - ref.values)) \
             < 1e-7 * max(1.0, np.max(np.abs(ref.values)))
+
+
+def test_multifreq_rejects_partial_periods_before_solving(monkeypatch):
+    # steps that do not divide into whole periods fail before any wave solve
+    p = problem_1d(omega=3.0, n=40, forcing="delta")
+    sched = ForcingSchedule([p.forcing] * 2, [3.0, 6.0])
+    built = WaveHoltzConfig.build(p, periods=2, omegas=[3.0, 6.0])
+    cfg = WaveHoltzConfig(TimeGrid(3.0, 2, built.tg.steps + 1), built.spec)
+    calls = _count_wave_solves(monkeypatch)
+    with pytest.raises(ValueError, match="whole periods"):
+        multifreq_solve(p, sched, cfg, method="gmres")
+    assert not calls
 
 
 def test_residual_history_normalisation():

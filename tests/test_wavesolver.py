@@ -509,7 +509,8 @@ def test_rk4_keeps_dirichlet_rows_exactly_zero(dim, rng):
                                               ("impedance", "rk4", True)])
 def test_prepared_solve_repeats_bit_for_bit(bc, scheme, forced, rng):
     # the second solve of a system reuses the first one's prepared products
-    # and weights; both equal a solve on a fresh problem, bit for bit
+    # and weights, which the problem's slot keeps under that system; both
+    # equal a solve on a fresh problem, bit for bit
     p, fresh = (problem_1d(omega=3.0, n=40, bc=bc) for _ in range(2))
     steps = (default_leapfrog_steps(p, p.omega, 1) if scheme == "leapfrog"
              else default_rk4_steps(p, p.omega, 1))
@@ -521,21 +522,22 @@ def test_prepared_solve_repeats_bit_for_bit(bc, scheme, forced, rng):
         return evolve_and_filter(x, sched if forced else None, problem, tg, spec,
                                  scheme, filter_omegas=sched.omegas)[0]
 
-    first = run(p)
-    assert len(p.prepared_solves) == 1
+    first, system = run(p), (tg, spec, scheme, (p.omega,))
+    key, parts = p.prepared
+    assert key == system
     assert np.array_equal(run(p), first)
-    assert len(p.prepared_solves) == 1
+    assert p.prepared[0] == system and p.prepared[1] is parts
     assert np.array_equal(run(fresh), first)
 
 
 def test_prepared_solves_stay_within_their_bound(rng):
-    # one problem cycling through more systems than the cache holds keeps at
-    # most the bound, and every solve still equals one on a fresh problem
-    bound = wavesolver._PREPARED_PER_PROBLEM
+    # one problem cycling through several systems keeps one prepared solve,
+    # that of the last system run, and every solve still equals one on a
+    # fresh problem
     p = problem_1d(omega=3.0, n=30)
     x = rng.standard_normal(p.grid.num_nodes)
     steps = default_leapfrog_steps(p, p.omega, 1)
-    grids = [TimeGrid(p.omega, 1, steps + k) for k in range(bound + 2)]
+    grids = [TimeGrid(p.omega, 1, steps + k) for k in range(6)]
     spec = FilterSpec.standard(p.omega)
     for _ in range(2):
         for tg in grids:
@@ -544,8 +546,7 @@ def test_prepared_solves_stay_within_their_bound(rng):
             ref, _ = evolve_and_filter(x, None, problem_1d(omega=3.0, n=30), tg, spec,
                                        "leapfrog", filter_omegas=[p.omega])
             assert np.array_equal(out, ref)
-            assert len(p.prepared_solves) <= bound
-    assert len(p.prepared_solves) == bound
+            assert p.prepared[0] == (tg, spec, "leapfrog", (p.omega,))
 
 
 @pytest.mark.parametrize("change", ["tg", "spec", "filter_omegas"])
@@ -567,24 +568,24 @@ def test_prepared_solve_never_lends_another_systems_weights(change, rng):
                                  filter_omegas=kw["filter_omegas"])[0]
 
     out_a, out_b = run(p, a), run(p, b)
-    assert len(p.prepared_solves) == 2
+    assert p.prepared[0] == (b["tg"], b["spec"], "leapfrog", b["filter_omegas"])
     assert np.array_equal(out_b, run(problem_1d(omega=3.0, n=30), b))
     assert np.array_equal(run(p, a), out_a)
     assert not np.array_equal(out_a, out_b)
 
 
 def test_prepared_solves_shared_across_threads(rng):
-    # threads solving on one problem over more systems than the cache holds
-    # get the same averages as solves on fresh problems, and the cache stays
-    # within its bound
+    # threads solving on one problem over more systems than threads, each
+    # replacing the problem's one slot, get the same averages as solves on
+    # fresh problems, and the slot ends holding a system that ran, with that
+    # system's parts
     import sys
     import threading
 
-    bound = wavesolver._PREPARED_PER_PROBLEM
     p = problem_1d(omega=3.0, n=20)
     x = rng.standard_normal(p.grid.num_nodes)
     steps = default_leapfrog_steps(p, p.omega, 1)
-    grids = [TimeGrid(p.omega, 1, steps + k) for k in range(bound + 3)]
+    grids = [TimeGrid(p.omega, 1, steps + k) for k in range(7)]
     spec = FilterSpec.standard(p.omega)
 
     def run(problem, tg):
@@ -615,4 +616,36 @@ def test_prepared_solves_shared_across_threads(rng):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not bad
-    assert len(p.prepared_solves) <= bound
+    (tg, *rest), (_, weights, _) = p.prepared
+    assert tg in grids and rest == [spec, "leapfrog", (p.omega,)]
+    assert len(weights) == tg.steps + 1
+
+
+def test_prepared_slot_is_read_once(rng):
+    # a solve that finds its system in the slot solves with the parts it
+    # found, even when another thread replaces the slot just after the key
+    # matched; here the stored key itself does the replacing while compared
+    p, other = problem_1d(omega=3.0, n=30), problem_1d(omega=3.0, n=30)
+    x = rng.standard_normal(p.grid.num_nodes)
+    steps = default_leapfrog_steps(p, p.omega, 1)
+    spec = FilterSpec.standard(p.omega)
+    tg_a, tg_b = TimeGrid(p.omega, 1, steps), TimeGrid(p.omega, 1, steps + 1)
+
+    def run(problem, tg):
+        return evolve_and_filter(x, None, problem, tg, spec, "leapfrog",
+                                 filter_omegas=[p.omega])[0]
+
+    ref = run(other, tg_a)
+    run(other, tg_b)  # other's slot now holds system b
+    run(p, tg_a)
+    key, parts = p.prepared
+
+    class RacingKey(tuple):
+        __hash__ = tuple.__hash__
+
+        def __eq__(self, k):
+            p.prepared = other.prepared
+            return tuple.__eq__(self, k)
+
+    p.prepared = (RacingKey(key), parts)
+    assert np.array_equal(run(p, tg_a), ref)

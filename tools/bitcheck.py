@@ -1,0 +1,147 @@
+"""Print one SHA-256 over the outputs of a fixed set of solves.
+
+A change that should leave every result the same bit for bit prints the
+same digest as its parent.  The package comes from ``PYTHONPATH`` and the
+workloads from the ``whbench/`` next to this script, so two runs, one per
+version of the package, compare the versions on the same solves:
+
+    git archive --prefix=parent/ HEAD | tar -x -C /tmp
+    PYTHONPATH=/tmp/parent/src python tools/bitcheck.py
+    PYTHONPATH=src python tools/bitcheck.py
+
+The digest covers, in this order:
+
+* every average and sample that ``evolve_and_filter`` returns during the
+  whbench C13 (2D Dirichlet, leapfrog, CG), C10 (2D impedance, RK4, GMRES)
+  and C11 (1D, designed filter, fixed point) solves at seed 1, and during
+  sampled forced runs of both schemes;
+* a three-frequency ``multifreq_solve``: its solutions, sampling times,
+  condition number and combined field;
+* the whbench sweep config run through ``cli.main``: ``summary.csv``
+  without its ``wall_time`` column, then every other output file.
+
+Each solve's iterate and residual history are hashed as well.  It takes
+a few seconds and writes only to a temporary directory.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import io
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "whbench"))
+
+import waveholtz as wh  # noqa: E402
+import waveholtz.cli  # noqa: E402,F401  (binds wh.cli)
+import workloads  # noqa: E402
+
+DIGEST = hashlib.sha256()
+
+
+def feed(*arrays):
+    for a in arrays:
+        DIGEST.update(np.ascontiguousarray(a).tobytes())
+
+
+def hashed_evolve(evolve):
+    """``evolve_and_filter`` that feeds its average and samples to the digest."""
+    def run(*args, **kwargs):
+        avg, samples = evolve(*args, **kwargs)
+        feed(avg)
+        for n in sorted(samples):
+            feed(np.array([n]), samples[n])
+        return avg, samples
+
+    return run
+
+
+def feed_solve(u, report):
+    values = np.concatenate([u.w.values, u.v.values]) if isinstance(u, wh.WaveState) \
+        else u.values
+    feed(values, np.array(report.residual_history),
+         np.array([report.iters, report.operator_applications]))
+
+
+def workload_solves(workdir: Path):
+    for cls in (workloads.Leapfrog2DCG, workloads.RK4ImpedanceGMRES):
+        w = cls(1, workdir)
+        w.inputs()
+        (u, report), = w.solve(wh, w.build(wh, {}), 0)
+        feed_solve(u, report)
+    w = workloads.FixedPointTunedFilter(1, workdir)
+    w.inputs()
+    state = w.build(wh, {})
+    w.prepare(wh, state)  # the filter design samples the spectrum it computes
+    design, u, report = w.solve(wh, state, 0)
+    feed(np.array([design.spec.a0, *design.spec.a]))
+    feed_solve(u, report)
+
+
+def sampled_runs():
+    for bc, scheme in (("dirichlet", "leapfrog"), ("impedance", "rk4")):
+        grid = wh.UniformGrid.line(0.0, 1.0, 60)
+        x = grid.axis_coords(0)
+        p = wh.HelmholtzProblem(grid, wh.ScalarField(grid, 1.0 + 0.5 * x),
+                                wh.ScalarField(grid, np.exp(-80 * (x - 0.4) ** 2)), 5.0,
+                                wh.BoundarySpec((bc, bc)))
+        cfg = wh.WaveHoltzConfig.build(p, periods=2, scheme=scheme)
+        sched = wh.ForcingSchedule([p.forcing] * 2, [p.omega, 2.0 * p.omega])
+        size = grid.num_nodes * (1 if scheme == "leapfrog" else 2)
+        y = np.sin(np.arange(size) * 0.37)
+        wh.evolve_and_filter(y, sched, p, cfg.tg, cfg.spec, scheme,
+                             sample_steps=range(0, cfg.tg.steps + 1, 7))
+
+
+def multifreq():
+    grid = wh.UniformGrid.line(0.0, 1.0, 80)
+    x = grid.axis_coords(0)
+    p = wh.HelmholtzProblem(grid, wh.ScalarField.constant(grid, 1.0),
+                            wh.ScalarField(grid, np.exp(-200 * (x - 0.3) ** 2)), 2.0,
+                            wh.BoundarySpec.all_dirichlet(1))
+    omegas = [2.0, 4.0, 6.0]
+    sched = wh.ForcingSchedule([p.forcing] * 3, omegas)
+    cfg = wh.WaveHoltzConfig.build(p, omegas=omegas, tol=1e-10)
+    res = wh.multifreq_solve(p, sched, cfg, method="gmres")
+    feed(*(s.values for s in res.solutions), res.sample_times,
+         np.array([res.condition]), res.combined.values)
+
+
+def sweep(workdir: Path):
+    w = workloads.Sweep1DCli(1, workdir)
+    w.inputs()
+    out = workdir / "sweep"
+    with redirect_stdout(io.StringIO()):
+        code = wh.cli.main(["sweep", "--config", str(w.ini), "--out", str(out),
+                            "--seed", "1"])
+    if code != 0:
+        raise SystemExit(f"waveholtz sweep exited with {code}")
+    with (out / "summary.csv").open(newline="") as fh:
+        rows = [{k: v for k, v in row.items() if k != "wall_time"}
+                for row in csv.DictReader(fh)]
+    DIGEST.update(repr(rows).encode())
+    for path in sorted(out.iterdir()):
+        if path.name != "summary.csv":
+            DIGEST.update(path.name.encode() + path.read_bytes())
+
+
+def main():
+    wh.iteration.evolve_and_filter = hashed_evolve(wh.iteration.evolve_and_filter)
+    wh.evolve_and_filter = hashed_evolve(wh.wavesolver.evolve_and_filter)
+    with tempfile.TemporaryDirectory() as tmp:
+        workload_solves(Path(tmp))
+        sampled_runs()
+        multifreq()
+        sweep(Path(tmp))
+    print(DIGEST.hexdigest())
+
+
+if __name__ == "__main__":
+    main()
