@@ -23,13 +23,11 @@ from .core import (
     norm2,
 )
 from .filters import (
-    CflReport,
     FilterSpec,
     TimeGrid,
     TunableFilterResult,
     beta_by_quadrature,
     beta_continuous,
-    cfl_check,
     filter_weights,
     fixed_point_rate_bound,
     modified_frequency,

@@ -194,9 +194,9 @@ def parse_config(path) -> RunConfig:
         target = (get("filter", "resonant_lambda", None, cp.getfloat),
                   get("filter", "n_coeffs", 12, cp.getint))
         if kind == "standard":
-            filt = FilterSpec.standard(1.0, periods=periods)
+            filt = FilterSpec.standard(1.0)
         elif kind == "tunable":
-            filt = FilterSpec.tunable(1.0, a0, a_rest, periods=periods)
+            filt = FilterSpec.tunable(1.0, a0, a_rest)
         elif kind == "optimize":
             if target[0] is None:
                 raise ConfigError("filter kind 'optimize' needs resonant_lambda")
@@ -260,7 +260,7 @@ def _build_filter(cfg: RunConfig, problem: HelmholtzProblem,
                   wh: WaveHoltzConfig) -> FilterSpec:
     omega = wh.tg.omega
     if isinstance(cfg.filter, FilterSpec):
-        return replace(cfg.filter, omega=omega)
+        return replace(cfg.filter, omegas=(omega,))
     resonant_lambda, n_coeffs = cfg.filter
     try:
         lam_t = dirichlet_box_spectrum(problem).shifted_lambdas(wh.tg.dt)

@@ -266,10 +266,6 @@ class HelmholtzProblem:
         L = dia_matrix((data, offsets), shape=(n, n))
         return L, _lap_values(self, zero, np.ones(shape)).ravel()
 
-    @property
-    def max_wave_speed(self) -> float:
-        return float(np.sqrt(self.csq.values.max()))
-
     def lambda_max_estimate(self) -> float:
         """Analytic bound 2*sqrt(sum_d c2_max/h_d^2) on the largest sqrt-eigenvalue."""
         c2max = float(self.csq.values.max())

@@ -59,79 +59,61 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Weight function multiplying the trajectory inside the time average.
+    """The weight multiplying the trajectory inside the time average,
 
-    standard:  weight(t) = cos(omega t) - 1/4
-    tunable:   weight(t) = cos(omega t) + a0 + sum_n a_n sin(n omega t)
+        weight(t) = sum_i cos(omega_i t) + a0 + sum_n a_n sin(n omega_0 t),
 
-    Tunable filters require |a0| < 1/2 and fix a_1 = (1 + 4 a0)/(2 pi), the
+    over the drive's strictly increasing frequencies ``omegas``, where
+    ``omegas[0]`` is the time grid's omega.  The standard filter is a0 = -1/4
+    with no sine terms, the only one allowed with several frequencies.  A
+    tunable filter requires |a0| < 1/2 and fixes a_1 = (1 + 4 a0)/(2 pi), the
     two conditions that pin the transfer function to beta(omega) = 1 with a
-    critical point there.  The standard filter is the tunable one with
-    a0 = -1/4 (hence a_1 = 0).
+    critical point there; the standard filter meets them with a_1 = 0.
     """
 
-    omega: float
-    kind: str = "standard"
-    periods: int = 1
+    omegas: tuple[float, ...]
     a0: float = -0.25
     a: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("standard", "tunable"):
-            raise ValueError(f"unknown filter kind {self.kind!r}")
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
-        if self.kind == "tunable":
-            if not abs(self.a0) < 0.5:
-                raise ValueError("tunable filter requires |a0| < 1/2")
-            a1 = (1.0 + 4.0 * self.a0) / TWO_PI
-            if not self.a or abs(self.a[0] - a1) > 1e-14 * max(1.0, abs(a1)):
-                raise ValueError("tunable filter requires a_1 = (1 + 4 a0)/(2 pi)")
+        omegas = tuple(float(w) for w in self.omegas)
+        object.__setattr__(self, "omegas", omegas)  # hashable, whatever was passed
+        if not omegas or not omegas[0] > 0 or any(b <= a for a, b in zip(omegas, omegas[1:])):
+            raise ValueError("filter frequencies must be positive and strictly increasing")
+        if len(omegas) > 1 and (self.a or self.a0 != -0.25):
+            raise ValueError("a multi-frequency filter is the standard one: "
+                             "a0 = -1/4 and no sine terms")
+        if not abs(self.a0) < 0.5:
+            raise ValueError("tunable filter requires |a0| < 1/2")
+        a1 = (1.0 + 4.0 * self.a0) / TWO_PI
+        if abs((self.a[0] if self.a else 0.0) - a1) > 1e-14 * max(1.0, abs(a1)):
+            raise ValueError("tunable filter requires a_1 = (1 + 4 a0)/(2 pi)")
 
     @classmethod
-    def standard(cls, omega, periods=1):
-        return cls(omega=omega, kind="standard", periods=periods)
+    def standard(cls, *omegas):
+        return cls(omegas)
 
     @classmethod
-    def tunable(cls, omega, a0, a_rest=(), periods=1):
+    def tunable(cls, omega, a0, a_rest=()):
         """Build a tunable spec from a0 and the free coefficients a_2, a_3, ..."""
         a1 = (1.0 + 4.0 * a0) / TWO_PI
-        return cls(
-            omega=omega,
-            kind="tunable",
-            periods=periods,
-            a0=a0,
-            a=(a1, *tuple(float(c) for c in a_rest)),
-        )
+        return cls((omega,), a0, (a1, *tuple(float(c) for c in a_rest)))
 
     def weight(self, t):
         """Evaluate the filter weight at time(s) t."""
         t = np.asarray(t, dtype=float)
-        if self.kind == "standard":
-            return np.cos(self.omega * t) - 0.25
-        n_omega = self.omega * np.arange(1, len(self.a) + 1)
-        sines = np.sin(np.multiply.outer(t, n_omega))  # one column per term
-        return np.cos(self.omega * t) + self.a0 + sines @ self.a
+        acc = self.a0 + np.cos(self.omegas[0] * t)
+        for w in self.omegas[1:]:
+            acc += np.cos(w * t)
+        n_omega = self.omegas[0] * np.arange(1, len(self.a) + 1)
+        return acc + np.sin(np.multiply.outer(t, n_omega)) @ self.a  # a column per term
 
 
-def filter_weights(spec: FilterSpec, tg: TimeGrid, omegas=None) -> np.ndarray:
-    """Weight samples over the time grid, including the multi-frequency form.
-
-    With several drive frequencies the standard weight generalises to
-    ``sum_i cos(omega_i t) - 1/4`` (a single constant, not one per
-    frequency).  Tunable filters are single-frequency only.
-    """
-    t = tg.times()
-    if omegas is None or len(omegas) == 1:
-        if abs(spec.omega - tg.omega) > 1e-12 * tg.omega:
-            raise ValueError("filter and time grid are built for different omega")
-        return spec.weight(t)
-    if spec.kind != "standard":
-        raise ValueError("multi-frequency filtering supports the standard kind only")
-    acc = -0.25 * np.ones_like(t)
-    for w in omegas:
-        acc += np.cos(w * t)
-    return acc
+def filter_weights(spec: FilterSpec, tg: TimeGrid) -> np.ndarray:
+    """Weight samples over the time grid."""
+    if abs(spec.omegas[0] - tg.omega) > 1e-12 * tg.omega:
+        raise ValueError("filter and time grid are built for different omega")
+    return spec.weight(tg.times())
 
 
 def _sinc2pi(x):
@@ -146,15 +128,14 @@ def _sinc2pi(x):
     return np.where(small, series, out)
 
 
-def beta_continuous(r, spec: FilterSpec | None = None):
-    """Closed-form transfer function of the standard one-period filter.
+def beta_continuous(r):
+    """Closed-form transfer function of the standard one-frequency filter over
+    one period.
 
-    Argument is the normalised frequency r = lambda/omega >= 0.  Multi-period
-    filters have no closed form here; evaluate those with
+    Argument is the normalised frequency r = lambda/omega >= 0.  Other
+    filters and windows have no closed form here; evaluate those with
     :func:`beta_by_quadrature`.
     """
-    if spec is not None and (spec.kind != "standard" or spec.periods != 1):
-        raise ValueError("closed form only covers the standard one-period filter")
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0):
         raise ValueError("normalised frequency r must be nonnegative")
@@ -208,50 +189,6 @@ def fixed_point_rate_bound(delta_h: float) -> float:
     if not delta_h > 0:
         raise ValueError("relative spectral gap must be positive (resonant problem)")
     return max(1.0 - 0.3 * delta_h**2, 0.6)
-
-
-@dataclass(frozen=True)
-class CflReport:
-    """Outcome of the two time step requirements.
-
-    ``stable`` is the hard stability bound dt < 2/(lambda_max + 2 omega/pi).
-    ``rate_guaranteed`` is the soft accuracy condition dt*omega <= min(delta_h, 1)
-    backing the contraction bound; it is None when delta_h is unknown and the
-    dt*omega <= 1 part holds.  Near resonance it may be deliberately violated.
-    """
-
-    dt: float
-    stable: bool
-    stability_limit: float
-    rate_guaranteed: bool | None
-    accuracy_limit: float | None
-    violations: tuple[str, ...] = ()
-
-
-def cfl_check(omega: float, dt: float, lambda_max: float,
-              delta_h: float | None = None) -> CflReport:
-    if lambda_max < 0:
-        raise ValueError("lambda_max must be nonnegative")
-    stab_limit = 2.0 / (lambda_max + 2.0 * omega / math.pi)
-    stable = dt < stab_limit
-    violations = []
-    if not stable:
-        violations.append(
-            f"dt = {dt:.6g} >= stability limit {stab_limit:.6g}"
-        )
-    if delta_h is None:
-        acc_limit = 1.0 / omega
-        guaranteed = None if dt * omega <= 1.0 else False
-    else:
-        acc_limit = min(delta_h, 1.0) / omega
-        guaranteed = dt * omega <= min(delta_h, 1.0)
-    if guaranteed is False:
-        violations.append(
-            f"dt*omega = {dt * omega:.6g} exceeds min(delta_h, 1); "
-            "contraction-rate guarantee void"
-        )
-    return CflReport(dt, stable, stab_limit, guaranteed, acc_limit,
-                     tuple(violations))
 
 
 @dataclass
@@ -363,8 +300,7 @@ def optimize_tunable_filter(
         converged = np.max(np.abs(pg)) <= 1e-6 * max(1.0, abs(cost))
     warning = None if converged else f"filter design did not converge ({res.message})"
     if converged:
-        spec = FilterSpec.tunable(omega, a0=float(x[0]), a_rest=tuple(x[1:]),
-                                  periods=tg.periods)
+        spec = FilterSpec.tunable(omega, a0=float(x[0]), a_rest=tuple(x[1:]))
         # 16 points per period 2 pi/T of beta's fastest oscillation
         grid = np.linspace(0.0, hi, int(math.ceil(8.0 * hi * tg.T / math.pi)) + 2)
         if np.max(np.abs(beta_by_quadrature(grid, spec, tg))) > 1.0 + 1e-6:
@@ -372,7 +308,6 @@ def optimize_tunable_filter(
         elif not cost < standard_cost:
             warning = "optimizer did not improve on the standard filter"
     if warning is not None:
-        spec = FilterSpec.tunable(omega, a0=-0.25, a_rest=(0.0,) * (ndim - 1),
-                                  periods=tg.periods)
+        spec = FilterSpec.tunable(omega, a0=-0.25, a_rest=(0.0,) * (ndim - 1))
         return TunableFilterResult(spec, standard_cost, standard_cost, False, warning)
     return TunableFilterResult(spec, cost, standard_cost, True)

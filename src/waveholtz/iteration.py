@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import NEUMANN, HelmholtzProblem, ScalarField, WaveState
-from .filters import FilterSpec, TimeGrid, cfl_check
+from .filters import FilterSpec, TimeGrid
 from .krylov import (
     IterationReport,
     KrylovConfig,
@@ -31,12 +31,7 @@ from .krylov import (
     gmres_solve,
     measured_rate,
 )
-from .wavesolver import (
-    ForcingSchedule,
-    default_leapfrog_steps,
-    default_rk4_steps,
-    evolve_and_filter,
-)
+from .wavesolver import ForcingSchedule, evolve_and_filter
 
 
 class SamplingConditionError(RuntimeError):
@@ -67,16 +62,21 @@ class WaveHoltzConfig:
               spec: FilterSpec | None = None, omegas=None,
               max_iters: int = 500, tol: float = 1e-10,
               correction: bool = False) -> "WaveHoltzConfig":
-        """Defaults: leapfrog when energy conserving (else rk4); dt from the
-        scheme's stability rule with M rounded up so M*dt = T exactly.
+        """The one home of a solve's time step.  Defaults: leapfrog when energy
+        conserving (else rk4), and the step count M rounded up from a target
+        dt so that M*dt = T exactly.  RK4 targets dt = h_min / c_max.
+        Leapfrog targets min(0.7 * 2 / lambda_max, 0.95 * limit, 1 / omega)
+        at the highest drive frequency omega, with lambda_max from
+        ``problem.lambda_max_estimate`` and limit = 2 / (lambda_max + 2 omega
+        / pi) its stability bound.
 
-        A leapfrog ``dt``, given ``steps`` or not, must meet ``cfl_check`` at
-        the highest drive frequency, or this raises ValueError before any
-        wave solve.  The bound is conservative: it rejects some step counts
-        that would still solve.
+        A leapfrog ``dt``, given ``steps`` or not, must be below that limit,
+        or this raises ValueError before any wave solve.  The bound is
+        conservative: it rejects some step counts that would still solve.
 
         ``omegas`` (multi-frequency) makes the window span ``periods`` of the
-        lowest frequency and sizes dt against the highest.
+        lowest frequency, sizes dt against the highest and makes the default
+        filter the standard one over all of them.
 
         ``correction`` keeps the M steps over ``periods`` periods but takes
         dt = 2 sin(pi periods / M) / omega and builds the time grid (and the
@@ -91,26 +91,26 @@ class WaveHoltzConfig:
             scheme = "leapfrog" if problem.bcs.energy_conserving else "rk4"
         if correction and scheme != "leapfrog":
             raise ValueError("correction=True is exact for leapfrog only")
-        if correction and omegas is not None and len(omegas) > 1:
+        omegas = sorted([problem.omega] if omegas is None else map(float, omegas))
+        if correction and len(omegas) > 1:
             raise ValueError("correction=True covers a single frequency: one window "
                              "cannot span whole periods of several corrected ones")
-        base = problem.omega if omegas is None else float(min(omegas))
-        top = problem.omega if omegas is None else float(max(omegas))
+        base, top, lam = omegas[0], omegas[-1], problem.lambda_max_estimate()
+        limit = 2.0 / (lam + 2.0 * top / math.pi)
         if steps is None:
-            steps = (default_leapfrog_steps(problem, base, periods, omega_max=top)
-                     if scheme == "leapfrog" else default_rk4_steps(problem, base, periods))
+            dt = (min(0.7 * 2.0 / lam, 0.95 * limit, 1.0 / top) if scheme == "leapfrog"
+                  else min(problem.grid.h) / math.sqrt(problem.csq.values.max()))
+            steps = max(2, math.ceil(periods * 2.0 * math.pi / base / dt))
         steps = int(math.ceil(steps / periods)) * periods  # whole steps per period
         if correction:
             dt = 2.0 * math.sin(math.pi * periods / steps) / base
-            base = 2.0 * math.pi * periods / (steps * dt)
-        tg = TimeGrid(base, periods, steps)
-        if scheme == "leapfrog":
-            cfl = cfl_check(top, tg.dt, problem.lambda_max_estimate())
-            if not cfl.stable:
-                raise ValueError(f"leapfrog is unstable at {steps} steps: "
-                                 f"{cfl.violations[0]}")
+            omegas = [2.0 * math.pi * periods / (steps * dt)]
+        tg = TimeGrid(omegas[0], periods, steps)
+        if scheme == "leapfrog" and not tg.dt < limit:
+            raise ValueError(f"leapfrog is unstable at {steps} steps: dt = {tg.dt:.6g} "
+                             f">= stability limit {limit:.6g}")
         if spec is None:
-            spec = FilterSpec.standard(base, periods=periods)
+            spec = FilterSpec(omegas)
         return cls(tg=tg, spec=spec, scheme=scheme, max_iters=max_iters, tol=tol)
 
 
@@ -118,8 +118,6 @@ def _schedule_for(problem, config, schedule):
     """The schedule to drive: by default problem.forcing at the grid's omega."""
     if schedule is None:
         return ForcingSchedule([problem.forcing], [config.tg.omega])
-    if abs(schedule.omegas[0] - config.tg.omega) > 1e-12 * config.tg.omega:
-        raise ValueError("the schedule's lowest frequency must be the time grid's omega")
     return schedule
 
 
@@ -158,15 +156,14 @@ def pi_apply(v, problem: HelmholtzProblem, config: WaveHoltzConfig,
 
 def _affine_parts(problem: HelmholtzProblem, config: WaveHoltzConfig, schedule):
     """(x -> S x, b) with Pi(v) = S v + b.  b = Pi(0) costs one forced wave
-    solve now; each S x one unforced solve, filtered with the weight of the
-    drive's frequencies."""
+    solve now; each S x one unforced solve, filtered with the same weight."""
     schedule = _schedule_for(problem, config, schedule)
     b, _ = evolve_and_filter(_zero_data(problem, config), schedule, problem,
                              config.tg, config.spec, config.scheme)
 
     def S(x: np.ndarray) -> np.ndarray:
         sx, _ = evolve_and_filter(x, None, problem, config.tg, config.spec,
-                                  config.scheme, filter_omegas=schedule.omegas)
+                                  config.scheme)
         return sx
 
     return S, b
@@ -318,14 +315,17 @@ class MultiFrequencyResult:
 
 
 def multifreq_solve(problem: HelmholtzProblem, schedule: ForcingSchedule,
-                    config: WaveHoltzConfig, method: str = "cg",
+                    config: WaveHoltzConfig, method: str = "gmres",
                     krylov: KrylovConfig | None = None) -> MultiFrequencyResult:
     """Solve for several integer-related frequencies in one iteration.
 
-    The combined field is converged with the summed drive and the combined
-    filter weight, then evolved one more base period and sampled at N
-    step-aligned times; inverting cos(omega_j t_i) separates the individual
-    solutions.  Frequencies must be integer multiples of the lowest so the
+    The combined field is converged with the summed drive and ``config.spec``,
+    which must carry the schedule's frequencies (``build(omegas=...)``),
+    then evolved one more base period and sampled at N step-aligned times;
+    inverting cos(omega_j t_i) separates the individual solutions.  The
+    default method is GMRES: the multi-frequency transfer function can
+    exceed 1 (1.094 on a 1D Dirichlet box, n = 100, at omega = 4, 8, 12), so
+    A can be indefinite, and CG then raises ``IndefiniteOperatorError``.  Frequencies must be integer multiples of the lowest so the
     window is a common period.  The period check and the choice of sampling
     times come first, so impossible sampling fails before any wave solve.
     """
@@ -347,10 +347,9 @@ def multifreq_solve(problem: HelmholtzProblem, schedule: ForcingSchedule,
     v, report = solve(problem, config, method=method, krylov=krylov,
                       schedule=schedule)
     steps = [int(round(t / tg.dt)) for t in times]
-    one_period = TimeGrid(tg.omega, 1, m1)
-    spec1 = replace(config.spec, periods=1)
-    _, samples = evolve_and_filter(_to_iterate(v), schedule, problem, one_period,
-                                   spec1, config.scheme, sample_steps=steps)
+    _, samples = evolve_and_filter(_to_iterate(v), schedule, problem,
+                                   TimeGrid(tg.omega, 1, m1), config.spec, config.scheme,
+                                   sample_steps=steps)
     W = np.stack([samples[s].ravel() for s in steps])
     U = np.linalg.solve(A, W)
     shape = problem.grid.shape

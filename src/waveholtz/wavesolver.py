@@ -21,14 +21,13 @@ every ``_CHECK_EVERY`` steps and at the end.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
 
 from .core import GridMismatchError, HelmholtzProblem, ScalarField, WaveState
-from .filters import FilterSpec, TimeGrid, cfl_check, filter_weights
+from .filters import FilterSpec, TimeGrid, filter_weights
 
 
 class InstabilityError(RuntimeError):
@@ -158,20 +157,17 @@ def _products(problem: HelmholtzProblem, dt: float, scheme: str):
     return _dia_adder(L.offsets, data)
 
 
-def _prepared(problem: HelmholtzProblem, tg: TimeGrid, spec: FilterSpec, scheme: str,
-              filter_omegas):
+def _prepared(problem: HelmholtzProblem, tg: TimeGrid, spec: FilterSpec, scheme: str):
     """What a wave solve needs that is fixed for its system: (the step products
     of ``_products``, the averaging weights eta_n weight(t_n), the scale 2 dt / T
     of the average).  Kept in the problem's one slot, ``problem.prepared``,
-    under (tg, spec, scheme, filter omegas) and rebuilt when another system
-    runs.  The slot is read once and replaced by one assignment of an
-    immutable pair, and it holds no work buffers, so solves that share a
-    problem need no lock."""
-    omegas = None if filter_omegas is None else tuple(filter_omegas)
-    key, slot = (tg, spec, scheme, omegas), problem.prepared  # one read: see above
+    under (tg, spec, scheme) and rebuilt when another system runs.  The slot
+    is read once and replaced by one assignment of an immutable pair, and it
+    holds no work buffers, so solves that share a problem need no lock."""
+    key, slot = (tg, spec, scheme), problem.prepared  # one read: see above
     if slot is not None and slot[0] == key:
         return slot[1]
-    weights = tg.eta() * filter_weights(spec, tg, filter_omegas)
+    weights = tg.eta() * filter_weights(spec, tg)
     parts = (_products(problem, tg.dt, scheme), tuple(weights.tolist()), 2.0 * tg.dt / tg.T)
     problem.prepared = (key, parts)
     return parts
@@ -267,7 +263,7 @@ def first_order_rhs(state: WaveState, t: float, schedule: ForcingSchedule | None
 
 def evolve_and_filter(x: np.ndarray, schedule: ForcingSchedule | None,
                       problem: HelmholtzProblem, tg: TimeGrid, spec: FilterSpec,
-                      scheme: str, sample_steps=None, filter_omegas=None):
+                      scheme: str, sample_steps=None):
     """Integrate 0 -> T from the flat iterate x; return its filtered time average.
 
     The iterate is one flat float64 array: the N displacement values for
@@ -279,9 +275,10 @@ def evolve_and_filter(x: np.ndarray, schedule: ForcingSchedule | None,
     extraction): the displacement in grid shape for leapfrog, and the pair
     (w, v), shape (2, *grid.shape), for rk4.
 
-    ``filter_omegas`` pins the multi-frequency filter weight independently of
-    the drive, so the homogeneous (zero-forcing) runs behind the affine
-    reformulation average with the same weight as the forced ones.
+    ``spec`` is the whole averaging weight, so the unforced runs behind the
+    affine reformulation average with the weight of the forced ones.  A
+    forced run must drive ``spec``'s frequencies, or it raises ValueError
+    before any step.
 
     The step products and the weights are prepared once per system and kept
     on the problem (``_prepared``); a forced solve builds its drive table per
@@ -297,9 +294,10 @@ def evolve_and_filter(x: np.ndarray, schedule: ForcingSchedule | None,
     x, size = np.asarray(x, dtype=float), parts * problem.grid.num_nodes
     if x.size != size:
         raise GridMismatchError(f"a {scheme} iterate has {size} values, got {x.size}")
-    if filter_omegas is None:
-        filter_omegas = schedule.omegas if schedule is not None else None
-    products, w, scale = _prepared(problem, tg, spec, scheme, filter_omegas)
+    if schedule is not None and (len(schedule.omegas) != len(spec.omegas) or any(
+            abs(d - f) > 1e-12 * f for d, f in zip(schedule.omegas, spec.omegas))):
+        raise ValueError("the schedule drives other frequencies than the filter's")
+    products, w, scale = _prepared(problem, tg, spec, scheme)
     wanted = {int(s) for s in sample_steps} if sample_steps else set()
     if wanted and (min(wanted) < 0 or max(wanted) > tg.steps):
         raise ValueError("sample steps outside the time grid")
@@ -321,25 +319,3 @@ def evolve_and_filter(x: np.ndarray, schedule: ForcingSchedule | None,
     shape = (parts, *problem.grid.shape) if parts > 1 else problem.grid.shape
     return acc, {n: s.reshape(shape) for n, s in samples.items()}
 
-
-def default_leapfrog_steps(problem: HelmholtzProblem, tg_omega: float,
-                           periods: int, omega_max: float | None = None) -> int:
-    """Step count M so that dt = T/M meets the leapfrog stability bounds.
-
-    Targets dt = 0.7 * 2 / lambda_max_estimate, tightened to 0.95 of
-    ``cfl_check``'s stability limit and to its time-resolution cap
-    dt*omega <= 1, then rounds M up so M*dt = T exactly.
-    """
-    lam = problem.lambda_max_estimate()
-    w = problem.omega if omega_max is None else omega_max
-    limits = cfl_check(w, 0.0, lam)  # only the limits are read, not the verdict
-    dt_target = min(0.7 * 2.0 / lam, 0.95 * limits.stability_limit, limits.accuracy_limit)
-    T = periods * 2.0 * math.pi / tg_omega
-    return max(2, math.ceil(T / dt_target))
-
-
-def default_rk4_steps(problem: HelmholtzProblem, tg_omega: float, periods: int) -> int:
-    """Step count for RK4 from dt = h_min / c_max, rounded up."""
-    dt_target = min(problem.grid.h) / problem.max_wave_speed
-    T = periods * 2.0 * math.pi / tg_omega
-    return max(2, math.ceil(T / dt_target))

@@ -128,7 +128,7 @@ def reference_states(p, x, sched, tg, scheme):
 
 def reference_evolve(p, x, sched, tg, spec, scheme):
     """The filtered average of ``reference_states``, accumulated step by step."""
-    weights = tg.eta() * filter_weights(spec, tg, sched.omegas)
+    weights = tg.eta() * filter_weights(spec, tg)
     acc = 0.0
     for weight, y in zip(weights, reference_states(p, x, sched, tg, scheme)):
         acc = acc + weight * y

@@ -8,7 +8,6 @@ from waveholtz import (
     TimeGrid,
     beta_by_quadrature,
     beta_continuous,
-    cfl_check,
     fixed_point_rate_bound,
     modified_frequency,
     optimize_tunable_filter,
@@ -184,18 +183,6 @@ def test_rate_bound_values():
         fixed_point_rate_bound(0.0)
 
 
-def test_cfl_check():
-    omega, lam = 4.0, 100.0
-    limit = 2.0 / (lam + 2.0 * omega / math.pi)
-    assert cfl_check(omega, 0.95 * limit, lam).stable
-    assert not cfl_check(omega, 1.05 * limit, lam).stable
-    rep = cfl_check(4.1 * math.pi, 0.5 / (4.1 * math.pi), 40.0, delta_h=0.025)
-    assert rep.rate_guaranteed is False
-    assert rep.stable
-    rep2 = cfl_check(omega, 0.1 / omega, 100.0)
-    assert rep2.rate_guaranteed is None
-
-
 def test_tunable_standard_equivalence():
     omega = 2.0
     tg = TimeGrid(omega, 1, 300)
@@ -220,15 +207,31 @@ def test_tunable_invariants():
     with pytest.raises(ValueError):
         FilterSpec.tunable(1.0, a0=0.5)
     with pytest.raises(ValueError):
-        FilterSpec(omega=1.0, kind="tunable", a0=-0.25, a=(0.1,))
+        FilterSpec((1.0,), a0=-0.25, a=(0.1,))
     spec = FilterSpec.tunable(1.0, a0=0.0)
     assert spec.a[0] == pytest.approx(1.0 / TWO_PI)
+
+
+def test_filter_spec_frequencies():
+    # positive, strictly increasing frequencies; several of them make the
+    # standard weight sum_i cos(omega_i t) - 1/4, with no tunable terms
+    for omegas in [(), (0.0,), (2.0, 1.0), (1.0, 1.0), (1.0, 3.0, 2.0)]:
+        with pytest.raises(ValueError, match="increasing"):
+            FilterSpec(omegas)
+    tunable = FilterSpec.tunable(1.0, a0=-0.1)
+    for a0, a in [(-0.25, (0.0,)), (-0.1, ()), (tunable.a0, tunable.a)]:
+        with pytest.raises(ValueError, match="multi-frequency"):
+            FilterSpec((1.0, 2.0), a0=a0, a=a)
+    spec = FilterSpec(np.array([1.0, 2.0]))
+    assert spec == FilterSpec.standard(1.0, 2.0) and spec.omegas == (1.0, 2.0)
+    t = np.linspace(0.0, TWO_PI, 9)
+    assert np.allclose(spec.weight(t), np.cos(t) + np.cos(2.0 * t) - 0.25, rtol=0, atol=1e-15)
 
 
 def _beta2(spec, lam, tg):
     """beta''(lam) of a tunable spec from the filter design's linear rows."""
     coeffs = np.array([spec.a0, *spec.a])
-    _, _, b2_base, b2_mat = _tunable_cost_matrices(spec.omega, tg, coeffs.size,
+    _, _, b2_base, b2_mat = _tunable_cost_matrices(spec.omegas[0], tg, coeffs.size,
                                                    np.atleast_1d(lam))
     return b2_base + b2_mat @ coeffs
 

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from waveholtz import (
+    FilterSpec,
     ForcingSchedule,
+    IndefiniteOperatorError,
     KrylovConfig,
     SamplingConditionError,
     ScalarField,
@@ -244,15 +246,10 @@ def _count_wave_solves(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("hi,n", [(2.0, 40), (1.0, 50)])
-def test_solve_rejects_a_schedule_on_another_grid(hi, n, monkeypatch):
-    # a forcing on [0, 2] with the problem's node count, or on [0, 1] with
-    # another, fails before the first leapfrog step
-    from waveholtz import GridMismatchError, UniformGrid, wavesolver
+def _count_steps(monkeypatch):
+    """A list that gains one entry per leapfrog step of any wave solve."""
+    from waveholtz import wavesolver
 
-    p = problem_1d(omega=2.0, n=40)
-    grid = UniformGrid.line(0.0, hi, n)
-    sched = ForcingSchedule([ScalarField.constant(grid, 1.0)], [p.omega])
     products, steps = wavesolver._products, []
 
     def counted(problem, dt, scheme):
@@ -260,8 +257,41 @@ def test_solve_rejects_a_schedule_on_another_grid(hi, n, monkeypatch):
         return lambda x, out: (steps.append(1), Kx(x, out))
 
     monkeypatch.setattr(wavesolver, "_products", counted)
+    return steps
+
+
+@pytest.mark.parametrize("hi,n", [(2.0, 40), (1.0, 50)])
+def test_solve_rejects_a_schedule_on_another_grid(hi, n, monkeypatch):
+    # a forcing on [0, 2] with the problem's node count, or on [0, 1] with
+    # another, fails before the first leapfrog step
+    from waveholtz import GridMismatchError, UniformGrid
+
+    p = problem_1d(omega=2.0, n=40)
+    grid = UniformGrid.line(0.0, hi, n)
+    sched = ForcingSchedule([ScalarField.constant(grid, 1.0)], [p.omega])
+    steps = _count_steps(monkeypatch)
     with pytest.raises(GridMismatchError):
         solve(p, WaveHoltzConfig.build(p), "gmres", schedule=sched)
+    assert not steps
+
+
+@pytest.mark.parametrize("entry", ["solve", "evolve_and_filter"])
+@pytest.mark.parametrize("drive,filtered", [((1.0, 2.0), (1.0,)), ((1.0,), (1.0, 2.0)),
+                                            ((1.0, 3.0), (1.0, 2.0))])
+def test_forced_solve_rejects_a_schedule_off_its_filter(entry, drive, filtered,
+                                                        monkeypatch):
+    # the filter is the whole averaging weight: a drive at other frequencies
+    # than the filter's, even one sharing its lowest, fails before any step
+    p = problem_1d(omega=2.0, n=40)
+    sched = ForcingSchedule([p.forcing] * len(drive), [p.omega * w for w in drive])
+    cfg = WaveHoltzConfig.build(p, omegas=[p.omega * w for w in filtered])
+    steps = _count_steps(monkeypatch)
+    with pytest.raises(ValueError, match="schedule"):
+        if entry == "solve":
+            solve(p, cfg, "gmres", schedule=sched)
+        else:
+            evolve_and_filter(np.zeros(p.grid.num_nodes), sched, p, cfg.tg, cfg.spec,
+                              cfg.scheme)
     assert not steps
 
 
@@ -390,6 +420,22 @@ def test_multifreq_single_frequency_degenerates():
     assert np.max(np.abs(res.solutions[0].values - res.combined.values)) < 1e-14
 
 
+def test_multifreq_filter_can_make_a_indefinite():
+    # at omega = 4, 8, 12 the three-frequency transfer function exceeds 1 on a
+    # shifted eigenvalue, so A is indefinite: CG fails and the default GMRES
+    # converges
+    p = problem_1d(omega=4.0, n=100)
+    omegas = [4.0, 8.0, 12.0]
+    sched = ForcingSchedule([p.forcing] * 3, omegas)
+    cfg = WaveHoltzConfig.build(p, omegas=omegas, tol=1e-10)
+    lam_t = dirichlet_box_spectrum(p).shifted_lambdas(cfg.tg.dt)
+    assert beta_by_quadrature(lam_t, cfg.spec, cfg.tg).max() > 1.0
+    res = multifreq_solve(p, sched, cfg)
+    assert res.report.converged
+    with pytest.raises(IndefiniteOperatorError):
+        multifreq_solve(p, sched, cfg, method="cg")
+
+
 def test_multifreq_rejects_non_integer_ratios():
     p = problem_1d(omega=1.0, n=30, forcing="delta")
     sched = ForcingSchedule([p.forcing, p.forcing], np.array([1.0, 2.5]))
@@ -474,3 +520,18 @@ def test_build_rejects_an_unstable_leapfrog_dt(monkeypatch):
     assert WaveHoltzConfig.build(p, steps=128).tg.steps == 128
     # rk4 step counts are not checked
     assert WaveHoltzConfig.build(p, steps=117, scheme="rk4").tg.steps == 117
+
+
+def test_build_checks_the_leapfrog_limit():
+    # build accepts a step 0.95 times the limit 2 / (lambda_max + 2 omega / pi)
+    # and rejects one 1.05 times it
+    p = problem_1d(omega=4.0, n=50)
+    lam = p.lambda_max_estimate()
+    limit = 2.0 / (lam + 2.0 * p.omega / math.pi)
+    T = 2.0 * math.pi / p.omega
+    stable = WaveHoltzConfig.build(p, steps=math.ceil(T / (0.95 * limit))).tg
+    assert 0.9 * limit < stable.dt <= 0.95 * limit
+    unstable = math.floor(T / (1.05 * limit))
+    assert 1.05 * limit <= T / unstable < 1.1 * limit
+    with pytest.raises(ValueError, match="stability limit"):
+        WaveHoltzConfig.build(p, steps=unstable)

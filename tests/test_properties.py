@@ -15,7 +15,6 @@ from waveholtz import (
     HelmholtzProblem,
     KrylovConfig,
     ScalarField,
-    TimeGrid,
     UniformGrid,
     WaveHoltzConfig,
     as_affine_system,
@@ -25,7 +24,6 @@ from waveholtz import (
     solve,
 )
 from waveholtz.core import _lap_values
-from waveholtz.wavesolver import default_leapfrog_steps, default_rk4_steps
 
 from conftest import problem_1d, reference_evolve
 
@@ -52,9 +50,7 @@ def test_evolve_and_filter_is_affine(seed, n, omega, scheme, a, b):
     bc = ("dirichlet", "neumann") if scheme == "leapfrog" else ("impedance", "neumann")
     p, rng = _random_problem(seed, n, omega, bc)
     size = n + 1 if scheme == "leapfrog" else 2 * (n + 1)
-    steps = (default_leapfrog_steps(p, omega, 1) if scheme == "leapfrog"
-             else default_rk4_steps(p, omega, 1))
-    tg = TimeGrid(omega, 1, steps)
+    tg = WaveHoltzConfig.build(p, scheme=scheme).tg
     sched = ForcingSchedule.single(p)
     spec = FilterSpec.standard(omega)
     pi = lambda x: evolve_and_filter(x, sched, p, tg, spec, scheme)[0]
@@ -104,7 +100,7 @@ def test_outer_methods_agree(seed, n, omega):
 def test_corrected_solve_meets_residual_at_omega(omega, extra):
     # the C08 family: gaussian forcing on [-6, 6] with 10 nodes per unit omega
     p = problem_1d(omega=omega, n=10 * int(np.ceil(omega)), lo=-6.0, hi=6.0)
-    base = default_leapfrog_steps(p, omega, 1)
+    base = WaveHoltzConfig.build(p, scheme="leapfrog").tg.steps
     steps = base + int(extra * base)
     cfg = WaveHoltzConfig.build(p, steps=steps, tol=1e-11, correction=True)
     assert cfg.tg.steps == steps
@@ -156,10 +152,8 @@ def test_evolve_and_filter_matches_reference_loop(seed, dim, n, sides, scheme, t
     p, rng = _random_box(seed, dim, n, sides)
     omegas = [p.omega, 2.0 * p.omega] if two else [p.omega]
     sched = ForcingSchedule([p.forcing] * len(omegas), omegas)
-    steps = (default_leapfrog_steps(p, p.omega, 1, omega_max=omegas[-1])
-             if scheme == "leapfrog" else default_rk4_steps(p, p.omega, 1))
-    tg = TimeGrid(p.omega, 1, steps)
-    spec = FilterSpec.standard(p.omega)
+    cfg = WaveHoltzConfig.build(p, scheme=scheme, omegas=omegas)
+    tg, spec = cfg.tg, cfg.spec
     x = rng.standard_normal(p.grid.num_nodes * (1 if scheme == "leapfrog" else 2))
     got = evolve_and_filter(x, sched, p, tg, spec, scheme)[0]
     ref = reference_evolve(p, x, sched, tg, spec, scheme)

@@ -14,6 +14,7 @@ from waveholtz import (
     ScalarField,
     TimeGrid,
     UniformGrid,
+    WaveHoltzConfig,
     WaveState,
     evolve_and_filter,
     first_order_rhs,
@@ -23,7 +24,6 @@ from waveholtz import (
 )
 from waveholtz.core import _lap_values, apply_discrete_laplacian
 from waveholtz import wavesolver
-from waveholtz.wavesolver import default_leapfrog_steps, default_rk4_steps
 
 from conftest import problem_1d, problem_2d, random_interior_field, reference_states
 
@@ -39,18 +39,19 @@ def _eigenmode(problem, j):
     return ScalarField(problem.grid, phi), lam
 
 
-def _samples(p, x, sched, dt, steps, scheme, at):
+def _samples(p, x, forcing, dt, steps, scheme, at):
     """evolve_and_filter's samples at steps ``at`` of a run of ``steps`` steps
-    of size ``dt`` (to roundoff) from the flat iterate x."""
+    of size ``dt`` (to roundoff) from the flat iterate x, driven by the field
+    ``forcing`` (None: unforced) at the window's frequency 2 pi / (dt steps)."""
     tg = TimeGrid(2.0 * math.pi / (dt * steps), 1, steps)
+    sched = None if forcing is None else ForcingSchedule([forcing], [tg.omega])
     return evolve_and_filter(x, sched, p, tg, FilterSpec.standard(tg.omega), scheme,
                              sample_steps=at)[1]
 
 
 def test_leapfrog_start_zero():
     p = problem_1d(n=20, forcing="zero")
-    sched = ForcingSchedule.single(p)
-    s = _samples(p, np.zeros(p.grid.num_nodes), sched, 0.01, 4, "leapfrog", [0, 1])
+    s = _samples(p, np.zeros(p.grid.num_nodes), p.forcing, 0.01, 4, "leapfrog", [0, 1])
     assert not np.any(s[0]) and not np.any(s[1])
 
 
@@ -58,8 +59,7 @@ def test_leapfrog_start_forced():
     # from zero data, w^1 = -w^-1 - dt^2 f(0) = -dt^2/2 f(0)
     p = problem_1d(n=20)
     dt = 0.01
-    sched = ForcingSchedule.single(p)
-    s = _samples(p, np.zeros(p.grid.num_nodes), sched, dt, 4, "leapfrog", [0, 1])
+    s = _samples(p, np.zeros(p.grid.num_nodes), p.forcing, dt, 4, "leapfrog", [0, 1])
     assert not np.any(s[0])
     expect = -0.5 * dt * dt * p.forcing.values
     assert np.max(np.abs(s[1] - expect)) < 1e-15
@@ -101,12 +101,11 @@ def test_leapfrog_forced_single_mode_closed_form():
     fhat = 0.8
     forcing = ScalarField(p.grid, fhat * phi.values)
     prob = HelmholtzProblem(p.grid, p.csq, forcing, p.omega, p.bcs)
-    dt = 0.5 * 2.0 / prob.lambda_max_estimate()
-    sched = ForcingSchedule.single(prob)
+    dt = 2.0 * math.pi / (prob.omega * 400)  # the window is one period of the drive
     wt = modified_frequency(prob.omega, dt)
     lam_t = shifted_eigenvalue(lam, dt)
     vinf = fhat / (wt**2 - lam**2)
-    s = _samples(prob, np.zeros(prob.grid.num_nodes), sched, dt, 400, "leapfrog",
+    s = _samples(prob, np.zeros(prob.grid.num_nodes), forcing, dt, 400, "leapfrog",
                  range(1, 401))
     for n in range(400):
         t = (n + 1) * dt
@@ -197,9 +196,8 @@ def test_evolve_and_filter_rk4_instability_names_window(rng):
 @pytest.mark.parametrize("bc,scheme", [("dirichlet", "leapfrog"), ("impedance", "rk4")])
 def test_evolve_and_filter_nan_iterate_raises(bc, scheme):
     p = problem_1d(omega=2.0, n=30, bc=bc)
-    default_steps = default_leapfrog_steps if scheme == "leapfrog" else default_rk4_steps
-    steps = default_steps(p, p.omega, 1)
-    tg = TimeGrid(p.omega, 1, steps)
+    tg = WaveHoltzConfig.build(p, scheme=scheme).tg
+    steps = tg.steps
     x = np.zeros(p.grid.num_nodes * (1 if scheme == "leapfrog" else 2))
     x[7] = np.nan
     with pytest.raises(InstabilityError) as excinfo, np.errstate(invalid="ignore"):
@@ -331,7 +329,7 @@ def test_evolve_and_filter_zero():
 
 def test_evolve_and_filter_affine(rng):
     p = problem_1d(omega=1.7, n=36)
-    tg = TimeGrid(p.omega, 1, default_leapfrog_steps(p, p.omega, 1))
+    tg = WaveHoltzConfig.build(p, scheme="leapfrog").tg
     spec = FilterSpec.standard(p.omega)
     sched = ForcingSchedule.single(p)
     v1 = random_interior_field(p.grid, rng).values.ravel()
@@ -345,7 +343,7 @@ def test_evolve_and_filter_affine(rng):
 
 def test_evolve_and_filter_rk4_filters_both_components(rng):
     p = problem_1d(omega=2.4, n=30, bc="impedance")
-    tg = TimeGrid(p.omega, 1, default_rk4_steps(p, p.omega, 1))
+    tg = WaveHoltzConfig.build(p, scheme="rk4").tg
     spec = FilterSpec.standard(p.omega)
     sched = ForcingSchedule.single(p)
     out, _ = evolve_and_filter(np.zeros(2 * p.grid.num_nodes), sched, p, tg,
@@ -360,8 +358,8 @@ def test_evolve_and_filter_rk4_filters_both_components(rng):
 
 def test_evolve_samples_are_trajectory_points():
     p = problem_1d(omega=1.5, n=24)
-    steps = default_leapfrog_steps(p, p.omega, 1)
-    tg = TimeGrid(p.omega, 1, steps)
+    tg = WaveHoltzConfig.build(p, scheme="leapfrog").tg
+    steps = tg.steps
     spec = FilterSpec.standard(p.omega)
     sched = ForcingSchedule.single(p)
     v0 = np.zeros(p.grid.num_nodes)
@@ -377,14 +375,12 @@ def test_evolve_samples_are_trajectory_points():
 def test_default_steps_make_whole_periods():
     p = problem_1d(omega=3.0, n=50)
     for periods in (1, 3, 10):
-        M = default_leapfrog_steps(p, p.omega, periods)
-        tg = TimeGrid(p.omega, periods, M)
+        tg = WaveHoltzConfig.build(p, scheme="leapfrog", periods=periods).tg
         assert tg.steps * tg.dt == pytest.approx(tg.T, rel=1e-15)
         assert tg.dt * p.lambda_max_estimate() < 2.0
         assert tg.dt * p.omega <= 1.0
-    M4 = default_rk4_steps(p, p.omega, 2)
-    tg4 = TimeGrid(p.omega, 2, M4)
-    assert tg4.dt <= p.grid.h[0] / p.max_wave_speed + 1e-15
+    tg4 = WaveHoltzConfig.build(p, scheme="rk4", periods=2).tg
+    assert tg4.dt <= p.grid.h[0] / math.sqrt(p.csq.values.max()) + 1e-15
 
 
 def test_forcing_schedule_validation():
@@ -414,14 +410,12 @@ def test_public_matvec_fallback_matches_compiled_kernel(bc, scheme, rng, monkeyp
         pytest.skip("this SciPy has no compatible compiled dia_matvec")
     p = problem_1d(omega=3.0, n=40, bc=bc)
     sched = ForcingSchedule([p.forcing] * 2, [p.omega, 2.0 * p.omega])  # forced, two frequencies
-    steps = (default_leapfrog_steps(p, p.omega, 1, omega_max=2.0 * p.omega)
-             if scheme == "leapfrog" else default_rk4_steps(p, p.omega, 1))
+    cfg = WaveHoltzConfig.build(p, scheme=scheme, omegas=sched.omegas)
     x = rng.standard_normal(p.grid.num_nodes * (1 if scheme == "leapfrog" else 2))
 
     def run():  # on a fresh problem: the product is prepared once per problem
         fresh = problem_1d(omega=3.0, n=40, bc=bc)
-        return evolve_and_filter(x, sched, fresh, TimeGrid(p.omega, 1, steps),
-                                 FilterSpec.standard(p.omega), scheme)[0]
+        return evolve_and_filter(x, sched, fresh, cfg.tg, cfg.spec, scheme)[0]
 
     compiled = run()
     monkeypatch.setattr(wavesolver, "_compiled_matvec", lambda: None)
@@ -472,9 +466,8 @@ def test_dia_steps_bit_for_bit_like_csr(dim, scheme, sides, rng, monkeypatch):
 
     p = fresh()
     sched = ForcingSchedule([p.forcing] * 2, [p.omega, 2.0 * p.omega])
-    steps = (default_leapfrog_steps(p, p.omega, 1, omega_max=2.0 * p.omega)
-             if scheme == "leapfrog" else default_rk4_steps(p, p.omega, 1))
-    tg, spec = TimeGrid(p.omega, 1, steps), FilterSpec.standard(p.omega)
+    cfg = WaveHoltzConfig.build(p, scheme=scheme, omegas=sched.omegas)
+    tg, spec, steps = cfg.tg, cfg.spec, cfg.tg.steps
     x = rng.standard_normal(p.grid.num_nodes * (1 if scheme == "leapfrog" else 2))
     wanted = [1, steps // 2, steps]
     dia = evolve_and_filter(x, sched, fresh(), tg, spec, scheme, sample_steps=wanted)
@@ -495,9 +488,9 @@ def test_rk4_keeps_dirichlet_rows_exactly_zero(dim, rng):
     p = problem_1d(omega=2.5, n=30, bc=sides) if dim == 1 else problem_2d(
         omega=2.5, n=12, bc=sides)
     sched = ForcingSchedule([p.forcing] * 2, [p.omega, 2.0 * p.omega])
-    tg = TimeGrid(p.omega, 1, default_rk4_steps(p, p.omega, 1))
+    cfg = WaveHoltzConfig.build(p, scheme="rk4", omegas=sched.omegas)
     x = rng.standard_normal(2 * p.grid.num_nodes)
-    out, _ = evolve_and_filter(x, sched, p, tg, FilterSpec.standard(p.omega), "rk4")
+    out, _ = evolve_and_filter(x, sched, p, cfg.tg, cfg.spec, "rk4")
     dirichlet = np.tile(p.dirichlet_mask.ravel(), 2)
     assert np.all(out[dirichlet] == 0.0)
     assert np.all(out[~dirichlet] != 0.0)
@@ -512,17 +505,14 @@ def test_prepared_solve_repeats_bit_for_bit(bc, scheme, forced, rng):
     # and weights, which the problem's slot keeps under that system; both
     # equal a solve on a fresh problem, bit for bit
     p, fresh = (problem_1d(omega=3.0, n=40, bc=bc) for _ in range(2))
-    steps = (default_leapfrog_steps(p, p.omega, 1) if scheme == "leapfrog"
-             else default_rk4_steps(p, p.omega, 1))
-    tg, spec = TimeGrid(p.omega, 1, steps), FilterSpec.standard(p.omega)
+    tg, spec = WaveHoltzConfig.build(p, scheme=scheme).tg, FilterSpec.standard(p.omega)
     x = rng.standard_normal(p.grid.num_nodes * (1 if scheme == "leapfrog" else 2))
 
     def run(problem):
-        sched = ForcingSchedule.single(problem)
-        return evolve_and_filter(x, sched if forced else None, problem, tg, spec,
-                                 scheme, filter_omegas=sched.omegas)[0]
+        sched = ForcingSchedule.single(problem) if forced else None
+        return evolve_and_filter(x, sched, problem, tg, spec, scheme)[0]
 
-    first, system = run(p), (tg, spec, scheme, (p.omega,))
+    first, system = run(p), (tg, spec, scheme)
     key, parts = p.prepared
     assert key == system
     assert np.array_equal(run(p), first)
@@ -536,17 +526,16 @@ def test_prepared_solves_stay_within_their_bound(rng):
     # fresh problem
     p = problem_1d(omega=3.0, n=30)
     x = rng.standard_normal(p.grid.num_nodes)
-    steps = default_leapfrog_steps(p, p.omega, 1)
+    steps = WaveHoltzConfig.build(p, scheme="leapfrog").tg.steps
     grids = [TimeGrid(p.omega, 1, steps + k) for k in range(6)]
     spec = FilterSpec.standard(p.omega)
     for _ in range(2):
         for tg in grids:
-            out, _ = evolve_and_filter(x, None, p, tg, spec, "leapfrog",
-                                       filter_omegas=[p.omega])
+            out, _ = evolve_and_filter(x, None, p, tg, spec, "leapfrog")
             ref, _ = evolve_and_filter(x, None, problem_1d(omega=3.0, n=30), tg, spec,
-                                       "leapfrog", filter_omegas=[p.omega])
+                                       "leapfrog")
             assert np.array_equal(out, ref)
-            assert p.prepared[0] == (tg, spec, "leapfrog", (p.omega,))
+            assert p.prepared[0] == (tg, spec, "leapfrog")
 
 
 @pytest.mark.parametrize("change", ["tg", "spec", "filter_omegas"])
@@ -555,20 +544,19 @@ def test_prepared_solve_never_lends_another_systems_weights(change, rng):
     # it matches a fresh problem and differs from the first system
     p = problem_1d(omega=3.0, n=30)
     x = rng.standard_normal(p.grid.num_nodes)
-    steps = default_leapfrog_steps(p, p.omega, 1)
-    a = {"tg": TimeGrid(p.omega, 1, steps), "spec": FilterSpec.standard(p.omega),
-         "filter_omegas": (p.omega,)}
-    other = {"tg": TimeGrid(p.omega, 1, steps + 1),
-             "spec": FilterSpec.tunable(p.omega, a0=-0.1),
-             "filter_omegas": (p.omega, 2.0 * p.omega)}
-    b = {**a, change: other[change]}
+    tg = WaveHoltzConfig.build(p, scheme="leapfrog").tg
+    a = {"tg": tg, "spec": FilterSpec.standard(p.omega)}
+    # the filter_omegas case: the filter gains the drive frequency 2 omega
+    other = {"tg": {"tg": TimeGrid(p.omega, 1, tg.steps + 1)},
+             "spec": {"spec": FilterSpec.tunable(p.omega, a0=-0.1)},
+             "filter_omegas": {"spec": FilterSpec.standard(p.omega, 2.0 * p.omega)}}
+    b = {**a, **other[change]}
 
     def run(problem, kw):
-        return evolve_and_filter(x, None, problem, kw["tg"], kw["spec"], "leapfrog",
-                                 filter_omegas=kw["filter_omegas"])[0]
+        return evolve_and_filter(x, None, problem, kw["tg"], kw["spec"], "leapfrog")[0]
 
     out_a, out_b = run(p, a), run(p, b)
-    assert p.prepared[0] == (b["tg"], b["spec"], "leapfrog", b["filter_omegas"])
+    assert p.prepared[0] == (b["tg"], b["spec"], "leapfrog")
     assert np.array_equal(out_b, run(problem_1d(omega=3.0, n=30), b))
     assert np.array_equal(run(p, a), out_a)
     assert not np.array_equal(out_a, out_b)
@@ -584,13 +572,12 @@ def test_prepared_solves_shared_across_threads(rng):
 
     p = problem_1d(omega=3.0, n=20)
     x = rng.standard_normal(p.grid.num_nodes)
-    steps = default_leapfrog_steps(p, p.omega, 1)
+    steps = WaveHoltzConfig.build(p, scheme="leapfrog").tg.steps
     grids = [TimeGrid(p.omega, 1, steps + k) for k in range(7)]
     spec = FilterSpec.standard(p.omega)
 
     def run(problem, tg):
-        return evolve_and_filter(x, None, problem, tg, spec, "leapfrog",
-                                 filter_omegas=[p.omega])[0]
+        return evolve_and_filter(x, None, problem, tg, spec, "leapfrog")[0]
 
     refs = [run(problem_1d(omega=3.0, n=20), tg) for tg in grids]
     bad = []
@@ -617,7 +604,7 @@ def test_prepared_solves_shared_across_threads(rng):
     assert not any(t.is_alive() for t in threads)
     assert not bad
     (tg, *rest), (_, weights, _) = p.prepared
-    assert tg in grids and rest == [spec, "leapfrog", (p.omega,)]
+    assert tg in grids and rest == [spec, "leapfrog"]
     assert len(weights) == tg.steps + 1
 
 
@@ -627,13 +614,11 @@ def test_prepared_slot_is_read_once(rng):
     # matched; here the stored key itself does the replacing while compared
     p, other = problem_1d(omega=3.0, n=30), problem_1d(omega=3.0, n=30)
     x = rng.standard_normal(p.grid.num_nodes)
-    steps = default_leapfrog_steps(p, p.omega, 1)
-    spec = FilterSpec.standard(p.omega)
-    tg_a, tg_b = TimeGrid(p.omega, 1, steps), TimeGrid(p.omega, 1, steps + 1)
+    tg_a = WaveHoltzConfig.build(p, scheme="leapfrog").tg
+    spec, tg_b = FilterSpec.standard(p.omega), TimeGrid(p.omega, 1, tg_a.steps + 1)
 
     def run(problem, tg):
-        return evolve_and_filter(x, None, problem, tg, spec, "leapfrog",
-                                 filter_omegas=[p.omega])[0]
+        return evolve_and_filter(x, None, problem, tg, spec, "leapfrog")[0]
 
     ref = run(other, tg_a)
     run(other, tg_b)  # other's slot now holds system b

@@ -2,12 +2,16 @@
 
 A change that should leave every result the same bit for bit prints the
 same digest as its parent.  The package comes from ``PYTHONPATH`` and the
-workloads from the ``whbench/`` next to this script, so two runs, one per
-version of the package, compare the versions on the same solves:
+workloads from the ``whbench/`` next to this script.  Across a change of the
+package's API each tree runs its own copy of the tool, which calls that
+tree's API:
 
     git archive --prefix=parent/ HEAD | tar -x -C /tmp
-    PYTHONPATH=/tmp/parent/src python tools/bitcheck.py
+    PYTHONPATH=/tmp/parent/src python /tmp/parent/tools/bitcheck.py
     PYTHONPATH=src python tools/bitcheck.py
+
+The digest depends on the NumPy and BLAS build (and on the BLAS thread
+count), so compare two trees on one machine under one environment.
 
 The digest covers, in this order:
 
@@ -93,10 +97,11 @@ def sampled_runs():
                                 wh.ScalarField(grid, np.exp(-80 * (x - 0.4) ** 2)), 5.0,
                                 wh.BoundarySpec((bc, bc)))
         cfg = wh.WaveHoltzConfig.build(p, periods=2, scheme=scheme)
-        sched = wh.ForcingSchedule([p.forcing] * 2, [p.omega, 2.0 * p.omega])
+        omegas = [p.omega, 2.0 * p.omega]
+        sched = wh.ForcingSchedule([p.forcing] * 2, omegas)
         size = grid.num_nodes * (1 if scheme == "leapfrog" else 2)
         y = np.sin(np.arange(size) * 0.37)
-        wh.evolve_and_filter(y, sched, p, cfg.tg, cfg.spec, scheme,
+        wh.evolve_and_filter(y, sched, p, cfg.tg, wh.FilterSpec.standard(*omegas), scheme,
                              sample_steps=range(0, cfg.tg.steps + 1, 7))
 
 
