@@ -36,11 +36,8 @@ from .filters import (
 )
 from .iteration import (
     MultiFrequencyResult,
-    SamplingConditionError,
     WaveHoltzConfig,
     as_affine_system,
-    choose_sampling_times,
-    extraction_matrix,
     fixed_point_solve,
     multifreq_solve,
     pi_apply,

@@ -306,16 +306,16 @@ class RunResult:
 
 
 def run_single(cfg: RunConfig, omega: float) -> RunResult:
-    try:  # values rejected at this omega, e.g. an unstable step count
+    try:  # values rejected at this omega before any wave solve, e.g. an unstable dt
         problem = build_problem(cfg, omega)
         wh = WaveHoltzConfig.build(
             problem, periods=cfg.periods, steps=cfg.steps, scheme=cfg.scheme,
             max_iters=cfg.max_iters, tol=cfg.tol, correction=cfg.correction,
         )
         wh.spec = _build_filter(cfg, problem, wh)
+        result, report = solve(problem, wh, method=cfg.method, krylov=cfg.krylov)
     except ValueError as exc:
         raise ConfigError(f"omega = {omega:g}: {exc}") from exc
-    result, report = solve(problem, wh, method=cfg.method, krylov=cfg.krylov)
 
     delta_h = rate_bound = None
     try:

@@ -197,8 +197,8 @@ class HelmholtzProblem:
             raise GridMismatchError("csq/forcing grids do not match the problem grid")
         if self.bcs.dim != self.grid.dim:
             raise ValueError("boundary spec dimension does not match grid")
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
+        if not 0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite")
         if not np.all((self.csq.values > 0) & np.isfinite(self.csq.values)):
             raise ValueError("c^2 must be finite and strictly positive everywhere")
         f = self.forcing.values.copy()

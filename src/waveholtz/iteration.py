@@ -34,10 +34,6 @@ from .krylov import (
 from .wavesolver import ForcingSchedule, evolve_and_filter
 
 
-class SamplingConditionError(RuntimeError):
-    """No well-conditioned extraction sampling times exist on the step grid."""
-
-
 @dataclass
 class WaveHoltzConfig:
     """Time grid, filter, scheme and stopping parameters for one solve."""
@@ -70,9 +66,10 @@ class WaveHoltzConfig:
         ``problem.lambda_max_estimate`` and limit = 2 / (lambda_max + 2 omega
         / pi) its stability bound.
 
-        A leapfrog ``dt``, given ``steps`` or not, must be below that limit,
-        or this raises ValueError before any wave solve.  The bound is
-        conservative: it rejects some step counts that would still solve.
+        Leapfrog needs energy-conserving sides, and its ``dt``, given
+        ``steps`` or not, must be below that limit, or this raises ValueError
+        before any wave solve.  The bound is conservative: it rejects some
+        step counts that would still solve.
 
         ``omegas`` (multi-frequency) makes the window span ``periods`` of the
         lowest frequency, sizes dt against the highest and makes the default
@@ -89,6 +86,8 @@ class WaveHoltzConfig:
             raise ValueError("need at least 1 period and 2 steps")
         if scheme is None:
             scheme = "leapfrog" if problem.bcs.energy_conserving else "rk4"
+        if scheme == "leapfrog" and not problem.bcs.energy_conserving:
+            raise ValueError("leapfrog requires energy-conserving boundary conditions")
         if correction and scheme != "leapfrog":
             raise ValueError("correction=True is exact for leapfrog only")
         omegas = sorted([problem.omega] if omegas is None else map(float, omegas))
@@ -233,12 +232,16 @@ def solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
     method: "fixed_point", "gmres" or "cg".  Krylov methods run on the
     affine reformulation; their report counts operator applications, i.e.
     wave solves, and its wall time includes the forced solve that builds b.
-    A ``krylov`` config must name the same method.  Returns (iterate, report).
+    A ``krylov`` config must name the same method.  CG needs leapfrog: the
+    rk4 A acts on the (w, v) pair and is not self-adjoint, so CG there
+    diverges without an error.  Returns (iterate, report).
     """
     if method not in ("fixed_point", "gmres", "cg"):
         raise ValueError(f"unknown method {method!r}")
     if krylov is not None and krylov.method != method:
         raise ValueError(f"a KrylovConfig for {krylov.method!r} cannot drive {method!r}")
+    if method == "cg" and config.scheme == "rk4":
+        raise ValueError("cg needs leapfrog: the rk4 operator is not self-adjoint")
     if method == "fixed_point":
         return fixed_point_solve(problem, config, schedule)
     if krylov is None:
@@ -249,68 +252,16 @@ def solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
     if method == "gmres":
         x, report = gmres_solve(A, b, krylov)
     else:
-        weight = _trapezoid_weight(problem) if config.scheme == "leapfrog" else None
-        x, report = cg_solve(A, b, krylov, weight)
+        x, report = cg_solve(A, b, krylov, _trapezoid_weight(problem))
     report.wall_time = time.perf_counter() - t0
     report.operator_applications += 1  # the forced solve that built b
     return _from_iterate(x, problem, config), report
-
-
-def extraction_matrix(freqs, times) -> np.ndarray:
-    """Matrix a_ij = cos(omega_j t_i) relating samples to per-frequency parts."""
-    freqs = np.asarray(freqs, dtype=float)
-    times = np.asarray(times, dtype=float)
-    return np.cos(np.outer(times, freqs))
-
-
-def choose_sampling_times(freqs, m_per_period: int, dt: float):
-    """Pick N distinct step-aligned times in one base period for extraction.
-
-    Candidates are structured patterns (equispaced interior points, half-period
-    spreads) plus 200 random draws from the step grid, seeded with 0; the set
-    with the smallest condition number of cos(omega_j t_i) wins, if that
-    number is below 1e8.
-    """
-    freqs = np.asarray(freqs, dtype=float)
-    N = freqs.size
-    if N == 1:
-        return np.array([0.0])
-    if m_per_period < N:
-        raise SamplingConditionError("fewer time steps per period than frequencies")
-
-    patterns = []
-    for p in (N + 1, 2 * N - 1, 2 * N, 2 * N + 1):
-        patterns.append([round(i * m_per_period / p) for i in range(1, N + 1)])
-        patterns.append([round(i * m_per_period / p) for i in range(N)])
-    patterns.append([round(i * m_per_period / (2 * (N - 1))) for i in range(N)])
-
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        patterns.append(sorted(rng.choice(m_per_period, size=N, replace=False)))
-
-    best_idx, best_cond = None, np.inf
-    for idx in patterns:
-        idx = sorted(set(int(i) % m_per_period for i in idx))
-        if len(idx) != N:
-            continue
-        times = np.array(idx, dtype=float) * dt
-        c = np.linalg.cond(extraction_matrix(freqs, times))
-        if c < best_cond:
-            best_cond, best_idx = c, idx
-    if best_idx is None or not best_cond < 1e8:
-        raise SamplingConditionError(
-            "no sampling pattern reached condition < 1e8 "
-            f"(best {best_cond:.3e}); try a finer step grid or other times"
-        )
-    return np.array(best_idx, dtype=float) * dt
 
 
 @dataclass
 class MultiFrequencyResult:
     solutions: list[ScalarField]
     report: IterationReport
-    sample_times: np.ndarray
-    condition: float
     combined: ScalarField
 
 
@@ -320,14 +271,20 @@ def multifreq_solve(problem: HelmholtzProblem, schedule: ForcingSchedule,
     """Solve for several integer-related frequencies in one iteration.
 
     The combined field is converged with the summed drive and ``config.spec``,
-    which must carry the schedule's frequencies (``build(omegas=...)``),
-    then evolved one more base period and sampled at N step-aligned times;
-    inverting cos(omega_j t_i) separates the individual solutions.  The
-    default method is GMRES: the multi-frequency transfer function can
+    which must carry the schedule's frequencies (``build(omegas=...)``).
+    From it the leapfrog trajectory over one base period of m steps is
+    sum_j u_j cos(omega_j t_n), with no sine part as the scheme is symmetric
+    in time.  For integers 0 < k, l < m/2, sum_{n<m} cos(k theta_n)
+    cos(l theta_n) = (m/2) delta_kl, so u_j = (2/m) sum_n cos(omega_j t_n)
+    w^n separates the solutions exactly, from m N doubles of samples.  One
+    frequency needs no extra period: its solution is the combined field.
+
+    The default method is GMRES: the multi-frequency transfer function can
     exceed 1 (1.094 on a 1D Dirichlet box, n = 100, at omega = 4, 8, 12), so
-    A can be indefinite, and CG then raises ``IndefiniteOperatorError``.  Frequencies must be integer multiples of the lowest so the
-    window is a common period.  The period check and the choice of sampling
-    times come first, so impossible sampling fails before any wave solve.
+    A can be indefinite, and CG then raises ``IndefiniteOperatorError``.
+    Before any wave solve, this checks that the frequencies are integer
+    multiples k of the lowest, that the steps make whole periods and that a
+    period has more than 2 k_max steps.
     """
     omegas = schedule.omegas
     ratios = omegas / omegas[0]
@@ -339,20 +296,19 @@ def multifreq_solve(problem: HelmholtzProblem, schedule: ForcingSchedule,
     tg = config.tg
     if tg.steps % tg.periods != 0:
         raise ValueError("steps must divide into whole periods for extraction")
-    m1 = tg.steps // tg.periods
-    times = choose_sampling_times(omegas, m1, tg.dt)
-    A = extraction_matrix(omegas, times)
-    cond = float(np.linalg.cond(A))
+    m, k_max = tg.steps // tg.periods, round(ratios[-1])
+    if m <= 2 * k_max:
+        raise ValueError(f"a period of {m} steps cannot separate frequency ratio "
+                         f"{k_max}: it needs more than {2 * k_max} steps")
 
     v, report = solve(problem, config, method=method, krylov=krylov,
                       schedule=schedule)
-    steps = [int(round(t / tg.dt)) for t in times]
+    if len(omegas) == 1:
+        return MultiFrequencyResult([ScalarField(problem.grid, v.values.copy())], report, v)
     _, samples = evolve_and_filter(_to_iterate(v), schedule, problem,
-                                   TimeGrid(tg.omega, 1, m1), config.spec, config.scheme,
-                                   sample_steps=steps)
-    W = np.stack([samples[s].ravel() for s in steps])
-    U = np.linalg.solve(A, W)
-    shape = problem.grid.shape
-    sols = [ScalarField(problem.grid, U[i].reshape(shape).copy())
-            for i in range(len(omegas))]
-    return MultiFrequencyResult(sols, report, times, cond, v)
+                                   TimeGrid(tg.omega, 1, m), config.spec, config.scheme,
+                                   sample_steps=range(m))
+    C = (2.0 / m) * np.cos(np.outer(omegas, tg.dt * np.arange(m)))
+    U = sum(np.outer(C[:, n], samples.pop(n)) for n in range(m))  # frees each sample
+    sols = [ScalarField(problem.grid, u.reshape(problem.grid.shape)) for u in U]
+    return MultiFrequencyResult(sols, report, v)

@@ -391,10 +391,14 @@ def _replace_line(text, old, new):
     .replace("a0 = -0.1", "a0 = 0.7"),
     lambda t: TUNABLE_CONFIG.format(kind="optimize", reslam=4 * math.pi,
                                     omega=4 * math.pi, outdir="out"),
+    lambda t: _replace_line(t, "bc = dirichlet", "bc = impedance")
+    .replace("periods = 1", "periods = 1\nscheme = leapfrog"),
+    lambda t: _replace_line(t, "method = gmres", "method = cg")
+    .replace("bc = dirichlet", "bc = impedance"),
 ], ids=["bc", "method", "restart", "omegas", "omegas-inf", "omegas-same-tag",
         "omegas-repeated", "n", "hi-inf", "periods",
         "krylov_max_iters", "misspelt-keys", "krylov_tol", "tunable-a0",
-        "optimize-at-resonance"])
+        "optimize-at-resonance", "leapfrog-impedance", "cg-rk4"])
 def test_rejected_value_exits_2_before_any_wave_solve(tmp_path, capsys, monkeypatch, edit):
     solves = []
     evolve = iteration.evolve_and_filter

@@ -9,18 +9,15 @@ from waveholtz import (
     ForcingSchedule,
     IndefiniteOperatorError,
     KrylovConfig,
-    SamplingConditionError,
     ScalarField,
     TimeGrid,
     WaveHoltzConfig,
     WaveState,
     as_affine_system,
     beta_by_quadrature,
-    choose_sampling_times,
     dirichlet_box_spectrum,
     direct_helmholtz_solve,
     evolve_and_filter,
-    extraction_matrix,
     fixed_point_rate_bound,
     fixed_point_solve,
     helmholtz_residual,
@@ -306,6 +303,18 @@ def test_solve_rejects_a_krylov_config_of_another_method(method, other, monkeypa
     assert not calls
 
 
+@pytest.mark.parametrize("bc", ["dirichlet", "impedance"])
+def test_solve_rejects_cg_under_rk4(bc, monkeypatch):
+    # the rk4 A acts on the (w, v) pair and is not self-adjoint: CG ran its
+    # whole budget there and returned a diverged iterate without an error
+    p = problem_1d(omega=2.0, n=40, bc=bc)
+    cfg = WaveHoltzConfig.build(p, scheme="rk4")
+    calls = _count_wave_solves(monkeypatch)
+    with pytest.raises(ValueError, match="cg needs leapfrog"):
+        solve(p, cfg, method="cg")
+    assert not calls
+
+
 def test_krylov_methods_agree_with_fixed_point():
     p = problem_1d(omega=2.0, n=50)
     cfg = WaveHoltzConfig.build(p, tol=1e-11, max_iters=400)
@@ -360,63 +369,16 @@ def test_impedance_solve_returns_state():
     assert isinstance(v, WaveState)
 
 
-def test_extraction_matrix_pinned_2x2():
-    times = np.array([0.0, math.pi])
-    A = extraction_matrix(np.array([1.0, 2.0]), times)
-    assert np.allclose(A, [[1.0, 1.0], [-1.0, 1.0]])
-    Ainv = np.linalg.inv(A)
-    assert np.allclose(Ainv, [[0.5, -0.5], [0.5, 0.5]])
-
-
-def test_choose_sampling_times_n1():
-    t = choose_sampling_times(np.array([3.0]), 100, 0.01)
-    assert np.array_equal(t, [0.0])
-
-
-def test_choose_sampling_times_n2_well_conditioned():
-    freqs = np.array([1.0, 2.0])
-    m = 400
-    dt = 2 * math.pi / m
-    t = choose_sampling_times(freqs, m, dt)
-    assert np.linalg.cond(extraction_matrix(freqs, t)) <= 3.0
-
-
-def test_choose_sampling_times_n4_powers_of_two():
-    freqs = np.array([1.0, 2.0, 4.0, 8.0])
-    m = 720
-    dt = 2 * math.pi / m
-    t = choose_sampling_times(freqs, m, dt)
-    c = np.linalg.cond(extraction_matrix(freqs, t))
-    assert np.isfinite(c) and c < 1e8
-    # times are step aligned
-    assert np.allclose(np.round(t / dt) * dt, t)
-
-
-def test_choose_sampling_times_too_few_steps():
-    with pytest.raises(SamplingConditionError):
-        choose_sampling_times(np.array([1.0, 2.0, 4.0]), 2, 0.1)
-
-
-def test_manufactured_extraction_identity(rng):
-    # samples built from known u_i recover them through the cos matrix
-    freqs = np.array([1.0, 2.0, 4.0, 8.0])
-    m = 500
-    dt = 2 * math.pi / m
-    times = choose_sampling_times(freqs, m, dt)
-    U_true = rng.standard_normal((4, 33))
-    W = extraction_matrix(freqs, times) @ U_true
-    U = np.linalg.solve(extraction_matrix(freqs, times), W)
-    assert np.max(np.abs(U - U_true)) < 1e-12
-
-
-def test_multifreq_single_frequency_degenerates():
+def test_multifreq_single_frequency_degenerates(monkeypatch):
+    # one frequency needs no extra period: the solution is the combined field
     p = problem_1d(omega=2.0, n=40, forcing="delta")
     sched = ForcingSchedule([p.forcing], np.array([2.0]))
     cfg = WaveHoltzConfig.build(p, tol=1e-11, max_iters=300)
+    calls = _count_wave_solves(monkeypatch)
     res = multifreq_solve(p, sched, cfg, method="cg")
     assert res.report.converged
+    assert len(calls) == res.report.operator_applications
     assert len(res.solutions) == 1
-    assert np.array_equal(res.sample_times, [0.0])
     assert np.max(np.abs(res.solutions[0].values - res.combined.values)) < 1e-14
 
 
@@ -452,7 +414,6 @@ def test_multifreq_extracts_components():
     cfg = WaveHoltzConfig.build(p, omegas=fd_omegas, tol=1e-11, max_iters=400)
     res = multifreq_solve(p, sched, cfg, method="cg")
     assert res.report.converged
-    assert res.condition < 1e8
     for u, om in zip(res.solutions, fd_omegas):
         pj = problem_1d(omega=float(om), n=60, forcing="delta")
         ref = direct_helmholtz_solve(pj, modified_frequency(float(om), cfg.tg.dt))
@@ -470,6 +431,36 @@ def test_multifreq_rejects_partial_periods_before_solving(monkeypatch):
     with pytest.raises(ValueError, match="whole periods"):
         multifreq_solve(p, sched, cfg, method="gmres")
     assert not calls
+
+
+def test_multifreq_rejects_too_few_steps_per_period_before_solving(monkeypatch):
+    # projecting on cos(k theta_n) separates ratios k only below m / 2: 8
+    # steps per period cannot separate omega = 1, 2, 4
+    p = problem_1d(omega=1.0, n=30, forcing="delta")
+    omegas = [1.0, 2.0, 4.0]
+    sched = ForcingSchedule([p.forcing] * 3, omegas)
+    cfg = WaveHoltzConfig(TimeGrid(1.0, 1, 8), FilterSpec(omegas))
+    calls = _count_wave_solves(monkeypatch)
+    with pytest.raises(ValueError, match="more than 8 steps"):
+        multifreq_solve(p, sched, cfg)
+    assert not calls
+
+
+def test_multifreq_projection_is_exact_for_a_periodic_trajectory(rng, monkeypatch):
+    # a trajectory sum_j u_j cos(omega_j t_n) over one period gives back each u_j
+    p = problem_1d(omega=1.0, n=30, forcing="delta")
+    omegas = np.array([1.0, 2.0, 4.0, 8.0])
+    sched = ForcingSchedule([p.forcing] * 4, omegas)
+    cfg = WaveHoltzConfig.build(p, omegas=omegas)
+    U = rng.standard_normal((4, *p.grid.shape))
+
+    def trajectory(x, *args, sample_steps, **kwargs):
+        return None, {n: np.cos(omegas * n * cfg.tg.dt) @ U for n in sample_steps}
+
+    monkeypatch.setattr(iteration, "solve", lambda *a, **k: (ScalarField(p.grid, U.sum(0)), None))
+    monkeypatch.setattr(iteration, "evolve_and_filter", trajectory)
+    res = multifreq_solve(p, sched, cfg)
+    assert np.max(np.abs([u.values for u in res.solutions] - U)) < 1e-12
 
 
 def test_residual_history_normalisation():
@@ -503,6 +494,10 @@ def test_config_validation():
         WaveHoltzConfig.build(p, scheme="verlet")
     with pytest.raises(ValueError):
         solve(p, WaveHoltzConfig.build(p), method="bicgstab")
+    with pytest.raises(ValueError, match="energy-conserving"):
+        WaveHoltzConfig.build(problem_1d(n=20, bc="impedance"), scheme="leapfrog")
+    with pytest.raises(ValueError, match="positive and finite"):
+        problem_1d(omega=math.inf, forcing="none")
 
 
 def test_build_rejects_an_unstable_leapfrog_dt(monkeypatch):

@@ -1,28 +1,31 @@
-"""Print one SHA-256 over the outputs of a fixed set of solves.
+"""Print SHA-256 digests over the outputs of a fixed set of solves.
 
 A change that should leave every result the same bit for bit prints the
-same digest as its parent.  The package comes from ``PYTHONPATH`` and the
-workloads from the ``whbench/`` next to this script.  Across a change of the
-package's API each tree runs its own copy of the tool, which calls that
-tree's API:
+same digests as its parent.  There is one digest per section below, then
+the total over all of them, so a change that moves one section shows
+which.  The package comes from ``PYTHONPATH`` and the workloads from the
+``whbench/`` next to this script.  Across a change of the package's API
+each tree runs its own copy of the tool, which calls that tree's API:
 
     git archive --prefix=parent/ HEAD | tar -x -C /tmp
     PYTHONPATH=/tmp/parent/src python /tmp/parent/tools/bitcheck.py
     PYTHONPATH=src python tools/bitcheck.py
 
-The digest depends on the NumPy and BLAS build (and on the BLAS thread
+The digests depend on the NumPy and BLAS build (and on the BLAS thread
 count), so compare two trees on one machine under one environment.
 
-The digest covers, in this order:
+The sections, in this order:
 
-* every average and sample that ``evolve_and_filter`` returns during the
-  whbench C13 (2D Dirichlet, leapfrog, CG), C10 (2D impedance, RK4, GMRES)
-  and C11 (1D, designed filter, fixed point) solves at seed 1, and during
-  sampled forced runs of both schemes;
-* a three-frequency ``multifreq_solve``: its solutions, sampling times,
-  condition number and combined field;
-* the whbench sweep config run through ``cli.main``: ``summary.csv``
-  without its ``wall_time`` column, then every other output file.
+* ``workloads``: every average and sample that ``evolve_and_filter``
+  returns during the whbench C13 (2D Dirichlet, leapfrog, CG), C10 (2D
+  impedance, RK4, GMRES) and C11 (1D, designed filter, fixed point) solves
+  at seed 1;
+* ``sampled runs``: the same during sampled forced runs of both schemes;
+* ``multifreq``: the same during a three-frequency ``multifreq_solve``,
+  then its solutions and combined field;
+* ``sweep``: the whbench sweep config run through ``cli.main``:
+  ``summary.csv`` without its ``wall_time`` column, then every other
+  output file.
 
 Each solve's iterate and residual history are hashed as well.  It takes
 a few seconds and writes only to a temporary directory.
@@ -47,12 +50,18 @@ import waveholtz as wh  # noqa: E402
 import waveholtz.cli  # noqa: E402,F401  (binds wh.cli)
 import workloads  # noqa: E402
 
-DIGEST = hashlib.sha256()
+TOTAL = hashlib.sha256()
+section = None  # the digest of the section that main is running
+
+
+def update(data: bytes):
+    TOTAL.update(data)
+    section.update(data)
 
 
 def feed(*arrays):
     for a in arrays:
-        DIGEST.update(np.ascontiguousarray(a).tobytes())
+        update(np.ascontiguousarray(a).tobytes())
 
 
 def hashed_evolve(evolve):
@@ -115,8 +124,7 @@ def multifreq():
     sched = wh.ForcingSchedule([p.forcing] * 3, omegas)
     cfg = wh.WaveHoltzConfig.build(p, omegas=omegas, tol=1e-10)
     res = wh.multifreq_solve(p, sched, cfg, method="gmres")
-    feed(*(s.values for s in res.solutions), res.sample_times,
-         np.array([res.condition]), res.combined.values)
+    feed(*(s.values for s in res.solutions), res.combined.values)
 
 
 def sweep(workdir: Path):
@@ -131,21 +139,24 @@ def sweep(workdir: Path):
     with (out / "summary.csv").open(newline="") as fh:
         rows = [{k: v for k, v in row.items() if k != "wall_time"}
                 for row in csv.DictReader(fh)]
-    DIGEST.update(repr(rows).encode())
+    update(repr(rows).encode())
     for path in sorted(out.iterdir()):
         if path.name != "summary.csv":
-            DIGEST.update(path.name.encode() + path.read_bytes())
+            update(path.name.encode() + path.read_bytes())
 
 
 def main():
+    global section
     wh.iteration.evolve_and_filter = hashed_evolve(wh.iteration.evolve_and_filter)
     wh.evolve_and_filter = hashed_evolve(wh.wavesolver.evolve_and_filter)
     with tempfile.TemporaryDirectory() as tmp:
-        workload_solves(Path(tmp))
-        sampled_runs()
-        multifreq()
-        sweep(Path(tmp))
-    print(DIGEST.hexdigest())
+        for name, run in (("workloads", lambda: workload_solves(Path(tmp))),
+                          ("sampled runs", sampled_runs), ("multifreq", multifreq),
+                          ("sweep", lambda: sweep(Path(tmp)))):
+            section = hashlib.sha256()
+            run()
+            print(f"{name:<14}{section.hexdigest()}")
+    print(f"{'total':<14}{TOTAL.hexdigest()}")
 
 
 if __name__ == "__main__":
