@@ -14,7 +14,6 @@ import argparse
 import configparser
 import csv
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -32,8 +31,6 @@ from .iteration import WaveHoltzConfig, solve
 from .krylov import IndefiniteOperatorError, IterationReport, KrylovConfig
 from .oracle import UnsupportedProblemError, dirichlet_box_spectrum
 from .wavesolver import InstabilityError
-
-ENV_OUTDIR = "WAVEHOLTZ_OUTDIR"
 
 CSV_COLUMNS = [
     "omega", "method", "n", "dofs", "iters", "operator_applications",
@@ -247,10 +244,7 @@ def build_problem(cfg: RunConfig, omega: float) -> HelmholtzProblem:
     n = cfg.n
     if n is None:  # fixed points per wavelength
         n = (10 if cfg.dim == 1 else 8) * int(math.ceil(omega))
-    if cfg.dim == 1:
-        grid = UniformGrid.line(cfg.lo[0], cfg.hi[0], n)
-    else:
-        grid = UniformGrid.box(cfg.lo, cfg.hi, n)
+    grid = UniformGrid(cfg.lo, cfg.hi, (n,) * cfg.dim)
     csq = csq_presets(cfg.csq, grid, cfg.csq_value)
     forcing = forcing_presets(cfg.forcing, grid, omega)
     return HelmholtzProblem(grid, csq, forcing, omega, cfg.bcs)
@@ -373,10 +367,11 @@ def run_sweep(cfg: RunConfig, outdir: Path) -> dict:
     """Run every sweep frequency and write all artifacts.
 
     Rows land in summary.csv in ascending omega order; per-run residual
-    histories and solution dumps are written next to it.
+    histories and solution dumps are written next to it.  The directory is
+    made after the last run, so a rejected config leaves none behind.
     """
-    outdir.mkdir(parents=True, exist_ok=True)
     results = [run_single(cfg, w) for w in sorted(cfg.omegas)]
+    outdir.mkdir(parents=True, exist_ok=True)
 
     summary = outdir / "summary.csv"
     with summary.open("w", newline="") as fh:
@@ -457,15 +452,6 @@ def report_summary(paths) -> str:
 # entry point
 
 
-def _outdir_from(args, cfg: RunConfig) -> Path:
-    if args.out is not None:
-        return Path(args.out)
-    env = os.environ.get(ENV_OUTDIR)
-    if env:
-        return Path(env)
-    return Path(cfg.outdir)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="waveholtz",
@@ -473,15 +459,13 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="run a single-frequency solve")
     p_sweep = sub.add_parser("sweep", help="run every frequency in the sweep block")
-    for p in (p_solve, p_sweep):
-        p.add_argument("--config", required=True, help="INI config path")
-        p.add_argument("--out", default=None, help="output directory "
-                       f"(overrides ${ENV_OUTDIR} and the config)")
-        p.add_argument("--seed", type=int, default=0, help="ignored")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 3 if any run fails to converge")
+    p_sweep.add_argument("--config", required=True, help="INI config path")
+    p_sweep.add_argument("--out", default=None,
+                         help="output directory (overrides [output] dir)")
+    p_sweep.add_argument("--seed", type=int, default=0, help="ignored")
+    p_sweep.add_argument("--strict", action="store_true",
+                         help="exit 3 if any run fails to converge")
 
     p_report = sub.add_parser("report", help="summarise sweep CSVs")
     p_report.add_argument("csvs", nargs="+", help="summary.csv paths")
@@ -494,10 +478,7 @@ def main(argv=None) -> int:
             return 0
 
         cfg = parse_config(args.config)
-        if args.command == "solve" and len(cfg.omegas) != 1:
-            raise ConfigError("solve expects exactly one sweep frequency")
-        outdir = _outdir_from(args, cfg)
-        out = run_sweep(cfg, outdir)
+        out = run_sweep(cfg, Path(cfg.outdir if args.out is None else args.out))
         for r in out["results"]:
             rep = r.report
             status = "ok" if rep.converged else "NOT CONVERGED"

@@ -36,13 +36,17 @@ from .wavesolver import ForcingSchedule, evolve_and_filter
 
 @dataclass
 class WaveHoltzConfig:
-    """Time grid, filter, scheme and stopping parameters for one solve."""
+    """Time grid, filter, scheme, stopping parameters and drive of one solve.
+
+    ``schedule`` is the drive; None drives ``problem.forcing`` at ``tg.omega``.
+    """
 
     tg: TimeGrid
     spec: FilterSpec
     scheme: str = "leapfrog"
     max_iters: int = 500
     tol: float = 1e-10
+    schedule: ForcingSchedule | None = None
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -55,7 +59,8 @@ class WaveHoltzConfig:
     @classmethod
     def build(cls, problem: HelmholtzProblem, *, periods: int = 1,
               steps: int | None = None, scheme: str | None = None,
-              spec: FilterSpec | None = None, omegas=None,
+              spec: FilterSpec | None = None,
+              schedule: ForcingSchedule | None = None,
               max_iters: int = 500, tol: float = 1e-10,
               correction: bool = False) -> "WaveHoltzConfig":
         """The one home of a solve's time step.  Defaults: leapfrog when energy
@@ -71,16 +76,17 @@ class WaveHoltzConfig:
         before any wave solve.  The bound is conservative: it rejects some
         step counts that would still solve.
 
-        ``omegas`` (multi-frequency) makes the window span ``periods`` of the
-        lowest frequency, sizes dt against the highest and makes the default
-        filter the standard one over all of them.
+        ``schedule`` (the drive, kept on the config; by default
+        ``problem.forcing`` at ``problem.omega``) sets the frequencies: the
+        window spans ``periods`` of the lowest, dt is sized against the
+        highest and the default filter is the standard one over all of them.
 
         ``correction`` keeps the M steps over ``periods`` periods but takes
         dt = 2 sin(pi periods / M) / omega and builds the time grid (and the
         default filter) at omega_bar = 2 pi periods / (M dt), whose leapfrog
         image 2 sin(omega_bar dt / 2) / dt is omega.  Driving, windowing and
         filtering at omega_bar then makes the limit solve the unmodified
-        discrete equation at omega.  Leapfrog and one frequency only.
+        discrete equation at omega.  Leapfrog and the default drive only.
         """
         if periods < 1 or (steps is not None and steps < 2):
             raise ValueError("need at least 1 period and 2 steps")
@@ -90,10 +96,10 @@ class WaveHoltzConfig:
             raise ValueError("leapfrog requires energy-conserving boundary conditions")
         if correction and scheme != "leapfrog":
             raise ValueError("correction=True is exact for leapfrog only")
-        omegas = sorted([problem.omega] if omegas is None else map(float, omegas))
-        if correction and len(omegas) > 1:
-            raise ValueError("correction=True covers a single frequency: one window "
-                             "cannot span whole periods of several corrected ones")
+        if correction and schedule is not None:
+            raise ValueError("correction=True drives problem.forcing at the corrected "
+                             "frequency: it takes no schedule")
+        omegas = [problem.omega] if schedule is None else schedule.omegas.tolist()
         base, top, lam = omegas[0], omegas[-1], problem.lambda_max_estimate()
         limit = 2.0 / (lam + 2.0 * top / math.pi)
         if steps is None:
@@ -110,14 +116,15 @@ class WaveHoltzConfig:
                              f">= stability limit {limit:.6g}")
         if spec is None:
             spec = FilterSpec(omegas)
-        return cls(tg=tg, spec=spec, scheme=scheme, max_iters=max_iters, tol=tol)
+        return cls(tg=tg, spec=spec, scheme=scheme, max_iters=max_iters, tol=tol,
+                   schedule=schedule)
 
 
-def _schedule_for(problem, config, schedule):
-    """The schedule to drive: by default problem.forcing at the grid's omega."""
-    if schedule is None:
+def _schedule_for(problem, config):
+    """The config's drive: by default problem.forcing at the grid's omega."""
+    if config.schedule is None:
         return ForcingSchedule([problem.forcing], [config.tg.omega])
-    return schedule
+    return config.schedule
 
 
 def _to_iterate(u) -> np.ndarray:
@@ -140,25 +147,22 @@ def _zero_data(problem, config) -> np.ndarray:
     return np.zeros(problem.grid.num_nodes * (2 if config.scheme == "rk4" else 1))
 
 
-def pi_apply(v, problem: HelmholtzProblem, config: WaveHoltzConfig,
-             schedule: ForcingSchedule | None = None):
+def pi_apply(v, problem: HelmholtzProblem, config: WaveHoltzConfig):
     """One application of the filtered-wave operator Pi.
 
     ``v`` is a ScalarField under leapfrog and a WaveState under rk4; the
     result has the same type.
     """
-    schedule = _schedule_for(problem, config, schedule)
-    out, _ = evolve_and_filter(_to_iterate(v), schedule, problem, config.tg,
-                               config.spec, config.scheme)
+    out, _ = evolve_and_filter(_to_iterate(v), _schedule_for(problem, config), problem,
+                               config.tg, config.spec, config.scheme)
     return _from_iterate(out, problem, config)
 
 
-def _affine_parts(problem: HelmholtzProblem, config: WaveHoltzConfig, schedule):
+def _affine_parts(problem: HelmholtzProblem, config: WaveHoltzConfig):
     """(x -> S x, b) with Pi(v) = S v + b.  b = Pi(0) costs one forced wave
     solve now; each S x one unforced solve, filtered with the same weight."""
-    schedule = _schedule_for(problem, config, schedule)
-    b, _ = evolve_and_filter(_zero_data(problem, config), schedule, problem,
-                             config.tg, config.spec, config.scheme)
+    b, _ = evolve_and_filter(_zero_data(problem, config), _schedule_for(problem, config),
+                             problem, config.tg, config.spec, config.scheme)
 
     def S(x: np.ndarray) -> np.ndarray:
         sx, _ = evolve_and_filter(x, None, problem, config.tg, config.spec,
@@ -168,8 +172,7 @@ def _affine_parts(problem: HelmholtzProblem, config: WaveHoltzConfig, schedule):
     return S, b
 
 
-def fixed_point_solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
-                      schedule: ForcingSchedule | None = None):
+def fixed_point_solve(problem: HelmholtzProblem, config: WaveHoltzConfig):
     """Plain iteration v <- Pi(v) = S v + b from v = 0.
 
     The first iterate is b = Pi(0), one forced wave solve; every later one is
@@ -180,7 +183,7 @@ def fixed_point_solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
     is the Helmholtz solution.
     """
     t0 = time.perf_counter()
-    S, b = _affine_parts(problem, config, schedule)
+    S, b = _affine_parts(problem, config)
     bnorm = float(np.linalg.norm(b))
     denom = bnorm or 1.0
     x, iters, history = b, 1, [bnorm / denom]
@@ -195,8 +198,7 @@ def fixed_point_solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
     return _from_iterate(x, problem, config), report
 
 
-def as_affine_system(problem: HelmholtzProblem, config: WaveHoltzConfig,
-                     schedule: ForcingSchedule | None = None):
+def as_affine_system(problem: HelmholtzProblem, config: WaveHoltzConfig):
     """Linear system (A, b) with A v = v - (Pi(v) - Pi(0)) and b = Pi(0).
 
     Solving A v = b is equivalent to the fixed point.  Each application of A
@@ -204,7 +206,7 @@ def as_affine_system(problem: HelmholtzProblem, config: WaveHoltzConfig,
     from zero data.  A is a matrix-free LinearOperator on the flat iterate of
     ``evolve_and_filter`` (displacement, or the stacked pair for rk4).
     """
-    S, b = _affine_parts(problem, config, schedule)
+    S, b = _affine_parts(problem, config)
 
     def apply(x: np.ndarray) -> np.ndarray:
         return x - S(x)
@@ -225,8 +227,7 @@ def _trapezoid_weight(problem: HelmholtzProblem) -> np.ndarray:
 
 
 def solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
-          method: str = "fixed_point", krylov: KrylovConfig | None = None,
-          schedule: ForcingSchedule | None = None):
+          method: str = "fixed_point", krylov: KrylovConfig | None = None):
     """Drive one solve with the chosen outer method.
 
     method: "fixed_point", "gmres" or "cg".  Krylov methods run on the
@@ -243,12 +244,12 @@ def solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
     if method == "cg" and config.scheme == "rk4":
         raise ValueError("cg needs leapfrog: the rk4 operator is not self-adjoint")
     if method == "fixed_point":
-        return fixed_point_solve(problem, config, schedule)
+        return fixed_point_solve(problem, config)
     if krylov is None:
         krylov = KrylovConfig(method=method, tol=config.tol,
                               max_iters=config.max_iters)
     t0 = time.perf_counter()
-    A, b = as_affine_system(problem, config, schedule)
+    A, b = as_affine_system(problem, config)
     if method == "gmres":
         x, report = gmres_solve(A, b, krylov)
     else:
@@ -265,19 +266,21 @@ class MultiFrequencyResult:
     combined: ScalarField
 
 
-def multifreq_solve(problem: HelmholtzProblem, schedule: ForcingSchedule,
-                    config: WaveHoltzConfig, method: str = "gmres",
+def multifreq_solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
+                    method: str = "gmres",
                     krylov: KrylovConfig | None = None) -> MultiFrequencyResult:
-    """Solve for several integer-related frequencies in one iteration.
+    """Solve for the several integer-related frequencies of the config's drive
+    (``build(problem, schedule=...)``) in one iteration.
 
     The combined field is converged with the summed drive and ``config.spec``,
-    which must carry the schedule's frequencies (``build(omegas=...)``).
+    which must carry the drive's frequencies.
     From it the leapfrog trajectory over one base period of m steps is
     sum_j u_j cos(omega_j t_n), with no sine part as the scheme is symmetric
     in time.  For integers 0 < k, l < m/2, sum_{n<m} cos(k theta_n)
     cos(l theta_n) = (m/2) delta_kl, so u_j = (2/m) sum_n cos(omega_j t_n)
-    w^n separates the solutions exactly, from m N doubles of samples.  One
-    frequency needs no extra period: its solution is the combined field.
+    w^n separates the solutions exactly, from m N doubles of samples.  That
+    period is one more wave solve in the report's count.  One frequency needs
+    no extra period: its solution is the combined field.
 
     The default method is GMRES: the multi-frequency transfer function can
     exceed 1 (1.094 on a 1D Dirichlet box, n = 100, at omega = 4, 8, 12), so
@@ -286,6 +289,7 @@ def multifreq_solve(problem: HelmholtzProblem, schedule: ForcingSchedule,
     multiples k of the lowest, that the steps make whole periods and that a
     period has more than 2 k_max steps.
     """
+    schedule = _schedule_for(problem, config)
     omegas = schedule.omegas
     ratios = omegas / omegas[0]
     if not np.allclose(ratios, np.round(ratios), atol=1e-9):
@@ -301,10 +305,10 @@ def multifreq_solve(problem: HelmholtzProblem, schedule: ForcingSchedule,
         raise ValueError(f"a period of {m} steps cannot separate frequency ratio "
                          f"{k_max}: it needs more than {2 * k_max} steps")
 
-    v, report = solve(problem, config, method=method, krylov=krylov,
-                      schedule=schedule)
+    v, report = solve(problem, config, method=method, krylov=krylov)
     if len(omegas) == 1:
         return MultiFrequencyResult([ScalarField(problem.grid, v.values.copy())], report, v)
+    report.operator_applications += 1  # the extraction period
     _, samples = evolve_and_filter(_to_iterate(v), schedule, problem,
                                    TimeGrid(tg.omega, 1, m), config.spec, config.scheme,
                                    sample_steps=range(m))

@@ -223,10 +223,12 @@ def pi_apply_spectral(v: ScalarField, problem: HelmholtzProblem,
     where vinf_j = f_j / (sigma^2 - lambda_j^2), omega_d = config.tg.omega is
     the drive frequency (omega, or omega_bar for a corrected config) and
     sigma is its leapfrog image.  Must agree with the time-stepping operator
-    to roundoff.
+    to roundoff.  It models the default drive only, not a config's schedule.
     """
     if config.scheme != "leapfrog":
         raise UnsupportedProblemError("spectral reference covers leapfrog only")
+    if config.schedule is not None:
+        raise UnsupportedProblemError("spectral reference drives problem.forcing only")
     c = _require_constant_dirichlet(problem)
     tg = config.tg
     lam = _mode_lambda_grid(problem, c)

@@ -184,8 +184,8 @@ def test_c07_multifrequency_second_order():
         p = HelmholtzProblem(grid, ScalarField.constant(grid, 1.0), fd, 1.0,
                              BoundarySpec.all_dirichlet(1))
         sched = ForcingSchedule([fd] * 4, omegas)
-        cfg = WaveHoltzConfig.build(p, omegas=omegas, tol=1e-11, max_iters=800)
-        res = multifreq_solve(p, sched, cfg, method="cg")
+        cfg = WaveHoltzConfig.build(p, schedule=sched, tol=1e-11, max_iters=800)
+        res = multifreq_solve(p, cfg, method="cg")
         assert res.report.converged
         errs = []
         x = grid.axis_coords(0)

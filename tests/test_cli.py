@@ -208,13 +208,6 @@ def test_main_exit_codes(tmp_path, monkeypatch):
     assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
     assert (out / "summary.csv").exists()
 
-    # single-frequency solve runs the same pipeline
-    assert main(["solve", "--config", str(path), "--out", str(out / "single")]) == 0
-
-    # two sweep frequencies is a config error for `solve`
-    path2 = _write_config(tmp_path, name="two.ini", omegas="1.0, 2.0")
-    assert main(["solve", "--config", str(path2), "--out", str(out)]) == 2
-
     assert main(["report", str(out / "summary.csv")]) == 0
 
     # --strict surfaces non-convergence as exit code 3
@@ -222,14 +215,6 @@ def test_main_exit_codes(tmp_path, monkeypatch):
                           max_iters=2, omegas="12.498")
     assert main(["sweep", "--config", str(path3), "--out", str(out / "s"),
                  "--strict"]) == 3
-
-
-def test_env_var_output_dir(tmp_path, monkeypatch):
-    path = _write_config(tmp_path)
-    envdir = tmp_path / "from_env"
-    monkeypatch.setenv("WAVEHOLTZ_OUTDIR", str(envdir))
-    assert main(["sweep", "--config", str(path)]) == 0
-    assert (envdir / "summary.csv").exists()
 
 
 TUNABLE_CONFIG = """\
@@ -411,7 +396,7 @@ def test_rejected_value_exits_2_before_any_wave_solve(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error: "), err
     assert solves == []
-    assert not (out / "summary.csv").exists()
+    assert not out.exists()
 
 
 def test_unknown_keys_are_named(tmp_path):

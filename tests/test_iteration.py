@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from waveholtz import (
     FilterSpec,
     ForcingSchedule,
     IndefiniteOperatorError,
+    IterationReport,
     KrylovConfig,
     ScalarField,
     TimeGrid,
@@ -211,12 +213,13 @@ def test_correction_rejects_rk4_and_several_frequencies():
     with pytest.raises(ValueError, match="leapfrog"):
         WaveHoltzConfig.build(problem_1d(bc="impedance"), correction=True)
     p = problem_1d(omega=1.0)
-    with pytest.raises(ValueError, match="single frequency"):
-        WaveHoltzConfig.build(p, omegas=[1.0, 2.0], correction=True)
+    with pytest.raises(ValueError, match="takes no schedule"):
+        WaveHoltzConfig.build(p, schedule=ForcingSchedule([p.forcing] * 2, [1.0, 2.0]),
+                              correction=True)
     # a schedule driven off the corrected grid frequency is refused
     cfg = WaveHoltzConfig.build(p, correction=True)
     with pytest.raises(ValueError, match="schedule"):
-        solve(p, cfg, schedule=ForcingSchedule.single(p))
+        solve(p, replace(cfg, schedule=ForcingSchedule.single(p)))
 
 
 def test_krylov_wall_time_includes_b_solve():
@@ -268,7 +271,7 @@ def test_solve_rejects_a_schedule_on_another_grid(hi, n, monkeypatch):
     sched = ForcingSchedule([ScalarField.constant(grid, 1.0)], [p.omega])
     steps = _count_steps(monkeypatch)
     with pytest.raises(GridMismatchError):
-        solve(p, WaveHoltzConfig.build(p), "gmres", schedule=sched)
+        solve(p, WaveHoltzConfig.build(p, schedule=sched), "gmres")
     assert not steps
 
 
@@ -281,11 +284,12 @@ def test_forced_solve_rejects_a_schedule_off_its_filter(entry, drive, filtered,
     # than the filter's, even one sharing its lowest, fails before any step
     p = problem_1d(omega=2.0, n=40)
     sched = ForcingSchedule([p.forcing] * len(drive), [p.omega * w for w in drive])
-    cfg = WaveHoltzConfig.build(p, omegas=[p.omega * w for w in filtered])
+    cfg = WaveHoltzConfig.build(p, schedule=sched,
+                                spec=FilterSpec([p.omega * w for w in filtered]))
     steps = _count_steps(monkeypatch)
     with pytest.raises(ValueError, match="schedule"):
         if entry == "solve":
-            solve(p, cfg, "gmres", schedule=sched)
+            solve(p, cfg, "gmres")
         else:
             evolve_and_filter(np.zeros(p.grid.num_nodes), sched, p, cfg.tg, cfg.spec,
                               cfg.scheme)
@@ -373,13 +377,19 @@ def test_multifreq_single_frequency_degenerates(monkeypatch):
     # one frequency needs no extra period: the solution is the combined field
     p = problem_1d(omega=2.0, n=40, forcing="delta")
     sched = ForcingSchedule([p.forcing], np.array([2.0]))
-    cfg = WaveHoltzConfig.build(p, tol=1e-11, max_iters=300)
+    cfg = WaveHoltzConfig.build(p, schedule=sched, tol=1e-11, max_iters=300)
     calls = _count_wave_solves(monkeypatch)
-    res = multifreq_solve(p, sched, cfg, method="cg")
+    res = multifreq_solve(p, cfg, method="cg")
     assert res.report.converged
     assert len(calls) == res.report.operator_applications
     assert len(res.solutions) == 1
     assert np.max(np.abs(res.solutions[0].values - res.combined.values)) < 1e-14
+    # several frequencies: the extraction period counts as one more wave solve
+    sched = ForcingSchedule([p.forcing] * 3, [2.0, 4.0, 6.0])
+    calls.clear()
+    res = multifreq_solve(p, WaveHoltzConfig.build(p, schedule=sched, tol=1e-10))
+    assert res.report.converged and len(res.solutions) == 3
+    assert len(calls) == res.report.operator_applications
 
 
 def test_multifreq_filter_can_make_a_indefinite():
@@ -389,21 +399,21 @@ def test_multifreq_filter_can_make_a_indefinite():
     p = problem_1d(omega=4.0, n=100)
     omegas = [4.0, 8.0, 12.0]
     sched = ForcingSchedule([p.forcing] * 3, omegas)
-    cfg = WaveHoltzConfig.build(p, omegas=omegas, tol=1e-10)
+    cfg = WaveHoltzConfig.build(p, schedule=sched, tol=1e-10)
     lam_t = dirichlet_box_spectrum(p).shifted_lambdas(cfg.tg.dt)
     assert beta_by_quadrature(lam_t, cfg.spec, cfg.tg).max() > 1.0
-    res = multifreq_solve(p, sched, cfg)
+    res = multifreq_solve(p, cfg)
     assert res.report.converged
     with pytest.raises(IndefiniteOperatorError):
-        multifreq_solve(p, sched, cfg, method="cg")
+        multifreq_solve(p, cfg, method="cg")
 
 
 def test_multifreq_rejects_non_integer_ratios():
     p = problem_1d(omega=1.0, n=30, forcing="delta")
     sched = ForcingSchedule([p.forcing, p.forcing], np.array([1.0, 2.5]))
-    cfg = WaveHoltzConfig.build(p, omegas=[1.0, 2.5])
+    cfg = WaveHoltzConfig.build(p, schedule=sched)
     with pytest.raises(ValueError):
-        multifreq_solve(p, sched, cfg)
+        multifreq_solve(p, cfg)
 
 
 def test_multifreq_extracts_components():
@@ -411,8 +421,8 @@ def test_multifreq_extracts_components():
     p = problem_1d(omega=1.0, n=60, forcing="delta")
     fd = delta_forcing(p.grid)
     sched = ForcingSchedule([fd, fd], fd_omegas)
-    cfg = WaveHoltzConfig.build(p, omegas=fd_omegas, tol=1e-11, max_iters=400)
-    res = multifreq_solve(p, sched, cfg, method="cg")
+    cfg = WaveHoltzConfig.build(p, schedule=sched, tol=1e-11, max_iters=400)
+    res = multifreq_solve(p, cfg, method="cg")
     assert res.report.converged
     for u, om in zip(res.solutions, fd_omegas):
         pj = problem_1d(omega=float(om), n=60, forcing="delta")
@@ -425,11 +435,11 @@ def test_multifreq_rejects_partial_periods_before_solving(monkeypatch):
     # steps that do not divide into whole periods fail before any wave solve
     p = problem_1d(omega=3.0, n=40, forcing="delta")
     sched = ForcingSchedule([p.forcing] * 2, [3.0, 6.0])
-    built = WaveHoltzConfig.build(p, periods=2, omegas=[3.0, 6.0])
-    cfg = WaveHoltzConfig(TimeGrid(3.0, 2, built.tg.steps + 1), built.spec)
+    built = WaveHoltzConfig.build(p, periods=2, schedule=sched)
+    cfg = replace(built, tg=TimeGrid(3.0, 2, built.tg.steps + 1))
     calls = _count_wave_solves(monkeypatch)
     with pytest.raises(ValueError, match="whole periods"):
-        multifreq_solve(p, sched, cfg, method="gmres")
+        multifreq_solve(p, cfg, method="gmres")
     assert not calls
 
 
@@ -439,10 +449,10 @@ def test_multifreq_rejects_too_few_steps_per_period_before_solving(monkeypatch):
     p = problem_1d(omega=1.0, n=30, forcing="delta")
     omegas = [1.0, 2.0, 4.0]
     sched = ForcingSchedule([p.forcing] * 3, omegas)
-    cfg = WaveHoltzConfig(TimeGrid(1.0, 1, 8), FilterSpec(omegas))
+    cfg = WaveHoltzConfig(TimeGrid(1.0, 1, 8), FilterSpec(omegas), schedule=sched)
     calls = _count_wave_solves(monkeypatch)
     with pytest.raises(ValueError, match="more than 8 steps"):
-        multifreq_solve(p, sched, cfg)
+        multifreq_solve(p, cfg)
     assert not calls
 
 
@@ -451,15 +461,17 @@ def test_multifreq_projection_is_exact_for_a_periodic_trajectory(rng, monkeypatc
     p = problem_1d(omega=1.0, n=30, forcing="delta")
     omegas = np.array([1.0, 2.0, 4.0, 8.0])
     sched = ForcingSchedule([p.forcing] * 4, omegas)
-    cfg = WaveHoltzConfig.build(p, omegas=omegas)
+    cfg = WaveHoltzConfig.build(p, schedule=sched)
     U = rng.standard_normal((4, *p.grid.shape))
 
     def trajectory(x, *args, sample_steps, **kwargs):
         return None, {n: np.cos(omegas * n * cfg.tg.dt) @ U for n in sample_steps}
 
-    monkeypatch.setattr(iteration, "solve", lambda *a, **k: (ScalarField(p.grid, U.sum(0)), None))
+    report = IterationReport([0.0], 0, True, 0.0, 0.0)
+    monkeypatch.setattr(iteration, "solve",
+                        lambda *a, **k: (ScalarField(p.grid, U.sum(0)), report))
     monkeypatch.setattr(iteration, "evolve_and_filter", trajectory)
-    res = multifreq_solve(p, sched, cfg)
+    res = multifreq_solve(p, cfg)
     assert np.max(np.abs([u.values for u in res.solutions] - U)) < 1e-12
 
 

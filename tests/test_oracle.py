@@ -255,6 +255,10 @@ def test_pi_spectral_matches_time_stepping(rng):
             b = pi_apply_spectral(v, p, cfg)
             assert norm2(ScalarField(p.grid, a.values - b.values)) \
                 <= 1e-10 * max(norm2(a), 1.0)
+    # the model drives problem.forcing: a config with its own drive is refused
+    sched = ForcingSchedule([random_interior_field(p.grid, rng)], [p.omega])
+    with pytest.raises(UnsupportedProblemError, match="problem.forcing"):
+        pi_apply_spectral(v, p, WaveHoltzConfig.build(p, schedule=sched))
 
 
 def test_pi_spectral_matches_time_stepping_2d(rng):

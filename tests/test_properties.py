@@ -4,6 +4,8 @@ Examples are derandomized so every run checks the same cases; grids stay
 small so the module adds only seconds to the suite.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from waveholtz import (
     evolve_and_filter,
     fixed_point_solve,
     helmholtz_residual,
+    shifted_eigenvalue,
     solve,
 )
 from waveholtz.core import _lap_values
@@ -58,6 +61,25 @@ def test_evolve_and_filter_is_affine(seed, n, omega, scheme, a, b):
     lhs = pi(a * x + b * y)
     rhs = a * pi(x) + b * pi(y) + (1.0 - a - b) * pi(np.zeros(size))
     assert np.max(np.abs(lhs - rhs)) <= 1e-11 * max(1.0, np.max(np.abs(rhs)))
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 200),
+       omega=st.floats(0.5, 100.0), periods=st.integers(1, 4), count=st.integers(1, 3))
+def test_leapfrog_steps_keep_the_top_mode_below_nyquist(seed, n, omega, periods, count):
+    # build's limit dt < 2 / (lambda + 2 omega / pi) is (pi lambda / 2 + omega)
+    # dt < pi, and asin x <= pi x / 2 turns it into (lambda~ + omega) dt < pi:
+    # the highest shifted mode plus the top drive frequency stay below the
+    # Nyquist frequency pi / dt of the filter's trapezoid sum.  Checked at the
+    # default step and at the fewest steps the limit allows.
+    p, _ = _random_problem(seed, n, omega, ("dirichlet", "neumann"))
+    omegas = [omega * k for k in range(1, count + 1)]
+    sched = ForcingSchedule([p.forcing] * count, omegas)
+    lam, T = p.lambda_max_estimate(), periods * 2.0 * math.pi / omega
+    fewest = math.floor(T * (lam + 2.0 * omegas[-1] / math.pi) / 2.0) + 1
+    for steps in (None, max(2, fewest)):
+        cfg = WaveHoltzConfig.build(p, periods=periods, steps=steps, schedule=sched)
+        assert (shifted_eigenvalue(lam, cfg.tg.dt) + omegas[-1]) * cfg.tg.dt < math.pi
 
 
 @SETTINGS
@@ -152,7 +174,7 @@ def test_evolve_and_filter_matches_reference_loop(seed, dim, n, sides, scheme, t
     p, rng = _random_box(seed, dim, n, sides)
     omegas = [p.omega, 2.0 * p.omega] if two else [p.omega]
     sched = ForcingSchedule([p.forcing] * len(omegas), omegas)
-    cfg = WaveHoltzConfig.build(p, scheme=scheme, omegas=omegas)
+    cfg = WaveHoltzConfig.build(p, scheme=scheme, schedule=sched)
     tg, spec = cfg.tg, cfg.spec
     x = rng.standard_normal(p.grid.num_nodes * (1 if scheme == "leapfrog" else 2))
     got = evolve_and_filter(x, sched, p, tg, spec, scheme)[0]

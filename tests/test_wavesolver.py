@@ -410,7 +410,7 @@ def test_public_matvec_fallback_matches_compiled_kernel(bc, scheme, rng, monkeyp
         pytest.skip("this SciPy has no compatible compiled dia_matvec")
     p = problem_1d(omega=3.0, n=40, bc=bc)
     sched = ForcingSchedule([p.forcing] * 2, [p.omega, 2.0 * p.omega])  # forced, two frequencies
-    cfg = WaveHoltzConfig.build(p, scheme=scheme, omegas=sched.omegas)
+    cfg = WaveHoltzConfig.build(p, scheme=scheme, schedule=sched)
     x = rng.standard_normal(p.grid.num_nodes * (1 if scheme == "leapfrog" else 2))
 
     def run():  # on a fresh problem: the product is prepared once per problem
@@ -466,7 +466,7 @@ def test_dia_steps_bit_for_bit_like_csr(dim, scheme, sides, rng, monkeypatch):
 
     p = fresh()
     sched = ForcingSchedule([p.forcing] * 2, [p.omega, 2.0 * p.omega])
-    cfg = WaveHoltzConfig.build(p, scheme=scheme, omegas=sched.omegas)
+    cfg = WaveHoltzConfig.build(p, scheme=scheme, schedule=sched)
     tg, spec, steps = cfg.tg, cfg.spec, cfg.tg.steps
     x = rng.standard_normal(p.grid.num_nodes * (1 if scheme == "leapfrog" else 2))
     wanted = [1, steps // 2, steps]
@@ -488,7 +488,7 @@ def test_rk4_keeps_dirichlet_rows_exactly_zero(dim, rng):
     p = problem_1d(omega=2.5, n=30, bc=sides) if dim == 1 else problem_2d(
         omega=2.5, n=12, bc=sides)
     sched = ForcingSchedule([p.forcing] * 2, [p.omega, 2.0 * p.omega])
-    cfg = WaveHoltzConfig.build(p, scheme="rk4", omegas=sched.omegas)
+    cfg = WaveHoltzConfig.build(p, scheme="rk4", schedule=sched)
     x = rng.standard_normal(2 * p.grid.num_nodes)
     out, _ = evolve_and_filter(x, sched, p, cfg.tg, cfg.spec, "rk4")
     dirichlet = np.tile(p.dirichlet_mask.ravel(), 2)

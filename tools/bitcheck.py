@@ -12,7 +12,9 @@ each tree runs its own copy of the tool, which calls that tree's API:
     PYTHONPATH=src python tools/bitcheck.py
 
 The digests depend on the NumPy and BLAS build (and on the BLAS thread
-count), so compare two trees on one machine under one environment.
+count), so compare two trees on one machine under one environment.  The
+first line printed names the NumPy and SciPy versions and
+``OPENBLAS_NUM_THREADS``, so a recorded digest carries its environment.
 
 The sections, in this order:
 
@@ -36,12 +38,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "whbench"))
@@ -122,8 +126,8 @@ def multifreq():
                             wh.BoundarySpec.all_dirichlet(1))
     omegas = [2.0, 4.0, 6.0]
     sched = wh.ForcingSchedule([p.forcing] * 3, omegas)
-    cfg = wh.WaveHoltzConfig.build(p, omegas=omegas, tol=1e-10)
-    res = wh.multifreq_solve(p, sched, cfg, method="gmres")
+    cfg = wh.WaveHoltzConfig.build(p, schedule=sched, tol=1e-10)
+    res = wh.multifreq_solve(p, cfg, method="gmres")
     feed(*(s.values for s in res.solutions), res.combined.values)
 
 
@@ -147,6 +151,8 @@ def sweep(workdir: Path):
 
 def main():
     global section
+    print(f"numpy {np.__version__}, scipy {scipy.__version__}, OPENBLAS_NUM_THREADS="
+          f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     wh.iteration.evolve_and_filter = hashed_evolve(wh.iteration.evolve_and_filter)
     wh.evolve_and_filter = hashed_evolve(wh.wavesolver.evolve_and_filter)
     with tempfile.TemporaryDirectory() as tmp:
