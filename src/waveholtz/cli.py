@@ -29,7 +29,7 @@ from .core import (
 from .filters import FilterSpec, fixed_point_rate_bound, optimize_tunable_filter
 from .iteration import WaveHoltzConfig, solve
 from .krylov import IndefiniteOperatorError, IterationReport, KrylovConfig
-from .oracle import UnsupportedProblemError, dirichlet_box_spectrum
+from .oracle import SpectralDecomposition, UnsupportedProblemError, dirichlet_box_spectrum
 from .wavesolver import InstabilityError
 
 CSV_COLUMNS = [
@@ -250,17 +250,17 @@ def build_problem(cfg: RunConfig, omega: float) -> HelmholtzProblem:
     return HelmholtzProblem(grid, csq, forcing, omega, cfg.bcs)
 
 
-def _build_filter(cfg: RunConfig, problem: HelmholtzProblem,
-                  wh: WaveHoltzConfig) -> FilterSpec:
+def _build_filter(cfg: RunConfig, wh: WaveHoltzConfig,
+                  spectrum: SpectralDecomposition | None) -> FilterSpec:
+    """The run's filter; a designed one is fenced by the box spectrum if known."""
     omega = wh.tg.omega
     if isinstance(cfg.filter, FilterSpec):
         return replace(cfg.filter, omegas=(omega,))
     resonant_lambda, n_coeffs = cfg.filter
-    try:
-        lam_t = dirichlet_box_spectrum(problem).shifted_lambdas(wh.tg.dt)
-        hi, extra = float(lam_t.max()) * 1.02, lam_t
-    except UnsupportedProblemError:
-        hi, extra = None, None
+    hi = extra = None
+    if spectrum is not None:
+        extra = spectrum.shifted_lambdas(wh.tg.dt)
+        hi = float(extra.max()) * 1.02
     result = optimize_tunable_filter(
         omega, resonant_lambda, n_coeffs, wh.tg,
         sample_hi=hi, extra_penalty_points=extra,
@@ -306,17 +306,17 @@ def run_single(cfg: RunConfig, omega: float) -> RunResult:
             problem, periods=cfg.periods, steps=cfg.steps, scheme=cfg.scheme,
             max_iters=cfg.max_iters, tol=cfg.tol, correction=cfg.correction,
         )
-        wh.spec = _build_filter(cfg, problem, wh)
+        try:  # UnsupportedProblemError is a ValueError, but not a config error
+            spectrum = dirichlet_box_spectrum(problem)
+        except UnsupportedProblemError:  # no closed form: no fence, blank columns
+            spectrum = None
+        wh.spec = _build_filter(cfg, wh, spectrum)
         result, report = solve(problem, wh, method=cfg.method, krylov=cfg.krylov)
     except ValueError as exc:
         raise ConfigError(f"omega = {omega:g}: {exc}") from exc
 
-    delta_h = rate_bound = None
-    try:
-        delta_h = dirichlet_box_spectrum(problem).delta_h
-        rate_bound = fixed_point_rate_bound(delta_h)
-    except (UnsupportedProblemError, ValueError):
-        pass
+    delta_h = None if spectrum is None else spectrum.delta_h
+    rate_bound = fixed_point_rate_bound(delta_h) if delta_h else None
     # leapfrog evaluates L once more at start-up; RK4 four times per step
     steps = wh.tg.steps
     rhs_per_solve = steps + 1 if wh.scheme == "leapfrog" else 4 * steps

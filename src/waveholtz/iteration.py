@@ -4,10 +4,11 @@ One application of the iteration operator Pi evolves the wave equation with
 harmonic forcing over the filter window and takes the weighted time average.
 Pi is affine, Pi(v) = S v + b, and the fixed point solves the discrete
 Helmholtz equation at the modified frequency (or the true one under the
-corrected drive).  ``as_affine_system`` exposes A = I - S and b so standard
-Krylov methods apply; on energy-conserving leapfrog problems A is
-self-adjoint in the trapezoid-weighted product (plainly symmetric when every
-side is Dirichlet), and positive definite while the discrete filter transfer
+corrected drive).  ``as_affine_system`` exposes A = I - S and b, and every
+outer method (plain iteration, GMRES, CG) solves A v = b.  On
+energy-conserving leapfrog problems A is self-adjoint in the
+trapezoid-weighted product (plainly symmetric when every side is
+Dirichlet), and positive definite while the discrete filter transfer
 function stays below 1.  On a coarse time grid it can exceed 1 next to omega
 (1.00026 on the 8-steps-per-period C08 line), and CG then raises
 ``IndefiniteOperatorError``; GMRES does not need definiteness.
@@ -29,7 +30,6 @@ from .krylov import (
     LinearOperator,
     cg_solve,
     gmres_solve,
-    measured_rate,
 )
 from .wavesolver import ForcingSchedule, evolve_and_filter
 
@@ -158,61 +158,23 @@ def pi_apply(v, problem: HelmholtzProblem, config: WaveHoltzConfig):
     return _from_iterate(out, problem, config)
 
 
-def _affine_parts(problem: HelmholtzProblem, config: WaveHoltzConfig):
-    """(x -> S x, b) with Pi(v) = S v + b.  b = Pi(0) costs one forced wave
-    solve now; each S x one unforced solve, filtered with the same weight."""
-    b, _ = evolve_and_filter(_zero_data(problem, config), _schedule_for(problem, config),
-                             problem, config.tg, config.spec, config.scheme)
-
-    def S(x: np.ndarray) -> np.ndarray:
-        sx, _ = evolve_and_filter(x, None, problem, config.tg, config.spec,
-                                  config.scheme)
-        return sx
-
-    return S, b
-
-
-def fixed_point_solve(problem: HelmholtzProblem, config: WaveHoltzConfig):
-    """Plain iteration v <- Pi(v) = S v + b from v = 0.
-
-    The first iterate is b = Pi(0), one forced wave solve; every later one is
-    one unforced solve, S v, plus b.  The residual is ||v_k - v_{k-1}|| /
-    ||v_1 - v_0||.  Stagnation (e.g. near resonance) shows up as
-    converged=False after max_iters, never as an exception.  Returns
-    (iterate, report); for rk4 the iterate is a WaveState whose displacement
-    is the Helmholtz solution.
-    """
-    t0 = time.perf_counter()
-    S, b = _affine_parts(problem, config)
-    bnorm = float(np.linalg.norm(b))
-    denom = bnorm or 1.0
-    x, iters, history = b, 1, [bnorm / denom]
-    while history[-1] > config.tol and iters < config.max_iters:
-        x_new = S(x)
-        x_new += b
-        history.append(float(np.linalg.norm(x_new - x)) / denom)
-        x, iters = x_new, iters + 1
-    report = IterationReport(history, iters, history[-1] <= config.tol,
-                             measured_rate(history), time.perf_counter() - t0,
-                             iters)
-    return _from_iterate(x, problem, config), report
-
-
 def as_affine_system(problem: HelmholtzProblem, config: WaveHoltzConfig):
     """Linear system (A, b) with A v = v - (Pi(v) - Pi(0)) and b = Pi(0).
 
     Solving A v = b is equivalent to the fixed point.  Each application of A
-    costs one homogeneous (zero-forcing) wave solve; b costs one forced solve
-    from zero data.  A is a matrix-free LinearOperator on the flat iterate of
-    ``evolve_and_filter`` (displacement, or the stacked pair for rk4).
+    costs one homogeneous (zero-forcing) wave solve, filtered with the same
+    weight; b costs one forced solve from zero data, made now.  A is a
+    matrix-free LinearOperator on the flat iterate of ``evolve_and_filter``
+    (displacement, or the stacked pair for rk4).
     """
-    S, b = _affine_parts(problem, config)
+    b, _ = evolve_and_filter(_zero_data(problem, config), _schedule_for(problem, config),
+                             problem, config.tg, config.spec, config.scheme)
 
     def apply(x: np.ndarray) -> np.ndarray:
-        return x - S(x)
+        sx, _ = evolve_and_filter(x, None, problem, config.tg, config.spec, config.scheme)
+        return x - sx
 
-    A = LinearOperator(dimension=b.size, apply=apply)
-    return A, b
+    return LinearOperator(dimension=b.size, apply=apply), b
 
 
 def _trapezoid_weight(problem: HelmholtzProblem) -> np.ndarray:
@@ -228,14 +190,22 @@ def _trapezoid_weight(problem: HelmholtzProblem) -> np.ndarray:
 
 def solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
           method: str = "fixed_point", krylov: KrylovConfig | None = None):
-    """Drive one solve with the chosen outer method.
+    """Solve A v = b of ``as_affine_system`` with the chosen outer method.
 
-    method: "fixed_point", "gmres" or "cg".  Krylov methods run on the
-    affine reformulation; their report counts operator applications, i.e.
-    wave solves, and its wall time includes the forced solve that builds b.
-    A ``krylov`` config must name the same method.  CG needs leapfrog: the
-    rk4 A acts on the (w, v) pair and is not self-adjoint, so CG there
-    diverges without an error.  Returns (iterate, report).
+    method: "fixed_point", "gmres" or "cg".  Fixed point is the plain
+    iteration v <- Pi(v) = v + (b - A v) from v = b = Pi(0), stopped at
+    ``config.tol`` or ``config.max_iters``; its residual is ||b - A v_k|| /
+    ||b||, the increment that makes v_{k+1}.  Stagnation (e.g. near
+    resonance) shows up as converged=False, never as an exception.  GMRES and
+    CG take ``krylov``, which must name the same method (by default one built
+    from the config's tol and max_iters).  CG needs leapfrog: the rk4 A acts
+    on the (w, v) pair and is not self-adjoint, so CG there diverges without
+    an error.
+
+    The report counts operator applications, i.e. wave solves, and its wall
+    time covers the whole solve; both include the forced solve that builds b.
+    Returns (iterate, report); for rk4 the iterate is a WaveState whose
+    displacement is the Helmholtz solution.
     """
     if method not in ("fixed_point", "gmres", "cg"):
         raise ValueError(f"unknown method {method!r}")
@@ -243,20 +213,34 @@ def solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
         raise ValueError(f"a KrylovConfig for {krylov.method!r} cannot drive {method!r}")
     if method == "cg" and config.scheme == "rk4":
         raise ValueError("cg needs leapfrog: the rk4 operator is not self-adjoint")
-    if method == "fixed_point":
-        return fixed_point_solve(problem, config)
-    if krylov is None:
+    if krylov is None and method != "fixed_point":
         krylov = KrylovConfig(method=method, tol=config.tol,
                               max_iters=config.max_iters)
     t0 = time.perf_counter()
     A, b = as_affine_system(problem, config)
-    if method == "gmres":
+    if method == "fixed_point":
+        bnorm = float(np.linalg.norm(b))
+        denom = bnorm or 1.0
+        x, history = b, [bnorm / denom]
+        while history[-1] > config.tol and len(history) < config.max_iters:
+            r = b - A.apply(x)
+            history.append(float(np.linalg.norm(r)) / denom)
+            x = x + r
+        report = IterationReport(history, len(history), history[-1] <= config.tol, 0.0,
+                                 len(history) - 1)
+    elif method == "gmres":
         x, report = gmres_solve(A, b, krylov)
     else:
         x, report = cg_solve(A, b, krylov, _trapezoid_weight(problem))
     report.wall_time = time.perf_counter() - t0
     report.operator_applications += 1  # the forced solve that built b
     return _from_iterate(x, problem, config), report
+
+
+def fixed_point_solve(problem: HelmholtzProblem, config: WaveHoltzConfig):
+    """Plain iteration v <- Pi(v) from v = 0: ``solve(problem, config,
+    "fixed_point")``."""
+    return solve(problem, config, "fixed_point")
 
 
 @dataclass
@@ -287,8 +271,10 @@ def multifreq_solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
     A can be indefinite, and CG then raises ``IndefiniteOperatorError``.
     Before any wave solve, this checks that the frequencies are integer
     multiples k of the lowest, that the steps make whole periods and that a
-    period has more than 2 k_max steps.
+    period has more than 2 k_max steps.  The report's wall time runs from
+    entry to the end of the projection.
     """
+    t0 = time.perf_counter()
     schedule = _schedule_for(problem, config)
     omegas = schedule.omegas
     ratios = omegas / omegas[0]
@@ -315,4 +301,5 @@ def multifreq_solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
     C = (2.0 / m) * np.cos(np.outer(omegas, tg.dt * np.arange(m)))
     U = sum(np.outer(C[:, n], samples.pop(n)) for n in range(m))  # frees each sample
     sols = [ScalarField(problem.grid, u.reshape(problem.grid.shape)) for u in U]
+    report.wall_time = time.perf_counter() - t0
     return MultiFrequencyResult(sols, report, v)

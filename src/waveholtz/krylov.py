@@ -49,7 +49,6 @@ class IterationReport:
     residual_history: list[float]
     iters: int
     converged: bool
-    measured_rate: float
     wall_time: float
     operator_applications: int = 0
 
@@ -57,16 +56,16 @@ class IterationReport:
         if not self.residual_history:
             raise ValueError("residual history must be non-empty")
 
-
-def measured_rate(history) -> float:
-    """Geometric mean of the residual ratios over the last quartile."""
-    h = np.asarray(history, dtype=float)
-    if h.size < 2:
-        return 1.0
-    ratios = h[1:] / np.maximum(h[:-1], 1e-300)
-    tail = ratios[-max(1, ratios.size // 4):]
-    tail = np.maximum(tail, 1e-300)
-    return float(np.exp(np.mean(np.log(tail))))
+    @property
+    def measured_rate(self) -> float:
+        """Geometric mean of the residual ratios over the last quartile."""
+        h = np.asarray(self.residual_history, dtype=float)
+        if h.size < 2:
+            return 1.0
+        ratios = h[1:] / np.maximum(h[:-1], 1e-300)
+        tail = ratios[-max(1, ratios.size // 4):]
+        tail = np.maximum(tail, 1e-300)
+        return float(np.exp(np.mean(np.log(tail))))
 
 
 def gmres_solve(A: LinearOperator, b: np.ndarray, config: KrylovConfig):
@@ -81,8 +80,7 @@ def gmres_solve(A: LinearOperator, b: np.ndarray, config: KrylovConfig):
     b = np.asarray(b, dtype=float)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(n), IterationReport([0.0], 0, True, 1.0,
-                                            time.perf_counter() - t0, 0)
+        return np.zeros(n), IterationReport([0.0], 0, True, time.perf_counter() - t0, 0)
     x = np.zeros(n)
     r = b.copy()  # b - A 0, which takes no application: A is linear
     history: list[float] = []
@@ -164,8 +162,7 @@ def gmres_solve(A: LinearOperator, b: np.ndarray, config: KrylovConfig):
         if history[-1] >= cycle_start * (1.0 - 1e-12):
             break  # stagnated across a full restart cycle
 
-    report = IterationReport(history, iters, converged, measured_rate(history),
-                             time.perf_counter() - t0, apps)
+    report = IterationReport(history, iters, converged, time.perf_counter() - t0, apps)
     return x, report
 
 
@@ -184,8 +181,7 @@ def cg_solve(A: LinearOperator, b: np.ndarray, config: KrylovConfig, weight=None
     W = np.ones(n) if weight is None else np.asarray(weight, dtype=float)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(n), IterationReport([0.0], 0, True, 1.0,
-                                            time.perf_counter() - t0, 0)
+        return np.zeros(n), IterationReport([0.0], 0, True, time.perf_counter() - t0, 0)
     x = np.zeros(n)
     r = b.copy()  # b - A 0, which takes no application: A is linear
     apps = 0
@@ -213,6 +209,5 @@ def cg_solve(A: LinearOperator, b: np.ndarray, config: KrylovConfig, weight=None
             break
         p = r + (rs_new / rs) * p
         rs = rs_new
-    report = IterationReport(history, iters, converged, measured_rate(history),
-                             time.perf_counter() - t0, apps)
+    report = IterationReport(history, iters, converged, time.perf_counter() - t0, apps)
     return x, report

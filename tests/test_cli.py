@@ -266,6 +266,22 @@ def test_cli_optimize_filter_path(tmp_path):
     assert len(summary) == 2
 
 
+def test_optimize_run_computes_the_box_spectrum_once(tmp_path, monkeypatch):
+    # one spectrum serves the designed filter's fence and the delta_h column
+    calls = []
+    real = cli.dirichlet_box_spectrum
+    monkeypatch.setattr(cli, "dirichlet_box_spectrum",
+                        lambda p: (calls.append(1), real(p))[1])
+    path = tmp_path / "opt.ini"
+    path.write_text(TUNABLE_CONFIG.format(
+        kind="optimize", reslam=4 * math.pi, omega=4.1 * math.pi,
+        outdir=str(tmp_path / "out")))
+    res = run_single(parse_config(path), 4.1 * math.pi)
+    assert len(calls) == 1
+    assert res.report.converged
+    assert res.delta_h is not None and res.rate_bound is not None
+
+
 def test_report_counts_fixed_point_bound_violations(tmp_path):
     header = ("omega,method,n,dofs,iters,operator_applications,rhs_evals,"
               "converged,final_residual,measured_rate,delta_h,rate_bound,"

@@ -139,20 +139,52 @@ def test_fixed_point_matches_forced_reference_loop(bc, omega):
 
 def test_fixed_point_forces_only_its_first_wave_solve(monkeypatch):
     # one forced solve builds b, then one unforced solve per later iteration,
-    # each made through the module attribute a tracer would wrap
-    calls = []
-    real = iteration.evolve_and_filter
+    # each made through the module attributes a tracer would wrap: the later
+    # ones as applications of as_affine_system's A
+    calls, applications = [], []
+    real, affine = iteration.evolve_and_filter, iteration.as_affine_system
 
     def counting(x, schedule, *args, **kwargs):
         calls.append(schedule is not None)
         return real(x, schedule, *args, **kwargs)
 
+    def counted_system(*args, **kwargs):
+        A, b = affine(*args, **kwargs)
+        apply = A.apply
+        A.apply = lambda x: (applications.append(1), apply(x))[1]
+        return A, b
+
     monkeypatch.setattr(iteration, "evolve_and_filter", counting)
+    monkeypatch.setattr(iteration, "as_affine_system", counted_system)
     p = problem_1d(omega=2.3, n=60)
     _, rep = fixed_point_solve(p, WaveHoltzConfig.build(p, tol=1e-10, max_iters=500))
     assert rep.converged and rep.iters > 2
     assert calls == [True] + [False] * (rep.iters - 1)
     assert rep.operator_applications == rep.iters
+    assert len(applications) == rep.operator_applications - 1
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "impedance"])
+def test_fixed_point_solve_is_solve(bc, monkeypatch):
+    # fixed_point_solve runs through iteration.solve, the one place that times
+    # and counts a solve, and returns what solve returns, under both schemes
+    calls = []
+    real = iteration.solve
+
+    def recorded(*args, **kwargs):
+        calls.append(args[2:] + tuple(kwargs.values()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(iteration, "solve", recorded)
+    p = problem_1d(omega=2.3, n=40, bc=bc)
+    cfg = WaveHoltzConfig.build(p, tol=1e-8, max_iters=300)
+    assert cfg.scheme == ("leapfrog" if bc == "dirichlet" else "rk4")
+    v, rep = fixed_point_solve(p, cfg)
+    assert calls == [("fixed_point",)]
+    w, ref = real(p, cfg, "fixed_point")
+    assert np.array_equal(iteration._to_iterate(v), iteration._to_iterate(w))
+    assert rep.converged
+    assert replace(rep, wall_time=0.0) == replace(ref, wall_time=0.0)
 
 
 def test_affine_system_properties(rng):
@@ -467,12 +499,33 @@ def test_multifreq_projection_is_exact_for_a_periodic_trajectory(rng, monkeypatc
     def trajectory(x, *args, sample_steps, **kwargs):
         return None, {n: np.cos(omegas * n * cfg.tg.dt) @ U for n in sample_steps}
 
-    report = IterationReport([0.0], 0, True, 0.0, 0.0)
+    report = IterationReport([0.0], 0, True, 0.0)
     monkeypatch.setattr(iteration, "solve",
                         lambda *a, **k: (ScalarField(p.grid, U.sum(0)), report))
     monkeypatch.setattr(iteration, "evolve_and_filter", trajectory)
     res = multifreq_solve(p, cfg)
     assert np.max(np.abs([u.values for u in res.solutions] - U)) < 1e-12
+
+
+def test_multifreq_wall_time_covers_the_extraction(monkeypatch):
+    # the extraction period and the projection belong to the solve's time
+    real = iteration.evolve_and_filter
+
+    def slow_extraction(*args, **kwargs):
+        if kwargs.get("sample_steps") is not None:
+            time.sleep(0.05)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(iteration, "evolve_and_filter", slow_extraction)
+    p = problem_1d(omega=2.0, n=40, forcing="delta")
+    sched = ForcingSchedule([p.forcing] * 3, [2.0, 4.0, 6.0])
+    cfg = WaveHoltzConfig.build(p, schedule=sched, tol=1e-8)
+    t0 = time.perf_counter()
+    res = multifreq_solve(p, cfg)
+    outside = time.perf_counter() - t0
+    assert res.report.converged
+    assert res.report.wall_time >= 0.05
+    assert res.report.wall_time >= 0.9 * outside
 
 
 def test_residual_history_normalisation():
