@@ -40,7 +40,6 @@ from .iteration import (
     as_affine_system,
     fixed_point_solve,
     multifreq_solve,
-    pi_apply,
     solve,
 )
 from .krylov import (

@@ -127,13 +127,6 @@ def _schedule_for(problem, config):
     return config.schedule
 
 
-def _to_iterate(u) -> np.ndarray:
-    """ScalarField or WaveState -> the flat iterate of evolve_and_filter."""
-    if isinstance(u, WaveState):
-        return np.concatenate([u.w.values.ravel(), u.v.values.ravel()])
-    return u.values.ravel()
-
-
 def _from_iterate(x: np.ndarray, problem, config):
     """Flat iterate -> ScalarField (leapfrog) or WaveState (rk4), sharing x."""
     grid = problem.grid
@@ -147,21 +140,11 @@ def _zero_data(problem, config) -> np.ndarray:
     return np.zeros(problem.grid.num_nodes * (2 if config.scheme == "rk4" else 1))
 
 
-def pi_apply(v, problem: HelmholtzProblem, config: WaveHoltzConfig):
-    """One application of the filtered-wave operator Pi.
-
-    ``v`` is a ScalarField under leapfrog and a WaveState under rk4; the
-    result has the same type.
-    """
-    out, _ = evolve_and_filter(_to_iterate(v), _schedule_for(problem, config), problem,
-                               config.tg, config.spec, config.scheme)
-    return _from_iterate(out, problem, config)
-
-
 def as_affine_system(problem: HelmholtzProblem, config: WaveHoltzConfig):
     """Linear system (A, b) with A v = v - (Pi(v) - Pi(0)) and b = Pi(0).
 
-    Solving A v = b is equivalent to the fixed point.  Each application of A
+    Solving A v = b is equivalent to the fixed point, and Pi(v) is
+    b + v - A v: the package has no other route to Pi.  Each application of A
     costs one homogeneous (zero-forcing) wave solve, filtered with the same
     weight; b costs one forced solve from zero data, made now.  A is a
     matrix-free LinearOperator on the flat iterate of ``evolve_and_filter``
@@ -295,7 +278,7 @@ def multifreq_solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
     if len(omegas) == 1:
         return MultiFrequencyResult([ScalarField(problem.grid, v.values.copy())], report, v)
     report.operator_applications += 1  # the extraction period
-    _, samples = evolve_and_filter(_to_iterate(v), schedule, problem,
+    _, samples = evolve_and_filter(v.values.ravel(), schedule, problem,
                                    TimeGrid(tg.omega, 1, m), config.spec, config.scheme,
                                    sample_steps=range(m))
     C = (2.0 / m) * np.cos(np.outer(omegas, tg.dt * np.arange(m)))

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .core import (
     apply_discrete_laplacian,
     norm2,
 )
-from .filters import beta_by_quadrature, shifted_eigenvalue
+from .filters import beta_by_quadrature, modified_frequency, shifted_eigenvalue
 from .iteration import WaveHoltzConfig
 
 class ResonanceError(RuntimeError):
@@ -52,20 +51,21 @@ class SpectralDecomposition:
     """Eigenpairs of the Dirichlet box stencil, sorted by eigenvalue.
 
     lambdas[k] is the square root of the k-th eigenvalue; mode(k) evaluates
-    the matching sine (product) eigenvector on the grid.  delta_h is the
-    relative spectral gap min_j |lambda_j - omega| / omega.
+    the matching sine (product) eigenvector on the grid.  order[k] is the
+    flat interior index of that mode's wave numbers before sorting.  delta_h
+    is the relative spectral gap min_j |lambda_j - omega| / omega.
     """
 
     problem: HelmholtzProblem
-    c: float
     lambdas: np.ndarray
-    indices: list[tuple[int, ...]]
+    order: np.ndarray
     delta_h: float
 
     def mode(self, k: int) -> ScalarField:
         grid = self.problem.grid
+        wave_numbers = np.add(np.unravel_index(self.order[k], [m - 1 for m in grid.n]), 1)
         axes = []
-        for d, j in enumerate(self.indices[k]):
+        for d, j in enumerate(wave_numbers):
             x = grid.axis_coords(d)
             L = grid.hi[d] - grid.lo[d]
             axes.append(np.sin(j * math.pi * (x - grid.lo[d]) / L))
@@ -95,12 +95,10 @@ def dirichlet_box_spectrum(problem: HelmholtzProblem) -> SpectralDecomposition:
     1D: lambda_j^2 = c^2 (4/h^2) sin^2(j pi / (2 n)) with sine modes;
     2D: tensor sums over both axes.
     """
-    c = _require_constant_dirichlet(problem)
-    lam = _mode_lambda_grid(problem, c).ravel()
-    idx = list(product(*(range(1, m) for m in problem.grid.n)))  # lam's order
+    lam = _mode_lambda_grid(problem, _require_constant_dirichlet(problem)).ravel()
     order = np.argsort(lam)
-    delta_h = float(np.min(np.abs(lam[order] - problem.omega)) / problem.omega)
-    return SpectralDecomposition(problem, c, lam[order], [idx[i] for i in order], delta_h)
+    delta_h = float(np.min(np.abs(lam - problem.omega)) / problem.omega)
+    return SpectralDecomposition(problem, lam[order], order, delta_h)
 
 
 @lru_cache(maxsize=16)
@@ -222,8 +220,9 @@ def pi_apply_spectral(v: ScalarField, problem: HelmholtzProblem,
 
     where vinf_j = f_j / (sigma^2 - lambda_j^2), omega_d = config.tg.omega is
     the drive frequency (omega, or omega_bar for a corrected config) and
-    sigma is its leapfrog image.  Must agree with the time-stepping operator
-    to roundoff.  It models the default drive only, not a config's schedule.
+    sigma is its leapfrog image.  Must agree to roundoff with the operator
+    every solver runs, Pi(v) = b + v - A v of ``as_affine_system``.  It
+    models the default drive only, not a config's schedule.
     """
     if config.scheme != "leapfrog":
         raise UnsupportedProblemError("spectral reference covers leapfrog only")
@@ -235,7 +234,7 @@ def pi_apply_spectral(v: ScalarField, problem: HelmholtzProblem,
     lam_t = shifted_eigenvalue(lam, tg.dt)
 
     omega_d = tg.omega
-    sigma = 2.0 * math.sin(0.5 * tg.dt * omega_d) / tg.dt
+    sigma = modified_frequency(omega_d, tg.dt)
 
     vhat = sine_transform(v)
     fhat = sine_transform(problem.forcing)

@@ -6,6 +6,7 @@ from waveholtz import (
     HelmholtzProblem,
     ScalarField,
     UniformGrid,
+    as_affine_system,
 )
 from waveholtz.core import _lap_values
 from waveholtz.filters import filter_weights
@@ -71,6 +72,18 @@ def problem_2d(omega=8.5, n=None, bc="dirichlet", lo=-1.0, hi=1.0):
     f = gaussian_forcing_2d(grid, omega)
     c = ScalarField.constant(grid, 1.0)
     return HelmholtzProblem(grid, c, f, omega, bcs)
+
+
+def affine_pi(p, cfg):
+    """Pi of the system every solver runs, Pi(v) = b + v - A v from one
+    ``as_affine_system`` call, on the ScalarFields of a leapfrog config."""
+    A, b = as_affine_system(p, cfg)
+
+    def pi(v):
+        x = v.values.ravel()
+        return ScalarField(p.grid, (b + x - A.apply(x)).reshape(p.grid.shape))
+
+    return pi
 
 
 @pytest.fixture

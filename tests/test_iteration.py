@@ -26,7 +26,6 @@ from waveholtz import (
     modified_frequency,
     multifreq_solve,
     norm2,
-    pi_apply,
     shifted_eigenvalue,
     solve,
 )
@@ -34,14 +33,14 @@ from waveholtz import iteration
 from waveholtz.krylov import cg_solve
 from waveholtz.oracle import sine_transform
 
-from conftest import delta_forcing, problem_1d, problem_2d
+from conftest import affine_pi, delta_forcing, problem_1d, problem_2d
 
 
 def test_pi_fixed_point_is_vinf():
     p = problem_1d(omega=1.22, n=60)
     cfg = WaveHoltzConfig.build(p)
     vinf = direct_helmholtz_solve(p, modified_frequency(p.omega, cfg.tg.dt))
-    out = pi_apply(vinf, p, cfg)
+    out = affine_pi(p, cfg)(vinf)
     assert norm2(ScalarField(p.grid, out.values - vinf.values)) < 1e-10 * norm2(vinf)
 
 
@@ -49,7 +48,7 @@ def test_pi_of_zero_modal_coefficients():
     # Pi(0) has sine coefficients (1 - beta_h(lambda_tilde_j)) vinf_j
     p = problem_1d(omega=2.0, n=32)
     cfg = WaveHoltzConfig.build(p)
-    out = pi_apply(ScalarField.zeros(p.grid), p, cfg)
+    out = affine_pi(p, cfg)(ScalarField.zeros(p.grid))
     lam = (2.0 / p.grid.h[0]) * np.sin(
         np.arange(1, p.grid.n[0]) * math.pi / (2 * p.grid.n[0])
     )
@@ -64,7 +63,7 @@ def test_pi_of_zero_modal_coefficients():
 def test_pi_zero_forcing_linear():
     p = problem_1d(n=30, forcing="zero")
     cfg = WaveHoltzConfig.build(p)
-    out = pi_apply(ScalarField.zeros(p.grid), p, cfg)
+    out = affine_pi(p, cfg)(ScalarField.zeros(p.grid))
     assert not np.any(out.values)
 
 
@@ -93,10 +92,11 @@ def test_fixed_point_stagnation_is_resonant_mode():
     omega = 4.1 * math.pi
     p = problem_1d(omega=omega, n=129, forcing="delta")
     cfg = WaveHoltzConfig.build(p, tol=1e-14, max_iters=1)
+    pi = affine_pi(p, cfg)
     v = ScalarField.zeros(p.grid)
     prev = v
     for _ in range(700):
-        prev, v = v, pi_apply(v, p, cfg)
+        prev, v = v, pi(v)
     inc = v.values - prev.values
     x = p.grid.axis_coords(0)
     mode = np.sin(4 * math.pi * x)
@@ -182,7 +182,11 @@ def test_fixed_point_solve_is_solve(bc, monkeypatch):
     v, rep = fixed_point_solve(p, cfg)
     assert calls == [("fixed_point",)]
     w, ref = real(p, cfg, "fixed_point")
-    assert np.array_equal(iteration._to_iterate(v), iteration._to_iterate(w))
+    if cfg.scheme == "rk4":
+        assert np.array_equal(v.w.values, w.w.values)
+        assert np.array_equal(v.v.values, w.v.values)
+    else:
+        assert np.array_equal(v.values, w.values)
     assert rep.converged
     assert replace(rep, wall_time=0.0) == replace(ref, wall_time=0.0)
 
