@@ -26,7 +26,12 @@ from .core import (
     ScalarField,
     UniformGrid,
 )
-from .filters import FilterSpec, fixed_point_rate_bound, optimize_tunable_filter
+from .filters import (
+    FilterSpec,
+    fixed_point_rate_bound,
+    optimize_tunable_filter,
+    shifted_eigenvalue,
+)
 from .iteration import WaveHoltzConfig, solve
 from .krylov import IndefiniteOperatorError, IterationReport, KrylovConfig
 from .oracle import SpectralDecomposition, UnsupportedProblemError, dirichlet_box_spectrum
@@ -259,7 +264,7 @@ def _build_filter(cfg: RunConfig, wh: WaveHoltzConfig,
     resonant_lambda, n_coeffs = cfg.filter
     hi = extra = None
     if spectrum is not None:
-        extra = spectrum.shifted_lambdas(wh.tg.dt)
+        extra = shifted_eigenvalue(spectrum.lambdas, wh.tg.dt)
         hi = float(extra.max()) * 1.02
     result = optimize_tunable_filter(
         omega, resonant_lambda, n_coeffs, wh.tg,

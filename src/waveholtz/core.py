@@ -258,13 +258,13 @@ class HelmholtzProblem:
             offsets, shifts = np.array([-shape[1], -1, 0, 1, shape[1]]), [4, 3, 0, 2, 1]
         colours, slot, rows = len(offsets), np.argsort(shifts), np.arange(n)
         colour = (np.array([1, 2][:dim]) @ np.indices(shape).reshape(dim, -1)) % colours
-        data, zero = np.zeros((colours, n)), np.zeros(shape)
+        data = np.zeros((colours, n))
         for c in range(colours):  # data[k, i + offsets[k]]: the entry of row i there
             k = slot[(c - colour) % colours]
-            col = _lap_values(self, (colour == c).reshape(shape) * 1.0, zero).ravel()
+            col = _lap_values(self, (colour == c).reshape(shape) * 1.0).ravel()
             data[k, (rows + offsets[k]) % n] = col  # 0 for a ghost outside the grid
         L = dia_matrix((data, offsets), shape=(n, n))
-        return L, _lap_values(self, zero, np.ones(shape)).ravel()
+        return L, _lap_values(self, np.zeros(shape), np.ones(shape)).ravel()
 
     def lambda_max_estimate(self) -> float:
         """Analytic bound 2*sqrt(sum_d c2_max/h_d^2) on the largest sqrt-eigenvalue."""
@@ -278,9 +278,9 @@ def _lap_values(problem: HelmholtzProblem, w: np.ndarray, v=None) -> np.ndarray:
     One ghost node per end closes the stencil across each axis.  Neumann
     mirrors the first interior neighbour.  Impedance substitutes the ghost
     from ``alpha*v + beta*(n . D0 w) = 0`` (outflow-dissipative form), which
-    at either end reads ghost = inner_neighbour - 2h*(alpha/beta)*v; without
-    ``v`` impedance rows are zeroed (they belong to the first-order solver).
-    Dirichlet rows are always zeroed (their ghosts are set to 0).
+    at either end reads ghost = inner_neighbour - 2h*(alpha/beta)*v; an
+    omitted ``v`` is zero velocity.  Dirichlet rows are always zeroed (their
+    ghosts are set to 0).
     """
     grid, bcs = problem.grid, problem.bcs
     ratio = bcs.impedance_alpha / bcs.impedance_beta if not bcs.energy_conserving else 0.0
@@ -290,9 +290,9 @@ def _lap_values(problem: HelmholtzProblem, w: np.ndarray, v=None) -> np.ndarray:
         ghosts = []
         for end, inner_idx, bdry_idx in ((0, 1, 0), (1, -2, -1)):
             tag = bcs.side(axis, end)
-            if tag == NEUMANN:
+            if tag == NEUMANN or (tag == IMPEDANCE and v is None):
                 ghost = wa[inner_idx]
-            elif tag == IMPEDANCE and v is not None:
+            elif tag == IMPEDANCE:
                 vb = np.moveaxis(v, axis, 0)[bdry_idx]
                 ghost = wa[inner_idx] - 2.0 * grid.h[axis] * ratio * vb
             else:
@@ -302,8 +302,6 @@ def _lap_values(problem: HelmholtzProblem, w: np.ndarray, v=None) -> np.ndarray:
         flux = problem._csq_mid[axis] * np.diff(wext, axis=axis)
         out -= np.diff(flux, axis=axis) / grid.h[axis] ** 2
     out[problem.dirichlet_mask] = 0.0
-    if v is None and not bcs.energy_conserving:
-        out[problem.impedance_mask] = 0.0
     return out
 
 

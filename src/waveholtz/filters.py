@@ -7,9 +7,9 @@ transfer function has the closed form
 
     beta(r) = sinc(r + 1) + sinc(r - 1) - sinc(r)/2,   r = lambda/omega,
 
-with ``sinc(r) = sin(2 pi r)/(2 pi r)``.  Discretely the weight is summed by
-the trapezoidal rule, which leaves beta(omega) = 1 exact whenever the window
-spans whole periods.
+with ``sinc(r) = sin(2 pi r)/(2 pi r)``, NumPy's ``np.sinc(2 r)``.  Discretely
+the weight is summed by the trapezoidal rule, which leaves beta(omega) = 1
+exact whenever the window spans whole periods.
 """
 
 from __future__ import annotations
@@ -116,18 +116,6 @@ def filter_weights(spec: FilterSpec, tg: TimeGrid) -> np.ndarray:
     return spec.weight(tg.times())
 
 
-def _sinc2pi(x):
-    """sin(2 pi x) / (2 pi x), series-evaluated near the removable singularity."""
-    x = np.asarray(x, dtype=float)
-    u = TWO_PI * x
-    small = np.abs(x) < 1e-4
-    u_safe = np.where(small, 1.0, u)
-    out = np.sin(u_safe) / u_safe
-    u2 = u * u
-    series = 1.0 - u2 / 6.0 + u2 * u2 / 120.0
-    return np.where(small, series, out)
-
-
 def beta_continuous(r):
     """Closed-form transfer function of the standard one-frequency filter over
     one period.
@@ -139,7 +127,8 @@ def beta_continuous(r):
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0):
         raise ValueError("normalised frequency r must be nonnegative")
-    out = _sinc2pi(r_arr + 1.0) + _sinc2pi(r_arr - 1.0) - 0.5 * _sinc2pi(r_arr)
+    u = 2.0 * r_arr
+    out = np.sinc(u + 2.0) + np.sinc(u - 2.0) - 0.5 * np.sinc(u)
     return float(out) if np.isscalar(r) or r_arr.ndim == 0 else out
 
 

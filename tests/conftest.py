@@ -8,23 +8,17 @@ from waveholtz import (
     UniformGrid,
     as_affine_system,
 )
+from waveholtz.cli import forcing_presets
 from waveholtz.core import _lap_values
 from waveholtz.filters import filter_weights
 
 
 def gaussian_forcing_1d(grid, omega):
-    x = grid.axis_coords(0)
-    return ScalarField(grid, omega**2 * np.exp(-((omega * x) ** 2)))
+    return forcing_presets("gaussian1d", grid, omega)
 
 
 def delta_forcing(grid):
-    vals = np.zeros(grid.shape)
-    idx = tuple(
-        int(np.argmin(np.abs(grid.axis_coords(d) - 0.5 * (grid.lo[d] + grid.hi[d]))))
-        for d in range(grid.dim)
-    )
-    vals[idx] = -1.0 / grid.cell_volume
-    return ScalarField(grid, vals)
+    return forcing_presets("delta", grid, omega=None)  # the delta has no omega
 
 
 def problem_1d(omega=1.22, n=100, lo=0.0, hi=1.0, bc="dirichlet",
@@ -52,11 +46,7 @@ def problem_1d(omega=1.22, n=100, lo=0.0, hi=1.0, bc="dirichlet",
 
 
 def gaussian_forcing_2d(grid, omega):
-    X, Y = grid.meshgrid()
-    sigma = max(36.0, omega**2)
-    return ScalarField(
-        grid, -(omega**2) * np.exp(-sigma * ((X - 0.01) ** 2 + (Y - 0.015) ** 2))
-    )
+    return forcing_presets("gaussian2d", grid, omega)
 
 
 def problem_2d(omega=8.5, n=None, bc="dirichlet", lo=-1.0, hi=1.0):

@@ -30,6 +30,7 @@ from waveholtz import (
     norm2,
     optimize_tunable_filter,
     pi_apply_spectral,
+    shifted_eigenvalue,
     solve,
     trapezoid_reference,
 )
@@ -301,7 +302,7 @@ def test_c11_tunable_filter_beats_standard_near_resonance():
     assert sd.delta_h == pytest.approx(0.025, abs=0.002)
 
     cfg = WaveHoltzConfig.build(p, tol=1e-8, max_iters=20000)
-    lam_t = sd.shifted_lambdas(cfg.tg.dt)
+    lam_t = shifted_eigenvalue(sd.lambdas, cfg.tg.dt)
     design = optimize_tunable_filter(
         omega, 4.0 * math.pi, 12, cfg.tg,
         sample_hi=float(lam_t.max()) * 1.02, n_samples=800,

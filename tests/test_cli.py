@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -446,3 +449,14 @@ def test_readme_python_runs():
         exec(block, namespace)
     assert namespace["report"].converged
     assert namespace["result"].report.converged
+
+
+def test_cli_import_loads_no_scipy():
+    # SciPy is imported inside the functions that need it, so starting the
+    # command (and timing the package's import) never pays for SciPy
+    code = ("import sys, waveholtz.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

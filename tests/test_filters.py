@@ -13,7 +13,7 @@ from waveholtz import (
     optimize_tunable_filter,
     shifted_eigenvalue,
 )
-from waveholtz.filters import _sinc2pi, _tunable_cost_matrices
+from waveholtz.filters import _tunable_cost_matrices
 from waveholtz.iteration import WaveHoltzConfig
 from waveholtz.oracle import dirichlet_box_spectrum, g_factor
 
@@ -62,11 +62,15 @@ def test_beta_continuous_rejects_negative():
         beta_continuous(-0.1)
 
 
-def test_sinc_series_switch_is_smooth():
-    for x0 in (1e-4, -1e-4):
-        below = _sinc2pi(x0 * (1 - 1e-6))
-        above = _sinc2pi(x0 * (1 + 1e-6))
-        assert abs(below - above) < 1e-11
+def test_beta_continuous_is_continuous_at_removable_points():
+    # a sinc term meets its removable singularity at r = 0 (approached from
+    # r >= 0 only) and at r = 1; beta is flat at both, so nearby values differ
+    # from the limit quadratically, with |beta''| / 2 = 1.29 and 6.33 there
+    eps = np.array([1e-12, 1e-9, 1e-6, 1e-4])
+    for r0, limit in ((0.0, -0.5), (1.0, 1.0)):
+        assert beta_continuous(r0) == pytest.approx(limit, abs=1e-15)
+        r = r0 + (np.concatenate([eps, -eps]) if r0 > 0 else eps)
+        assert np.all(np.abs(beta_continuous(r) - limit) <= 8.0 * (r - r0) ** 2 + 1e-15)
 
 
 def test_quadrature_exact_at_omega():
@@ -305,7 +309,7 @@ def _design_inputs(case):
         return (omega, 4 * math.pi, 6, TimeGrid(omega, 1, 91)), {"n_samples": 200}
     p = problem_1d(omega=omega, n=129, forcing="delta")
     tg = WaveHoltzConfig.build(p, tol=1e-8, max_iters=20000).tg
-    lam_t = dirichlet_box_spectrum(p).shifted_lambdas(tg.dt)
+    lam_t = shifted_eigenvalue(dirichlet_box_spectrum(p).lambdas, tg.dt)
     kwargs = dict(sample_hi=float(lam_t.max()) * 1.02, n_samples=800,
                   extra_penalty_points=lam_t)
     return (omega, 4.0 * math.pi, 12, tg), kwargs

@@ -436,7 +436,7 @@ def test_multifreq_filter_can_make_a_indefinite():
     omegas = [4.0, 8.0, 12.0]
     sched = ForcingSchedule([p.forcing] * 3, omegas)
     cfg = WaveHoltzConfig.build(p, schedule=sched, tol=1e-10)
-    lam_t = dirichlet_box_spectrum(p).shifted_lambdas(cfg.tg.dt)
+    lam_t = shifted_eigenvalue(dirichlet_box_spectrum(p).lambdas, cfg.tg.dt)
     assert beta_by_quadrature(lam_t, cfg.spec, cfg.tg).max() > 1.0
     res = multifreq_solve(p, cfg)
     assert res.report.converged
@@ -490,6 +490,21 @@ def test_multifreq_rejects_too_few_steps_per_period_before_solving(monkeypatch):
     with pytest.raises(ValueError, match="more than 8 steps"):
         multifreq_solve(p, cfg)
     assert not calls
+
+
+def test_multifreq_rejects_rk4_before_solving(monkeypatch):
+    # the projection assumes leapfrog's time-symmetric trajectory; an
+    # impedance box builds an RK4 config, which fails before any wave solve
+    p = problem_1d(omega=1.0, n=30, bc="impedance", forcing="delta")
+    cfg = WaveHoltzConfig.build(p, schedule=ForcingSchedule([p.forcing] * 2, [1.0, 2.0]))
+    assert cfg.scheme == "rk4"
+
+    def no_wave_solve(*args, **kwargs):
+        raise AssertionError("evolve_and_filter ran")
+
+    monkeypatch.setattr(iteration, "evolve_and_filter", no_wave_solve)
+    with pytest.raises(ValueError, match="implemented for leapfrog"):
+        multifreq_solve(p, cfg)
 
 
 def test_multifreq_projection_is_exact_for_a_periodic_trajectory(rng, monkeypatch):

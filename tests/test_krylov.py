@@ -70,10 +70,12 @@ def test_gmres_rhs_scaling_invariance(rng):
     assert np.max(np.abs(137.0 * x1 - x2)) < 1e-8 * np.max(np.abs(x2))
 
 
-def test_gmres_zero_rhs():
+@pytest.mark.parametrize("method", [gmres_solve, cg_solve], ids=lambda f: f.__name__)
+def test_gmres_zero_rhs(method):
     A = _mat_op(np.eye(4))
-    x, rep = gmres_solve(A, np.zeros(4), KrylovConfig())
+    x, rep = method(A, np.zeros(4), KrylovConfig())
     assert rep.converged and not np.any(x)
+    assert rep.measured_rate == 1.0  # a one-entry history has no ratio
 
 
 def test_gmres_operator_count_accounting(rng):
@@ -103,6 +105,19 @@ def test_gmres_stagnation_reports_not_converged():
                                                      max_iters=50))
     assert not rep.converged
     assert rep.iters < 50  # stagnation detected, not exhausted
+
+
+def test_gmres_stagnation_across_a_restart_cycle():
+    # GMRES(1) on a 90 degree rotation: A r is orthogonal to r, so the cycle's
+    # one nonzero column leaves the residual where it was, and the solve stops
+    # on the stagnated cycle, not on a vanished column or on max_iters
+    M = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    _, rep = gmres_solve(_mat_op(M), np.array([1.0, 0.0]),
+                         KrylovConfig(restart=1, max_iters=50))
+    assert not rep.converged
+    assert rep.iters < 50
+    assert rep.operator_applications == rep.iters
+    assert rep.residual_history == [1.0, 1.0]
 
 
 def test_cg_diagonal_system():

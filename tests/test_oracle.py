@@ -23,6 +23,7 @@ from waveholtz import (
     modified_frequency,
     norm2,
     pi_apply_spectral,
+    shifted_eigenvalue,
     solve,
     trapezoid_reference,
 )
@@ -95,7 +96,7 @@ def test_spectrum_shift_inequalities():
     p = problem_1d(n=50)
     sd = dirichlet_box_spectrum(p)
     dt = 0.9 * 2.0 / sd.lambdas[-1]
-    lt = sd.shifted_lambdas(dt)
+    lt = shifted_eigenvalue(sd.lambdas, dt)
     assert np.all(lt <= 0.5 * math.pi * sd.lambdas + 1e-12)
     assert np.all(np.abs(sd.lambdas - lt) <= dt**2 * lt**3 / 24.0 + 1e-14)
 

@@ -154,6 +154,9 @@ def test_assembled_operator_matches_stencil(seed, dim, n, sides, alpha):
     ref = _lap_values(p, w, v).ravel()
     got = L @ w.ravel() + B * v.ravel()
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+    # an omitted v is zero velocity, impedance rows included
+    ref = _lap_values(p, w).ravel()
+    assert np.linalg.norm(L @ w.ravel() - ref) <= 1e-13 * np.linalg.norm(ref)
     # the stored diagonals are the stencil's 2 dim + 1, each zero on Dirichlet rows
     stencil = [-1, 0, 1] if dim == 1 else [-p.grid.shape[1], -1, 0, 1, p.grid.shape[1]]
     assert L.offsets.tolist() == stencil
