@@ -110,10 +110,11 @@ class FilterSpec:
 
 
 def filter_weights(spec: FilterSpec, tg: TimeGrid) -> np.ndarray:
-    """Weight samples over the time grid."""
+    """Trapezoid weights eta_n weight(t_n) over the time grid; the average is
+    (2 dt / T) times their sum against the trajectory."""
     if abs(spec.omegas[0] - tg.omega) > 1e-12 * tg.omega:
         raise ValueError("filter and time grid are built for different omega")
-    return spec.weight(tg.times())
+    return tg.eta() * spec.weight(tg.times())
 
 
 def beta_continuous(r):
@@ -141,9 +142,8 @@ def beta_by_quadrature(lam, spec: FilterSpec, tg: TimeGrid):
     exactly).  Accepts scalar or array ``lam``.
     """
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    t = tg.times()
-    wq = tg.eta() * filter_weights(spec, tg)
-    vals = (2.0 * tg.dt / tg.T) * (np.cos(np.outer(lam_arr, t)) @ wq)
+    wq = filter_weights(spec, tg)
+    vals = (2.0 * tg.dt / tg.T) * (np.cos(np.outer(lam_arr, tg.times())) @ wq)
     return float(vals[0]) if np.isscalar(lam) or np.ndim(lam) == 0 else vals
 
 
@@ -189,28 +189,25 @@ class TunableFilterResult:
     warning: str | None = None
 
 
-def _tunable_cost_matrices(omega, tg, n_coeffs, lam_samples):
-    """Linear maps coefficient-vector -> (beta at samples, beta'' at target).
+def _design_maps(omega, tg, n_coeffs, resonant_lambda, fence):
+    """beta at the fence and beta'' at the resonance as affine maps of the free
+    coefficients x = (a0, a_2, ..., a_{n_coeffs-1}): (beta base, beta matrix,
+    beta'' base, beta'' row).
 
-    beta is linear in (a0, a_1, ..., a_{n_coeffs-1}) plus the fixed cos(omega t)
-    part, so each evaluation point contributes one precomputed row.
+    With a_1 = (1 + 4 a0)/(2 pi) the weight is w0 + sum_k x_k b_k, where
+    w0 = cos(omega t) + sin(omega t)/(2 pi), b_0 = 1 + (2/pi) sin(omega t) and
+    b_k = sin((k+1) omega t); beta is linear in the weight, and d^2/dlam^2 of
+    cos(lam t) is -t^2 cos(lam t).
     """
     t = tg.times()
-    eta = tg.eta()
+    wt = omega * t
+    rows = tg.eta() * np.array([np.cos(wt) + np.sin(wt) / TWO_PI,
+                                1.0 + (2.0 / math.pi) * np.sin(wt),
+                                *(np.sin(n * wt) for n in range(2, n_coeffs))])
     scale = 2.0 * tg.dt / tg.T
-    basis = [np.ones_like(t)]
-    for n in range(1, n_coeffs):
-        basis.append(np.sin(n * omega * t))
-    basis = np.array(basis)  # (n_coeffs, M+1)
-    cos_part = np.cos(omega * t)
-
-    C = np.cos(np.outer(lam_samples, t))  # (S, M+1)
-    beta_base = scale * (C @ (eta * cos_part))
-    beta_mat = scale * (C * eta) @ basis.T  # (S, n_coeffs)
-    Cdd = -C * t * t
-    beta2_base = scale * (Cdd @ (eta * cos_part))
-    beta2_mat = scale * (Cdd * eta) @ basis.T
-    return beta_base, beta_mat, beta2_base, beta2_mat
+    beta = scale * (np.cos(np.outer(fence, t)) @ rows.T)
+    beta2 = -scale * ((np.cos(resonant_lambda * t) * t * t) @ rows.T)
+    return beta[:, 0], beta[:, 1:], beta2[0], beta2[1:]
 
 
 def optimize_tunable_filter(
@@ -228,11 +225,13 @@ def optimize_tunable_filter(
 
     Minimises  J = 10.6 beta''(lambda_res) + 0.1 sum_j |beta(r_j)|^20  over
     the free coefficients x = (a0, a_2, ..., a_{n_coeffs-1}); a_1 follows from
-    a0.  The r_j are equispaced over [0, sample_hi] (default 4*omega)
-    excluding those within 0.1 of the resonant value;
-    ``extra_penalty_points`` appends specific frequencies (e.g. a problem's
-    shifted eigenvalues) to the fence.  The penalty only restrains where it
-    samples, so sample_hi should cover the spectrum the iteration will see.
+    a0.  The r_j are equispaced over [0, sample_hi], excluding those within
+    0.1 of the resonant value; ``extra_penalty_points`` appends specific
+    frequencies (e.g. a problem's shifted eigenvalues) to the fence.  The
+    penalty only restrains where it samples.  The default sample_hi = pi/dt
+    fences the whole band: on t_n = n dt, beta_h is even and 2 pi/dt-periodic
+    in lambda, so its largest value over the real line is its largest on
+    [0, pi/dt], where every leapfrog mode's shifted frequency lies as well.
 
     beta and beta'' are affine in x, so J is convex and |a0| < 1/2 is a box:
     one L-BFGS-B solve with the analytic gradient, started from the standard
@@ -248,22 +247,13 @@ def optimize_tunable_filter(
     if abs(resonant_lambda - omega) < 1e-12 * omega:
         raise ValueError("resonant_lambda must differ from omega")
 
-    hi = 4.0 * omega if sample_hi is None else sample_hi
+    hi = math.pi / tg.dt if sample_hi is None else sample_hi
     r = np.linspace(0.0, hi, n_samples)
     if extra_penalty_points is not None:
         r = np.concatenate([r, np.asarray(extra_penalty_points, dtype=float)])
-    keep = np.abs(r - resonant_lambda) > 0.1
-    lam_samples = np.concatenate([[resonant_lambda], r[keep]])
-    b_base, b_mat, b2_base, b2_mat = _tunable_cost_matrices(
-        omega, tg, n_coeffs, lam_samples
-    )
-    # coefficients c = T x + e, with a_1 = (1 + 4 a0)/(2 pi) pinned to a0
+    pb, P, g2_base, g2 = _design_maps(omega, tg, n_coeffs, resonant_lambda,
+                                      r[np.abs(r - resonant_lambda) > 0.1])
     ndim = n_coeffs - 1
-    T = np.eye(n_coeffs, ndim, k=-1)
-    T[0, 0], T[1, 0] = 1.0, 4.0 / TWO_PI
-    e = np.eye(n_coeffs)[1] / TWO_PI
-    g2_base, g2 = b2_base[0] + b2_mat[0] @ e, b2_mat[0] @ T
-    pb, P = b_base[1:] + b_mat[1:] @ e, b_mat[1:] @ T
 
     def cost_and_grad(x):
         with np.errstate(over="ignore", invalid="ignore"):

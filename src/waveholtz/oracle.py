@@ -27,7 +27,6 @@ from .core import (
     norm2,
 )
 from .filters import beta_by_quadrature, modified_frequency, shifted_eigenvalue
-from .iteration import WaveHoltzConfig
 
 class ResonanceError(RuntimeError):
     """The shifted frequency coincides with an operator eigenvalue."""
@@ -196,11 +195,12 @@ def helmholtz_residual(problem: HelmholtzProblem, v: ScalarField,
     return norm2(r) / norm2(problem.forcing)
 
 
-def pi_apply_spectral(v: ScalarField, problem: HelmholtzProblem,
-                      config: WaveHoltzConfig) -> ScalarField:
+def pi_apply_spectral(v: ScalarField, problem: HelmholtzProblem, config) -> ScalarField:
     """Eigenspace implementation of the filtered-wave operator (leapfrog).
 
-    Expands v and f in sine modes and applies the exact per-mode affine map
+    ``config`` is a ``WaveHoltzConfig``, of which it reads ``scheme``,
+    ``schedule``, ``tg`` and ``spec``.  Expands v and f in sine modes and
+    applies the exact per-mode affine map
 
         out_j = (v_j - vinf_j) beta_h(lambda_tilde_j) + vinf_j beta_h(omega_d)
 

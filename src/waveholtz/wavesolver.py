@@ -167,8 +167,8 @@ def _prepared(problem: HelmholtzProblem, tg: TimeGrid, spec: FilterSpec, scheme:
     key, slot = (tg, spec, scheme), problem.prepared  # one read: see above
     if slot is not None and slot[0] == key:
         return slot[1]
-    weights = tg.eta() * filter_weights(spec, tg)
-    parts = (_products(problem, tg.dt, scheme), tuple(weights.tolist()), 2.0 * tg.dt / tg.T)
+    parts = (_products(problem, tg.dt, scheme), tuple(filter_weights(spec, tg).tolist()),
+             2.0 * tg.dt / tg.T)
     problem.prepared = (key, parts)
     return parts
 

@@ -131,8 +131,8 @@ def reference_states(p, x, sched, tg, scheme):
 
 def reference_evolve(p, x, sched, tg, spec, scheme):
     """The filtered average of ``reference_states``, accumulated step by step."""
-    weights = tg.eta() * filter_weights(spec, tg)
     acc = 0.0
-    for weight, y in zip(weights, reference_states(p, x, sched, tg, scheme)):
+    states = reference_states(p, x, sched, tg, scheme)
+    for weight, y in zip(filter_weights(spec, tg), states):
         acc = acc + weight * y
     return (2.0 * tg.dt / tg.T * acc).ravel()

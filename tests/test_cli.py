@@ -10,12 +10,15 @@ import pytest
 
 from waveholtz import iteration
 from waveholtz import (
+    FilterSpec,
     InstabilityError,
     ScalarField,
+    TimeGrid,
     UniformGrid,
     WaveHoltzConfig,
     cli,
     inner_product,
+    optimize_tunable_filter,
 )
 from waveholtz.cli import (
     ConfigError,
@@ -267,6 +270,36 @@ def test_cli_optimize_filter_path(tmp_path):
                  str(tmp_path / "out"), "--seed", "3"]) == 0
     summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
     assert len(summary) == 2
+
+
+def test_design_that_does_not_improve_falls_back_with_a_warning(tmp_path, monkeypatch,
+                                                               capsys):
+    # an optimizer that stops at its start point, the standard filter, with a
+    # zero gradient: the design converges but does not improve, so the
+    # standard filter comes back and the command warns and still runs
+    import scipy.optimize
+
+    def stalled(fun, x0, jac, **kwargs):
+        return scipy.optimize.OptimizeResult(x=x0.copy(), fun=fun(x0)[0],
+                                             jac=np.zeros_like(x0), message="stalled")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", stalled)
+    omega = 4.1 * math.pi
+    tg = TimeGrid(omega, 1, 91)
+    res = optimize_tunable_filter(omega, 4 * math.pi, 6, tg)
+    assert not res.improved
+    assert res.warning == "optimizer did not improve on the standard filter"
+    assert res.spec == FilterSpec.tunable(omega, a0=-0.25, a_rest=(0.0,) * 4)
+    assert res.cost == res.standard_cost
+
+    path = tmp_path / "opt.ini"
+    path.write_text(TUNABLE_CONFIG.format(
+        kind="optimize", reslam=4 * math.pi, omega=omega,
+        outdir=str(tmp_path / "out")).replace("fixed_point", "gmres"))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len((tmp_path / "out" / "summary.csv").read_text().splitlines()) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: optimizer did not improve on the standard filter"]
 
 
 def test_optimize_run_computes_the_box_spectrum_once(tmp_path, monkeypatch):

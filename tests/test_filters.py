@@ -13,7 +13,7 @@ from waveholtz import (
     optimize_tunable_filter,
     shifted_eigenvalue,
 )
-from waveholtz.filters import _tunable_cost_matrices
+from waveholtz.filters import _design_maps, filter_weights
 from waveholtz.iteration import WaveHoltzConfig
 from waveholtz.oracle import dirichlet_box_spectrum, g_factor
 
@@ -233,18 +233,17 @@ def test_filter_spec_frequencies():
 
 
 def _beta2(spec, lam, tg):
-    """beta''(lam) of a tunable spec from the filter design's linear rows."""
-    coeffs = np.array([spec.a0, *spec.a])
-    _, _, b2_base, b2_mat = _tunable_cost_matrices(spec.omegas[0], tg, coeffs.size,
-                                                   np.atleast_1d(lam))
-    return b2_base + b2_mat @ coeffs
+    """beta''(lam) of a tunable spec from the filter design's affine map."""
+    x = np.array([spec.a0, *spec.a[1:]])
+    _, _, g2_base, g2 = _design_maps(spec.omegas[0], tg, len(spec.a) + 1, lam, [])
+    return g2_base + g2 @ x
 
 
 def test_beta_second_derivative_standard_peak():
     omega = 2.0
     tg = TimeGrid(omega, 1, 4000)
     spec = FilterSpec.tunable(omega, a0=-0.25)  # the standard filter
-    (d2,) = _beta2(spec, omega, tg)
+    d2 = _beta2(spec, omega, tg)
     assert d2 < 0.0
     b1 = 0.5 * (0.5 + TWO_PI**2 / 3.0 - 1.0)
     assert d2 == pytest.approx(-2.0 * b1 / omega**2, rel=1e-5)
@@ -259,25 +258,25 @@ def test_beta_second_derivative_fd_oracle():
         fd = (beta_by_quadrature(lam + eps, spec, tg)
               - 2.0 * beta_by_quadrature(lam, spec, tg)
               + beta_by_quadrature(lam - eps, spec, tg)) / eps**2
-        assert _beta2(spec, lam, tg)[0] == pytest.approx(fd, abs=1e-5)
+        assert _beta2(spec, lam, tg) == pytest.approx(fd, abs=1e-5)
 
 
 def test_optimizer_linear_maps_match_public_evaluators():
-    # the design cost uses precomputed coefficient->beta maps; they must agree
-    # with beta_by_quadrature and the quadrature sum of beta'' for any tunable
+    # the design cost uses precomputed maps from the free coefficients
+    # x = (a0, a_2, ...) to beta and beta''; they must agree with
+    # beta_by_quadrature and the quadrature sum of beta'' for any tunable
     # spec: d^2/dlam^2 of cos(lam t) is -t^2 cos(lam t)
     omega = 4.1 * math.pi
     tg = TimeGrid(omega, 1, 91)
     lam = np.array([2.0, 4 * math.pi, 20.0, 45.0])
-    b_base, b_mat, b2_base, b2_mat = _tunable_cost_matrices(omega, tg, 5, lam)
     spec = FilterSpec.tunable(omega, a0=-0.13, a_rest=(0.04, -0.02, 0.01))
-    coeffs = np.array([spec.a0, *spec.a])
-    assert np.max(np.abs(b_base + b_mat @ coeffs
-                         - beta_by_quadrature(lam, spec, tg))) < 1e-14
-    t = tg.times()
-    beta2 = -(2.0 * tg.dt / tg.T) * (np.cos(np.outer(lam, t))
-                                     @ (tg.eta() * spec.weight(t) * t * t))
-    assert np.max(np.abs(b2_base + b2_mat @ coeffs - beta2)) < 1e-14
+    x = np.array([spec.a0, *spec.a[1:]])
+    t, scale = tg.times(), 2.0 * tg.dt / tg.T
+    for lam_res in lam:
+        pb, P, g2_base, g2 = _design_maps(omega, tg, 5, lam_res, lam)
+        assert np.max(np.abs(pb + P @ x - beta_by_quadrature(lam, spec, tg))) < 1e-14
+        beta2 = -scale * (np.cos(lam_res * t) @ (filter_weights(spec, tg) * t * t))
+        assert abs(g2_base + g2 @ x - beta2) < 1e-14
 
 
 def test_optimize_tunable_filter_improves_cost():
@@ -318,9 +317,8 @@ def _design_inputs(case):
 @pytest.mark.parametrize("case", ["n6", "c11"])
 def test_optimize_tunable_filter_reaches_stationary_point(case):
     # the cost w_d beta''(lam_res) + w_p sum |beta(r_j)|^20 is convex in the
-    # free coefficients (a0, a_2, ...), so a zero projected gradient is the
-    # global minimum; the gradient is taken in the full coefficients c and
-    # mapped by the chain rule through a_1 = (1 + 4 a0)/(2 pi)
+    # free coefficients x = (a0, a_2, ...), so a zero gradient is the global
+    # minimum
     args, kwargs = _design_inputs(case)
     omega, lam_res, n_coeffs, tg = args
     res = optimize_tunable_filter(*args, **kwargs)
@@ -328,18 +326,16 @@ def test_optimize_tunable_filter_reaches_stationary_point(case):
     spec = res.spec
     assert abs(spec.a0) < 0.5
 
-    r = np.linspace(0.0, kwargs.get("sample_hi", 4 * omega), kwargs["n_samples"])
+    r = np.linspace(0.0, kwargs.get("sample_hi", math.pi / tg.dt), kwargs["n_samples"])
     r = np.concatenate([r, kwargs.get("extra_penalty_points", [])])
-    r = r[np.abs(r - lam_res) > 0.1]
-    b_base, b_mat, b2_base, b2_mat = _tunable_cost_matrices(
-        omega, tg, n_coeffs, np.concatenate([[lam_res], r]))
-    c = np.array([spec.a0, *spec.a])
-    z = b_base[1:] + b_mat[1:] @ c
-    cost = 10.6 * (b2_base[0] + b2_mat[0] @ c) + 0.1 * np.sum(np.abs(z) ** 20)
+    pb, P, g2_base, g2 = _design_maps(omega, tg, n_coeffs, lam_res,
+                                      r[np.abs(r - lam_res) > 0.1])
+    x = np.array([spec.a0, *spec.a[1:]])
+    z = pb + P @ x
+    cost = 10.6 * (g2_base + g2 @ x) + 0.1 * np.sum(np.abs(z) ** 20)
     assert cost == pytest.approx(res.cost, rel=1e-12)
-    grad_c = 10.6 * b2_mat[0] + 0.1 * 20 * b_mat[1:].T @ (np.abs(z) ** 19 * np.sign(z))
-    grad_x = np.array([grad_c[0] + 4.0 / TWO_PI * grad_c[1], *grad_c[2:]])
-    assert np.max(np.abs(grad_x)) <= 1e-6 * max(1.0, abs(res.cost))
+    grad = 10.6 * g2 + 0.1 * 20 * P.T @ (np.abs(z) ** 19 * np.sign(z))
+    assert np.max(np.abs(grad)) <= 1e-6 * max(1.0, abs(res.cost))
 
 
 def test_optimize_tunable_filter_is_deterministic():
@@ -356,6 +352,23 @@ def test_optimize_tunable_filter_c11_beats_simplex_cost():
     res = optimize_tunable_filter(*args, **kwargs, seed=7)
     assert res.improved and res.warning is None
     assert res.cost <= -1.19
+
+
+@pytest.mark.parametrize("n_samples", [200, 400, 800])
+@pytest.mark.parametrize("n_coeffs", [12, 20])
+def test_optimize_tunable_filter_default_fence_is_whole_band(n_coeffs, n_samples):
+    # on t_n = n dt, beta_h is even and 2 pi/dt-periodic in lambda, so the
+    # default fence [0, pi/dt] bounds it on the whole real line; a fence at
+    # 4 omega let 12-term designs reach |beta_h| ~ 1.6e4 beyond it
+    omega = 4.1 * math.pi
+    tg = TimeGrid(omega, 1, 91)
+    res = optimize_tunable_filter(omega, 4 * math.pi, n_coeffs, tg, n_samples=n_samples)
+    assert res.improved and res.warning is None
+    assert np.max(np.abs(res.spec.a)) < 1.5
+    period = np.linspace(0.0, TWO_PI / tg.dt, 8001)
+    beta = beta_by_quadrature(period, res.spec, tg)
+    assert np.max(np.abs(beta - beta[::-1])) < 1e-10
+    assert np.max(np.abs(beta)) <= 1.0 + 1e-6
 
 
 def test_optimize_tunable_filter_unbounded_design_falls_back(recwarn):

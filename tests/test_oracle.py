@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from waveholtz import (
     solve,
     trapezoid_reference,
 )
+from waveholtz import oracle
 from waveholtz.core import _lap_values
 from waveholtz.iteration import as_affine_system
 from waveholtz.oracle import (
@@ -172,6 +175,26 @@ def test_direct_solve_resonance_guard():
     sd = dirichlet_box_spectrum(p)
     with pytest.raises(ResonanceError):
         direct_helmholtz_solve(p, float(sd.lambdas[2]))
+
+
+@pytest.mark.parametrize("csq, sides", [
+    (lambda x: 1.0 + 0.5 * np.sin(3.0 * x), ("neumann", "dirichlet")),
+    (lambda x: 1.0 + 0.3 * x, ("neumann", "neumann")),
+], ids=["sine-speed-mixed", "linear-speed-neumann"])
+def test_direct_solve_matches_gmres_without_closed_form(csq, sides):
+    # no closed-form spectrum covers these problems, so the resonance guard
+    # is skipped and the solve is checked against the WaveHoltz limit itself
+    p = problem_1d(omega=5.3, n=100, bc=sides, csq=csq(np.linspace(0.0, 1.0, 101)))
+    with pytest.raises(UnsupportedProblemError):
+        dirichlet_box_spectrum(p)
+    cfg = WaveHoltzConfig.build(p, tol=1e-12)
+    sigma = modified_frequency(cfg.tg.omega, cfg.tg.dt)
+    v = direct_helmholtz_solve(p, sigma)
+    ref, rep = solve(p, cfg, "gmres")
+    assert rep.converged
+    err = np.linalg.norm(v.values - ref.values) / np.linalg.norm(ref.values)
+    assert err < 1e-10
+    assert helmholtz_residual(p, v, sigma) < 1e-11
 
 
 def test_direct_solve_green_function_convergence():
@@ -337,3 +360,17 @@ def test_g_factor_bounds():
     assert np.all(g <= 1.0 - x**2 / 12.0 + 1e-14)
     assert np.all(g >= 1.0 - x**2 / math.pi**2 - 1e-14)
     assert g_factor(0.0) == 1.0
+
+
+def test_oracle_imports_only_core_and_filters():
+    # the oracle checks the wave solver, the iteration and the Krylov methods,
+    # so it is built from none of them
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    package = {m for m in imported if m.startswith((".", "waveholtz"))}
+    assert package == {".core", ".filters"}
