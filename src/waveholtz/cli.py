@@ -5,7 +5,8 @@ produces one summary CSV row per (omega, method), a residual-history CSV and
 a raw solution dump per run.  Floating point columns are serialised with 17
 significant digits so re-reading reproduces the exact doubles.
 
-Exit codes: 0 success, 2 config error, 3 non-converged run under --strict.
+Exit codes: 0 success, 2 config error, 3 non-converged run under --strict,
+4 solver error (an indefinite operator under CG or a non-finite wave solve).
 """
 
 from __future__ import annotations
@@ -48,10 +49,8 @@ class ConfigError(Exception):
     pass
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+def _fmt(x: float) -> str:
+    return f"{x:.17g}"
 
 
 # ---------------------------------------------------------------------------

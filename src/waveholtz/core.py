@@ -89,10 +89,7 @@ class UniformGrid:
         return self.lo[d] + np.arange(self.n[d] + 1) * self.h[d]
 
     def meshgrid(self):
-        axes = [self.axis_coords(d) for d in range(self.dim)]
-        if self.dim == 1:
-            return (axes[0],)
-        return np.meshgrid(*axes, indexing="ij")
+        return np.meshgrid(*(self.axis_coords(d) for d in range(self.dim)), indexing="ij")
 
 
 @dataclass

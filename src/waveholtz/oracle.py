@@ -49,8 +49,9 @@ def _require_constant_dirichlet(problem: HelmholtzProblem):
 class SpectralDecomposition:
     """Eigenpairs of the Dirichlet box stencil, sorted by eigenvalue.
 
-    lambdas[k] is the square root of the k-th eigenvalue; mode(k) evaluates
-    the matching sine (product) eigenvector on the grid.  order[k] is the
+    lambdas[k] is the square root of the k-th eigenvalue; mode(k) is the
+    matching sine (product) eigenvector on the grid, the inverse sine
+    transform of a unit coefficient at order[k].  order[k] is the
     flat interior index of that mode's wave numbers before sorting.  delta_h
     is the relative spectral gap min_j |lambda_j - omega| / omega.
     """
@@ -62,25 +63,14 @@ class SpectralDecomposition:
 
     def mode(self, k: int) -> ScalarField:
         grid = self.problem.grid
-        wave_numbers = np.add(np.unravel_index(self.order[k], [m - 1 for m in grid.n]), 1)
-        axes = []
-        for d, j in enumerate(wave_numbers):
-            x = grid.axis_coords(d)
-            L = grid.hi[d] - grid.lo[d]
-            axes.append(np.sin(j * math.pi * (x - grid.lo[d]) / L))
-        vals = axes[0] if grid.dim == 1 else np.outer(axes[0], axes[1])
-        return ScalarField(grid, vals)
-
-
-def _axis_sqrt_eigenvalues(problem: HelmholtzProblem, c: float, axis: int):
-    n = problem.grid.n[axis]
-    h = problem.grid.h[axis]
-    j = np.arange(1, n)
-    return c * (2.0 / h) * np.sin(j * math.pi / (2.0 * n))
+        coeffs = np.zeros([m - 1 for m in grid.n])
+        coeffs.flat[self.order[k]] = 1.0
+        return inverse_sine_transform(coeffs, grid)
 
 
 def _mode_lambda_grid(problem: HelmholtzProblem, c: float):
-    lam = [_axis_sqrt_eigenvalues(problem, c, d) for d in range(problem.grid.dim)]
+    lam = [c * (2.0 / h) * np.sin(np.arange(1, n) * math.pi / (2.0 * n))
+           for n, h in zip(problem.grid.n, problem.grid.h)]
     return lam[0] if len(lam) == 1 else np.sqrt(lam[0][:, None] ** 2 + lam[1] ** 2)
 
 

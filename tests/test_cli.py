@@ -200,6 +200,12 @@ def test_report_summary_empty_and_malformed(tmp_path):
     with pytest.raises(ConfigError, match=":2"):
         report_summary([bad])
 
+    # a value that does not parse names its line
+    nonnumeric = tmp_path / "nonnumeric.csv"
+    nonnumeric.write_text(empty.read_text() + "2.0,gmres,10,11,six,1,1,1,1e-11,0.5,,,0.1\n")
+    with pytest.raises(ConfigError, match=r"nonnumeric\.csv:2: invalid literal"):
+        report_summary([nonnumeric])
+
     # the header must match exactly, not by prefix
     extra = tmp_path / "extra.csv"
     extra.write_text(empty.read_text().replace("wall_time", "wall_time,note")
@@ -432,10 +438,18 @@ def _replace_line(text, old, new):
     .replace("periods = 1", "periods = 1\nscheme = leapfrog"),
     lambda t: _replace_line(t, "method = gmres", "method = cg")
     .replace("bc = dirichlet", "bc = impedance"),
+    lambda t: _replace_line(t, "lo = 0", "lo = 0 0"),
+    lambda t: _replace_line(t, "bc = dirichlet", "bc = dirichlet dirichlet neumann"),
+    lambda t: _replace_line(TUNABLE_CONFIG.format(kind="optimize", reslam=1.0, omega=2.0,
+                                                  outdir="out"), "resonant_lambda = 1.0\n", ""),
+    lambda t: _replace_line(t, "periods = 1", "periods = 1\n\n[filter]\nkind = gaussian"),
+    lambda t: _replace_line(t, "omegas = 1.22", "omegas ="),
 ], ids=["bc", "method", "restart", "omegas", "omegas-inf", "omegas-same-tag",
         "omegas-repeated", "n", "hi-inf", "periods",
         "krylov_max_iters", "misspelt-keys", "krylov_tol", "tunable-a0",
-        "optimize-at-resonance", "leapfrog-impedance", "cg-rk4"])
+        "optimize-at-resonance", "leapfrog-impedance", "cg-rk4", "lo-count",
+        "bc-three-tags-1d", "optimize-without-resonant_lambda", "filter-kind",
+        "omegas-empty"])
 def test_rejected_value_exits_2_before_any_wave_solve(tmp_path, capsys, monkeypatch, edit):
     solves = []
     evolve = iteration.evolve_and_filter

@@ -40,6 +40,8 @@ def test_grid_validation():
         UniformGrid.line(1.0, 0.0, 4)
     with pytest.raises(ValueError):
         UniformGrid((0.0,) * 3, (1.0,) * 3, (4,) * 3)
+    with pytest.raises(ValueError, match="same length"):
+        UniformGrid((0.0, 0.0), (1.0,), (4, 4))
 
 
 def test_laplacian_single_interior_node():

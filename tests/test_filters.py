@@ -79,6 +79,9 @@ def test_quadrature_exact_at_omega():
             spec = FilterSpec.standard(omega)
             tg = TimeGrid(omega, 1, M)
             assert beta_by_quadrature(omega, spec, tg) == pytest.approx(1.0, abs=1e-14)
+    # a filter built for another omega has no weights on this grid
+    with pytest.raises(ValueError, match="different omega"):
+        filter_weights(FilterSpec.standard(2.0), TimeGrid(2.0 + 1e-9, 1, 100))
 
 
 def test_quadrature_approaches_continuous_at_zero():
@@ -298,6 +301,8 @@ def test_optimize_tunable_filter_degenerate_line_search():
     res = optimize_tunable_filter(omega, 4 * math.pi, 2, tg, n_samples=150,
                                   seed=1)
     assert len(res.spec.a) == 1  # only the pinned a_1 remains
+    with pytest.raises(ValueError, match="n_coeffs >= 2"):
+        optimize_tunable_filter(omega, 4 * math.pi, 1, tg)
     assert res.cost <= res.standard_cost
 
 
@@ -389,3 +394,5 @@ def test_time_grid_invariants():
     assert tg.eta().sum() == pytest.approx(tg.steps)
     with pytest.raises(ValueError):
         TimeGrid(2.0, 0, 10)
+    with pytest.raises(ValueError, match="omega must be positive"):
+        TimeGrid(0.0, 1, 10)

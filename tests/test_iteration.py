@@ -574,6 +574,8 @@ def test_config_validation():
         WaveHoltzConfig.build(p, tol=0.0)
     with pytest.raises(ValueError):
         WaveHoltzConfig.build(p, max_iters=0)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        KrylovConfig(tol=0.0)
     with pytest.raises(ValueError):
         WaveHoltzConfig.build(p, scheme="verlet")
     with pytest.raises(ValueError):

@@ -389,6 +389,10 @@ def test_forcing_schedule_validation():
         ForcingSchedule([p.forcing], np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         ForcingSchedule([p.forcing, p.forcing], np.array([2.0, 1.0]))
+    with pytest.raises(ValueError, match="empty"):
+        ForcingSchedule([], np.array([]))
+    with pytest.raises(ValueError, match="share one grid"):
+        ForcingSchedule([p.forcing, problem_1d(n=12).forcing], np.array([1.0, 2.0]))
 
 
 def test_first_order_rhs_forced_matches_stencil(rng):
