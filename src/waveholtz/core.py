@@ -43,6 +43,8 @@ class UniformGrid:
     def __post_init__(self):
         object.__setattr__(self, "lo", tuple(float(a) for a in self.lo))
         object.__setattr__(self, "hi", tuple(float(b) for b in self.hi))
+        if any(m != int(m) for m in self.n):
+            raise ValueError(f"cell counts must be integers, got n={self.n}")
         object.__setattr__(self, "n", tuple(int(m) for m in self.n))
         if not (len(self.lo) == len(self.hi) == len(self.n)):
             raise ValueError("lo, hi and n must have the same length")
@@ -94,21 +96,21 @@ class UniformGrid:
 
 @dataclass
 class ScalarField:
-    """Nodal scalar data over every node of a grid (row-major)."""
+    """Nodal scalar data over every node of a grid: an array of the grid's
+    shape, or a flat one of ``num_nodes`` values in row-major order."""
 
     grid: UniformGrid
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape:
-            if self.values.size == self.grid.num_nodes:
-                self.values = self.values.reshape(self.grid.shape)
-            else:
-                raise GridMismatchError(
-                    f"field of size {self.values.size} does not fit grid "
-                    f"with {self.grid.num_nodes} nodes"
-                )
+        if self.values.shape == (self.grid.num_nodes,):
+            self.values = self.values.reshape(self.grid.shape)
+        elif self.values.shape != self.grid.shape:
+            raise GridMismatchError(
+                f"field of shape {self.values.shape} does not fit grid of shape "
+                f"{self.grid.shape} (or flat ({self.grid.num_nodes},))"
+            )
 
     @classmethod
     def zeros(cls, grid: UniformGrid) -> "ScalarField":
@@ -220,86 +222,54 @@ class HelmholtzProblem:
         return self._side_mask(IMPEDANCE) & ~self.dirichlet_mask
 
     @cached_property
-    def _csq_mid(self) -> list[np.ndarray]:
-        """Per axis, midpoint c^2 extended by one mirrored ghost value per end.
-
-        Along axis d the array has n[d] + 2 entries in that direction:
-        [m_1/2, m_1/2, m_3/2, ..., m_{n-1/2}, m_{n-1/2}].
-        """
-        out = []
-        for axis in range(self.grid.dim):
-            c = np.moveaxis(self.csq.values, axis, 0)
-            mid = 0.5 * (c[:-1] + c[1:])
-            out.append(np.moveaxis(np.concatenate([mid[:1], mid, mid[-1:]]), 0, axis))
-        return out
-
-    @cached_property
     def operator(self):
-        """(L, B) with ``_lap_values(self, w, v) = L @ w + B * v`` on flat values.
+        """(L, B): the stencil with its closures is ``L @ w + B * v`` on flat values.
 
-        L is DIA over all N nodes, on the stencil's 3 (1D) or 5 (2D) diagonals
-        in ascending offset order, probed with as many coloured vectors:
-        colour i mod 3, or (i + 2j) mod 5, differs across every stencil, so
-        each probe yields one entry per row (Curtis, Powell & Reid 1974).
-        Dirichlet rows are zero; impedance rows hold the closure at zero
-        velocity, and the length-N array B is the diagonal coupling of their
-        ghosts to the velocity.  Built on first use.
+        Along axis d, row i couples to node i -/+ 1 with ``-m/h_d^2``, m the
+        midpoint c^2 between them, and its diagonal gains ``(m_lo + m_hi)/h_d^2``.
+        A Neumann or impedance end mirrors the inner neighbour into its ghost,
+        so the ghost's coupling folds into that neighbour's and its midpoint
+        is that neighbour's.  An impedance ghost also carries
+        ``-2h (alpha/beta) v`` from ``alpha*v + beta*(n . D0 w) = 0``, so the
+        length-N array B holds ``2h (alpha/beta) m/h^2`` on impedance faces
+        (summed at a corner).  Dirichlet rows are zero.  L is DIA over all N
+        nodes, on the stencil's 3 (1D) or 5 (2D) diagonals in ascending
+        offset order.  Built on first use; see notes/decisions.md, "L's
+        diagonals in closed form".
         """
         from scipy.sparse import dia_matrix
 
-        dim, shape, n = self.grid.dim, self.grid.shape, self.grid.num_nodes
-        # flat offsets of the stencil neighbours, and each one's colour minus the row's
-        if dim == 1:
-            offsets, shifts = np.array([-1, 0, 1]), [2, 0, 1]
-        else:
-            offsets, shifts = np.array([-shape[1], -1, 0, 1, shape[1]]), [4, 3, 0, 2, 1]
-        colours, slot, rows = len(offsets), np.argsort(shifts), np.arange(n)
-        colour = (np.array([1, 2][:dim]) @ np.indices(shape).reshape(dim, -1)) % colours
-        data = np.zeros((colours, n))
-        for c in range(colours):  # data[k, i + offsets[k]]: the entry of row i there
-            k = slot[(c - colour) % colours]
-            col = _lap_values(self, (colour == c).reshape(shape) * 1.0).ravel()
-            data[k, (rows + offsets[k]) % n] = col  # 0 for a ghost outside the grid
-        L = dia_matrix((data, offsets), shape=(n, n))
-        return L, _lap_values(self, np.zeros(shape), np.ones(shape)).ravel()
+        grid, bcs, shape, mask = self.grid, self.bcs, self.grid.shape, self.dirichlet_mask
+        diag, B, lows, highs = np.zeros(shape), np.zeros(shape), [], []
+        for axis in range(grid.dim):  # arrays below are axis-first
+            c, h2 = np.moveaxis(self.csq.values, axis, 0), grid.h[axis] ** 2
+            mid = 0.5 * (c[:-1] + c[1:])
+            lo, hi = np.concatenate([mid[:1], mid]), np.concatenate([mid, mid[-1:]])
+            low, high, b = -(lo / h2), -(hi / h2), np.zeros(c.shape)
+            high[0] += low[0]  # each end's mirrored ghost folds into its inner
+            low[-1] += high[-1]  # neighbour (a Dirichlet row is zeroed below)
+            low[0] = high[-1] = 0.0  # no node lies beyond either end
+            for end in (0, 1):
+                if bcs.side(axis, end) == IMPEDANCE:
+                    ratio = bcs.impedance_alpha / bcs.impedance_beta
+                    b[-end] = lo[-end] * (2.0 * grid.h[axis] * ratio) / h2
+            diag += np.moveaxis((lo + hi) / h2, 0, axis)
+            B += np.moveaxis(b, 0, axis)
+            lows.append(np.moveaxis(low, 0, axis))
+            highs.insert(0, np.moveaxis(high, 0, axis))
+        strides = [math.prod(shape[axis + 1:]) for axis in range(grid.dim)]
+        offsets = np.array([-s for s in strides] + [0] + strides[::-1])
+        # data[k, i + offsets[k]] is row i's entry there; np.roll wraps the
+        # entries beyond an end, which are zero
+        data = np.array([np.roll(np.where(mask, 0.0, r).ravel(), k)
+                         for r, k in zip(lows + [diag] + highs, offsets)])
+        L = dia_matrix((data, offsets), shape=(grid.num_nodes,) * 2)
+        return L, np.where(mask, 0.0, B).ravel()
 
     def lambda_max_estimate(self) -> float:
         """Analytic bound 2*sqrt(sum_d c2_max/h_d^2) on the largest sqrt-eigenvalue."""
         c2max = float(self.csq.values.max())
         return 2.0 * math.sqrt(sum(c2max / hd**2 for hd in self.grid.h))
-
-
-def _lap_values(problem: HelmholtzProblem, w: np.ndarray, v=None) -> np.ndarray:
-    """Apply L (= -div(c^2 grad), stencil form) to raw node values.
-
-    One ghost node per end closes the stencil across each axis.  Neumann
-    mirrors the first interior neighbour.  Impedance substitutes the ghost
-    from ``alpha*v + beta*(n . D0 w) = 0`` (outflow-dissipative form), which
-    at either end reads ghost = inner_neighbour - 2h*(alpha/beta)*v; an
-    omitted ``v`` is zero velocity.  Dirichlet rows are always zeroed (their
-    ghosts are set to 0).
-    """
-    grid, bcs = problem.grid, problem.bcs
-    ratio = bcs.impedance_alpha / bcs.impedance_beta if not bcs.energy_conserving else 0.0
-    out = np.zeros_like(w)
-    for axis in range(grid.dim):
-        wa = np.moveaxis(w, axis, 0)
-        ghosts = []
-        for end, inner_idx, bdry_idx in ((0, 1, 0), (1, -2, -1)):
-            tag = bcs.side(axis, end)
-            if tag == NEUMANN or (tag == IMPEDANCE and v is None):
-                ghost = wa[inner_idx]
-            elif tag == IMPEDANCE:
-                vb = np.moveaxis(v, axis, 0)[bdry_idx]
-                ghost = wa[inner_idx] - 2.0 * grid.h[axis] * ratio * vb
-            else:
-                ghost = np.zeros_like(wa[inner_idx])
-            ghosts.append(ghost[None])
-        wext = np.moveaxis(np.concatenate([ghosts[0], wa, ghosts[1]]), 0, axis)
-        flux = problem._csq_mid[axis] * np.diff(wext, axis=axis)
-        out -= np.diff(flux, axis=axis) / grid.h[axis] ** 2
-    out[problem.dirichlet_mask] = 0.0
-    return out
 
 
 def apply_discrete_laplacian(problem: HelmholtzProblem, w: ScalarField) -> ScalarField:

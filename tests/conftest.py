@@ -9,8 +9,37 @@ from waveholtz import (
     as_affine_system,
 )
 from waveholtz.cli import forcing_presets
-from waveholtz.core import _lap_values
+from waveholtz.core import IMPEDANCE, NEUMANN
 from waveholtz.filters import filter_weights
+
+
+def reference_stencil(p, w, v=None):
+    """The test-side reference for L w + B v on raw node values, built
+    independently of ``p.operator``: per axis, one ghost node per end closes
+    the conservative stencil -D+(c2_mid D- w) with midpoints c2_mid computed
+    here.  Neumann mirrors the first interior neighbour.  Impedance
+    substitutes the ghost from ``alpha*v + beta*(n . D0 w) = 0``, i.e.
+    ghost = inner_neighbour - 2h*(alpha/beta)*v at either end; an omitted
+    ``v`` is zero velocity.  Dirichlet ghosts are 0 and Dirichlet rows are
+    zeroed."""
+    grid, bcs = p.grid, p.bcs
+    out = np.zeros_like(w)
+    for axis in range(grid.dim):
+        wa, c = np.moveaxis(w, axis, 0), np.moveaxis(p.csq.values, axis, 0)
+        mid = 0.5 * (c[:-1] + c[1:])
+        ghosts = []
+        for end, inner_idx, bdry_idx in ((0, 1, 0), (1, -2, -1)):
+            tag = bcs.side(axis, end)
+            ghost = wa[inner_idx] if tag in (NEUMANN, IMPEDANCE) else np.zeros_like(wa[0])
+            if tag == IMPEDANCE and v is not None:
+                ratio = bcs.impedance_alpha / bcs.impedance_beta
+                ghost = ghost - 2.0 * grid.h[axis] * ratio * np.moveaxis(v, axis, 0)[bdry_idx]
+            ghosts.append(ghost[None])
+        wext = np.concatenate([ghosts[0], wa, ghosts[1]])
+        flux = np.concatenate([mid[:1], mid, mid[-1:]]) * np.diff(wext, axis=0)
+        out -= np.moveaxis(np.diff(flux, axis=0), 0, axis) / grid.h[axis] ** 2
+    out[p.dirichlet_mask] = 0.0
+    return out
 
 
 def gaussian_forcing_1d(grid, omega):
@@ -93,7 +122,7 @@ def random_interior_field(grid, rng):
 
 
 def reference_states(p, x, sched, tg, scheme):
-    """The states y^0 .. y^steps of a plain loop over the stencil of _lap_values:
+    """The states y^0 .. y^steps of a plain loop over ``reference_stencil``:
     the displacement for leapfrog (started with zero velocity), the stacked
     (w, v) for rk4; ``sched`` None is unforced."""
     dt, shape, mask = tg.dt, p.grid.shape, p.dirichlet_mask
@@ -106,15 +135,15 @@ def reference_states(p, x, sched, tg, scheme):
 
     if scheme == "leapfrog":
         w = np.where(mask, 0.0, x.reshape(shape))
-        prev = w - 0.5 * dt * dt * (_lap_values(p, w) + drive(0.0))
+        prev = w - 0.5 * dt * dt * (reference_stencil(p, w) + drive(0.0))
         yield w
         for n in range(tg.steps):
-            w, prev = 2.0 * w - prev - dt * dt * (_lap_values(p, w) + drive(n * dt)), w
+            w, prev = 2.0 * w - prev - dt * dt * (reference_stencil(p, w) + drive(n * dt)), w
             yield w
     else:
         def f(w, v, t):
             return (np.where(mask, 0.0, v),
-                    np.where(mask, 0.0, -_lap_values(p, w, v) - drive(t)))
+                    np.where(mask, 0.0, -reference_stencil(p, w, v) - drive(t)))
 
         w, v = np.where(mask, 0.0, x.reshape(2, *shape))
         yield np.stack([w, v])

@@ -13,10 +13,9 @@ from waveholtz import (
     inner_product,
     norm2,
 )
-from waveholtz.core import _lap_values
 from waveholtz.oracle import assemble_operator
 
-from conftest import problem_1d, random_interior_field
+from conftest import problem_1d, random_interior_field, reference_stencil
 
 
 def test_grid_basics():
@@ -42,6 +41,12 @@ def test_grid_validation():
         UniformGrid((0.0,) * 3, (1.0,) * 3, (4,) * 3)
     with pytest.raises(ValueError, match="same length"):
         UniformGrid((0.0, 0.0), (1.0,), (4, 4))
+    # a fractional cell count is not truncated
+    with pytest.raises(ValueError, match="integers"):
+        UniformGrid.line(0.0, 1.0, 2.7)
+    with pytest.raises(ValueError, match="integers"):
+        UniformGrid.box(0.0, 1.0, (4, 5.5))
+    assert UniformGrid.line(0.0, 1.0, 4.0).n == (4,)
 
 
 def test_laplacian_single_interior_node():
@@ -75,7 +80,7 @@ def test_laplacian_sine_eigenvectors():
         lw = apply_discrete_laplacian(p, ScalarField(p.grid, phi))
         assert np.max(np.abs(lw.values - lam2 * phi)) < 1e-12 * lam2
         # the assembled operator agrees with the stencil itself
-        assert np.max(np.abs(M @ phi[free] - _lap_values(p, phi)[free])) < 1e-11
+        assert np.max(np.abs(M @ phi[free] - reference_stencil(p, phi)[free])) < 1e-11
 
 
 def test_laplacian_linearity(rng):
@@ -177,6 +182,18 @@ def test_grid_mismatch_errors():
     p = problem_1d(n=10)
     with pytest.raises(GridMismatchError):
         apply_discrete_laplacian(p, b)
+
+
+def test_field_takes_only_the_grid_shape_or_flat_values():
+    g = UniformGrid.box((0.0, 0.0), (1.0, 1.0), (4, 7))  # shape (5, 8)
+    vals = np.arange(40.0)
+    assert np.array_equal(ScalarField(g, vals).values[1], vals[8:16])
+    assert np.array_equal(ScalarField(g, vals.reshape(5, 8)).values, vals.reshape(5, 8))
+    # the transposed layout has the right size but would be read scrambled
+    with pytest.raises(GridMismatchError, match=r"\(8, 5\).*\(5, 8\)"):
+        ScalarField(g, vals.reshape(8, 5))
+    with pytest.raises(GridMismatchError):
+        ScalarField(g, vals.reshape(1, 40))
 
 
 def test_forcing_zeroed_on_dirichlet_nodes():

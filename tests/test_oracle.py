@@ -30,7 +30,6 @@ from waveholtz import (
     trapezoid_reference,
 )
 from waveholtz import oracle
-from waveholtz.core import _lap_values
 from waveholtz.iteration import as_affine_system
 from waveholtz.oracle import (
     UnsupportedProblemError,
@@ -40,7 +39,13 @@ from waveholtz.oracle import (
     sine_transform,
 )
 
-from conftest import affine_pi, problem_1d, problem_2d, random_interior_field
+from conftest import (
+    affine_pi,
+    problem_1d,
+    problem_2d,
+    random_interior_field,
+    reference_stencil,
+)
 
 
 def test_spectrum_single_mode():
@@ -138,7 +143,7 @@ def test_assemble_matches_apply(rng):
         v.values[~p.dirichlet_mask] = rng.standard_normal(int((~p.dirichlet_mask).sum()))
         v.values[p.dirichlet_mask] = 0.0
         # the stencil itself, not apply_discrete_laplacian (which reads M too)
-        lw = _lap_values(p, v.values)
+        lw = reference_stencil(p, v.values)
         got = M @ v.values.ravel()[free]
         assert np.max(np.abs(got - lw.ravel()[free])) < 1e-11
 

@@ -26,9 +26,8 @@ from waveholtz import (
     shifted_eigenvalue,
     solve,
 )
-from waveholtz.core import _lap_values
 
-from conftest import problem_1d, reference_evolve
+from conftest import problem_1d, reference_evolve, reference_stencil
 
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True)
 SIDES = st.sampled_from(["dirichlet", "neumann"])
@@ -151,12 +150,17 @@ def test_assembled_operator_matches_stencil(seed, dim, n, sides, alpha):
     p, rng = _random_box(seed, dim, n, sides, alpha)
     L, B = p.operator
     w, v = rng.standard_normal((2, *p.grid.shape))
-    ref = _lap_values(p, w, v).ravel()
+    ref = reference_stencil(p, w, v).ravel()
     got = L @ w.ravel() + B * v.ravel()
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
     # an omitted v is zero velocity, impedance rows included
-    ref = _lap_values(p, w).ravel()
+    ref = reference_stencil(p, w).ravel()
     assert np.linalg.norm(L @ w.ravel() - ref) <= 1e-13 * np.linalg.norm(ref)
+    # column by column, L and B are the reference exactly
+    zero = np.zeros(p.grid.shape)
+    for e in np.eye(p.grid.num_nodes):
+        assert np.array_equal(L @ e, reference_stencil(p, e.reshape(zero.shape)).ravel())
+        assert np.array_equal(B * e, reference_stencil(p, zero, e.reshape(zero.shape)).ravel())
     # the stored diagonals are the stencil's 2 dim + 1, each zero on Dirichlet rows
     stencil = [-1, 0, 1] if dim == 1 else [-p.grid.shape[1], -1, 0, 1, p.grid.shape[1]]
     assert L.offsets.tolist() == stencil

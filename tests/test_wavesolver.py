@@ -22,10 +22,16 @@ from waveholtz import (
     modified_frequency,
     shifted_eigenvalue,
 )
-from waveholtz.core import _lap_values, apply_discrete_laplacian
+from waveholtz.core import apply_discrete_laplacian
 from waveholtz import wavesolver
 
-from conftest import problem_1d, problem_2d, random_interior_field, reference_states
+from conftest import (
+    problem_1d,
+    problem_2d,
+    random_interior_field,
+    reference_states,
+    reference_stencil,
+)
 
 
 def _eigenmode(problem, j):
@@ -400,7 +406,7 @@ def test_first_order_rhs_forced_matches_stencil(rng):
     w, v = rng.standard_normal((2, p.grid.num_nodes))
     st = WaveState(ScalarField(p.grid, w), ScalarField(p.grid, v))
     dw, dv = first_order_rhs(st, 0.3, ForcingSchedule.single(p), p)
-    expect = -_lap_values(p, w, v) - math.cos(0.6) * p.forcing.values
+    expect = -reference_stencil(p, w, v) - math.cos(0.6) * p.forcing.values
     expect[-1] = 0.0
     assert np.max(np.abs(dv.values - expect)) < 1e-12 * np.max(np.abs(expect))
     assert np.array_equal(dw.values, np.where(p.dirichlet_mask, 0.0, v))
