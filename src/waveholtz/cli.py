@@ -21,12 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    BoundarySpec,
-    HelmholtzProblem,
-    ScalarField,
-    UniformGrid,
-)
+from .core import BoundarySpec, HelmholtzProblem, ScalarField, UniformGrid, check_frequencies
 from .filters import (
     FilterSpec,
     fixed_point_rate_bound,
@@ -179,9 +174,7 @@ def parse_config(path) -> RunConfig:
                            get("problem", "impedance_alpha", math.sqrt(0.5), cp.getfloat))
         n = get("problem", "n", "auto").strip()
 
-        method = get("solver", "method", "fixed_point")
-        if method not in ("fixed_point", "gmres", "cg"):
-            raise ConfigError(f"unknown method {method!r}")
+        method = get("solver", "method", "fixed_point")  # KrylovConfig checks the others
         tol = get("solver", "tol", 1e-10, cp.getfloat)
         max_iters = get("solver", "max_iters", 1000, cp.getint)
         restart = get("solver", "restart", 100, cp.getint)
@@ -206,10 +199,7 @@ def parse_config(path) -> RunConfig:
             raise ConfigError(f"unknown filter kind {kind!r}")
 
         omegas = _parse_omegas(get("sweep", "omegas", ""))
-        if not omegas:
-            raise ConfigError("sweep block lists no frequencies")
-        if not all(0 < w < math.inf for w in omegas):
-            raise ConfigError("sweep frequencies must be positive and finite")
+        check_frequencies(sorted(omegas), "sweep frequencies")  # any order, no repeats
         tags = [_omega_tag(w) for w in omegas]
         if len(set(tags)) < len(tags):  # the tag names each run's files
             raise ConfigError("sweep frequencies must differ within 6 significant digits")

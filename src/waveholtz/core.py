@@ -1,4 +1,4 @@
-"""Grids, scalar fields, boundary specifications and the discrete wave operator.
+"""Grids, fields, boundary specs, the wave operator, and one rule per kind of input.
 
 Fields live on uniform Cartesian node grids (boundary nodes included) and the
 spatial operator is the conservative second-order stencil
@@ -24,6 +24,27 @@ IMPEDANCE = "impedance"
 _TAGS = (DIRICHLET, NEUMANN, IMPEDANCE)
 
 
+def check_count(value, name: str, minimum: int = 1) -> int:
+    """An integer (an integral float too) of at least ``minimum``, as an int."""
+    if not (math.isfinite(value) and value == int(value) and value >= minimum):
+        raise ValueError(f"counts are integers: need {name} >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def check_frequencies(omegas, name: str) -> tuple[float, ...]:
+    """A non-empty list with 0 < w_0 < w_1 < ... < inf, as floats."""
+    w = tuple(float(x) for x in omegas)
+    if not (w and all(a < b for a, b in zip((0.0, *w), (*w, math.inf)))):
+        raise ValueError(f"{name} must be positive and finite, and strictly increasing "
+                         f"if several, got {w or 'an empty list'}")
+    return w
+
+
+def check_tolerance(tol: float):
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 class GridMismatchError(ValueError):
     """Raised when fields defined on different grids are combined."""
 
@@ -43,18 +64,13 @@ class UniformGrid:
     def __post_init__(self):
         object.__setattr__(self, "lo", tuple(float(a) for a in self.lo))
         object.__setattr__(self, "hi", tuple(float(b) for b in self.hi))
-        if any(m != int(m) for m in self.n):
-            raise ValueError(f"cell counts must be integers, got n={self.n}")
-        object.__setattr__(self, "n", tuple(int(m) for m in self.n))
+        object.__setattr__(self, "n", tuple(check_count(m, "n", 2) for m in self.n))
         if not (len(self.lo) == len(self.hi) == len(self.n)):
             raise ValueError("lo, hi and n must have the same length")
         if self.dim not in (1, 2):
             raise ValueError(f"only 1D and 2D grids are supported, got dim={self.dim}")
-        for a, b, m in zip(self.lo, self.hi, self.n):
-            if m < 2:
-                raise ValueError("need at least 2 cells per dimension")
-            if not (math.isfinite(a) and math.isfinite(b) and b > a):
-                raise ValueError("grid extents must be finite with hi > lo")
+        if not all(-math.inf < a < b < math.inf for a, b in zip(self.lo, self.hi)):
+            raise ValueError("grid extents must be finite with hi > lo")
 
     @classmethod
     def line(cls, lo, hi, n):
@@ -196,10 +212,11 @@ class HelmholtzProblem:
             raise GridMismatchError("csq/forcing grids do not match the problem grid")
         if self.bcs.dim != self.grid.dim:
             raise ValueError("boundary spec dimension does not match grid")
-        if not 0 < self.omega < math.inf:
-            raise ValueError("omega must be positive and finite")
+        check_frequencies((self.omega,), "omega")
         if not np.all((self.csq.values > 0) & np.isfinite(self.csq.values)):
             raise ValueError("c^2 must be finite and strictly positive everywhere")
+        if not np.all(np.isfinite(self.forcing.values)):
+            raise ValueError("forcing must be finite everywhere")
         f = self.forcing.values.copy()
         f[self.dirichlet_mask] = 0.0
         self.forcing = ScalarField(self.grid, f)

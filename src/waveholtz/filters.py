@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_count, check_frequencies
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -35,10 +37,9 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
-        if self.periods < 1 or self.steps < 2:
-            raise ValueError("need at least 1 period and 2 steps")
+        check_frequencies((self.omega,), "omega")
+        check_count(self.periods, "periods")
+        check_count(self.steps, "steps", 2)
 
     @property
     def T(self) -> float:
@@ -76,10 +77,10 @@ class FilterSpec:
     a: tuple[float, ...] = ()
 
     def __post_init__(self):
-        omegas = tuple(float(w) for w in self.omegas)
+        omegas = check_frequencies(self.omegas, "filter frequencies")
         object.__setattr__(self, "omegas", omegas)  # hashable, whatever was passed
-        if not omegas or not omegas[0] > 0 or any(b <= a for a, b in zip(omegas, omegas[1:])):
-            raise ValueError("filter frequencies must be positive and strictly increasing")
+        if not np.all(np.isfinite((self.a0, *self.a))):
+            raise ValueError("filter coefficients must be finite")
         if len(omegas) > 1 and (self.a or self.a0 != -0.25):
             raise ValueError("a multi-frequency filter is the standard one: "
                              "a0 = -1/4 and no sine terms")
@@ -242,8 +243,7 @@ def optimize_tunable_filter(
     """
     from scipy.optimize import minimize
 
-    if n_coeffs < 2:
-        raise ValueError("need n_coeffs >= 2 (a0 plus at least the pinned a_1)")
+    n_coeffs = check_count(n_coeffs, "n_coeffs", 2)  # a0 and the pinned a_1
     if abs(resonant_lambda - omega) < 1e-12 * omega:
         raise ValueError("resonant_lambda must differ from omega")
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NEUMANN, HelmholtzProblem, ScalarField, WaveState
+from .core import (NEUMANN, HelmholtzProblem, ScalarField, WaveState, check_count,
+                   check_tolerance)
 from .filters import FilterSpec, TimeGrid
 from .krylov import (
     IterationReport,
@@ -49,10 +50,8 @@ class WaveHoltzConfig:
     schedule: ForcingSchedule | None = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        check_tolerance(self.tol)
+        self.max_iters = check_count(self.max_iters, "max_iters")
         if self.scheme not in ("leapfrog", "rk4"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
@@ -88,8 +87,8 @@ class WaveHoltzConfig:
         filtering at omega_bar then makes the limit solve the unmodified
         discrete equation at omega.  Leapfrog and the default drive only.
         """
-        if periods < 1 or (steps is not None and steps < 2):
-            raise ValueError("need at least 1 period and 2 steps")
+        periods = check_count(periods, "periods")
+        steps = None if steps is None else check_count(steps, "steps", 2)
         if scheme is None:
             scheme = "leapfrog" if problem.bcs.energy_conserving else "rk4"
         if scheme == "leapfrog" and not problem.bcs.energy_conserving:
@@ -190,8 +189,6 @@ def solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
     Returns (iterate, report); for rk4 the iterate is a WaveState whose
     displacement is the Helmholtz solution.
     """
-    if method not in ("fixed_point", "gmres", "cg"):
-        raise ValueError(f"unknown method {method!r}")
     if krylov is not None and krylov.method != method:
         raise ValueError(f"a KrylovConfig for {krylov.method!r} cannot drive {method!r}")
     if method == "cg" and config.scheme == "rk4":

@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 
+from .core import check_count, check_tolerance
+
 
 class IndefiniteOperatorError(RuntimeError):
     """CG met a search direction with nonpositive curvature."""
@@ -34,12 +36,11 @@ class KrylovConfig:
     max_iters: int = 1000
 
     def __post_init__(self):
-        if self.restart < 1:
-            raise ValueError("restart must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if self.method not in ("gmres", "cg"):
+            raise ValueError(f"unknown method {self.method!r}, not gmres or cg")
+        self.restart = check_count(self.restart, "restart")
+        self.max_iters = check_count(self.max_iters, "max_iters")
+        check_tolerance(self.tol)
 
 
 @dataclass

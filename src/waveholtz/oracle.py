@@ -24,6 +24,7 @@ from .core import (
     ScalarField,
     WaveState,
     apply_discrete_laplacian,
+    check_count,
     norm2,
 )
 from .filters import beta_by_quadrature, modified_frequency, shifted_eigenvalue
@@ -251,8 +252,7 @@ class TrapezoidReference:
 
 
 def trapezoid_reference(alpha: float, M: int) -> TrapezoidReference:
-    if M < 1:
-        raise ValueError("need at least one step")
+    M = check_count(M, "M")
     h = 1.0 / M
     if abs(h * alpha) > math.pi:
         raise ValueError(f"|alpha/M| = {abs(h * alpha):.6g} must be <= pi")

@@ -26,7 +26,8 @@ from functools import cache, partial
 
 import numpy as np
 
-from .core import GridMismatchError, HelmholtzProblem, ScalarField, WaveState
+from .core import (GridMismatchError, HelmholtzProblem, ScalarField, WaveState,
+                   check_frequencies)
 from .filters import FilterSpec, TimeGrid, filter_weights
 
 
@@ -42,17 +43,11 @@ class ForcingSchedule:
     omegas: np.ndarray
 
     def __post_init__(self):
-        self.omegas = np.asarray(self.omegas, dtype=float)
+        self.omegas = np.array(check_frequencies(self.omegas, "forcing frequencies"))
         if len(self.forcings) != len(self.omegas):
             raise ValueError("need one forcing field per frequency")
-        if len(self.forcings) == 0:
-            raise ValueError("empty forcing schedule")
-        grid = self.forcings[0].grid
-        for f in self.forcings:
-            if f.grid != grid:
-                raise GridMismatchError("all forcings must share one grid")
-        if np.any(np.diff(self.omegas) <= 0):
-            raise ValueError("frequencies must be strictly increasing")
+        if any(f.grid != self.forcings[0].grid for f in self.forcings):
+            raise GridMismatchError("all forcings must share one grid")
 
     @classmethod
     def single(cls, problem: HelmholtzProblem):
@@ -291,7 +286,7 @@ def evolve_and_filter(x: np.ndarray, schedule: ForcingSchedule | None,
             abs(d - f) > 1e-12 * f for d, f in zip(schedule.omegas, spec.omegas))):
         raise ValueError("the schedule drives other frequencies than the filter's")
     products, w, scale = _prepared(problem, tg, spec, scheme)
-    wanted = {int(s) for s in sample_steps} if sample_steps else set()
+    wanted = set() if sample_steps is None else {int(s) for s in sample_steps}
     if wanted and (min(wanted) < 0 or max(wanted) > tg.steps):
         raise ValueError("sample steps outside the time grid")
     y = np.where(problem.dirichlet_mask.ravel(), 0.0, x.reshape(parts, -1)).ravel()

@@ -163,6 +163,8 @@ def test_forcing_preset_values():
         forcing_presets("bogus", g, om)
     with pytest.raises(ConfigError):
         forcing_presets("gaussian2d", g, om)
+    with pytest.raises(ConfigError, match="1D grid"):
+        forcing_presets("gaussian1d", g2, om)
 
 
 def test_csq_presets():
@@ -173,6 +175,10 @@ def test_csq_presets():
     assert lens.values[0, 0] == pytest.approx(1.0, abs=1e-6)
     const = csq_presets("constant", g, value=2.5)
     assert np.all(const.values == 2.5)
+    with pytest.raises(ConfigError, match="2D grid"):
+        csq_presets("lens2d", UniformGrid.line(0.0, 1.0, 16))
+    with pytest.raises(ConfigError, match="unknown csq preset"):
+        csq_presets("bogus", g)
 
 
 def test_report_summary_synthetic_slope(tmp_path):
@@ -444,12 +450,19 @@ def _replace_line(text, old, new):
                                                   outdir="out"), "resonant_lambda = 1.0\n", ""),
     lambda t: _replace_line(t, "periods = 1", "periods = 1\n\n[filter]\nkind = gaussian"),
     lambda t: _replace_line(t, "omegas = 1.22", "omegas ="),
+    lambda t: _replace_line(t, "tol = 1e-10", "tol = nan"),
+    lambda t: _replace_line(t, "tol = 1e-10", "tol = inf"),
+    lambda t: _replace_line(t, "tol = 1e-10", "tol = nan")
+    .replace("method = gmres", "method = fixed_point"),
+    lambda t: _replace_line(TUNABLE_CONFIG.format(kind="tunable", reslam=1.0, omega=2.0,
+                                                  outdir="out"),
+                            "a = 0.05, -0.02", "a = 0.1 nan"),
 ], ids=["bc", "method", "restart", "omegas", "omegas-inf", "omegas-same-tag",
         "omegas-repeated", "n", "hi-inf", "periods",
         "krylov_max_iters", "misspelt-keys", "krylov_tol", "tunable-a0",
         "optimize-at-resonance", "leapfrog-impedance", "cg-rk4", "lo-count",
         "bc-three-tags-1d", "optimize-without-resonant_lambda", "filter-kind",
-        "omegas-empty"])
+        "omegas-empty", "tol-nan", "tol-inf", "tol-nan-fixed-point", "a-nan"])
 def test_rejected_value_exits_2_before_any_wave_solve(tmp_path, capsys, monkeypatch, edit):
     solves = []
     evolve = iteration.evolve_and_filter

@@ -9,6 +9,7 @@ from waveholtz import (
     HelmholtzProblem,
     ScalarField,
     UniformGrid,
+    WaveState,
     apply_discrete_laplacian,
     inner_product,
     norm2,
@@ -46,6 +47,8 @@ def test_grid_validation():
         UniformGrid.line(0.0, 1.0, 2.7)
     with pytest.raises(ValueError, match="integers"):
         UniformGrid.box(0.0, 1.0, (4, 5.5))
+    with pytest.raises(ValueError, match="integers"):  # not an OverflowError
+        UniformGrid.line(0.0, 1.0, math.inf)
     assert UniformGrid.line(0.0, 1.0, 4.0).n == (4,)
 
 
@@ -182,6 +185,12 @@ def test_grid_mismatch_errors():
     p = problem_1d(n=10)
     with pytest.raises(GridMismatchError):
         apply_discrete_laplacian(p, b)
+    with pytest.raises(GridMismatchError, match="csq/forcing"):
+        HelmholtzProblem(p.grid, p.csq, b, 1.0, p.bcs)
+    with pytest.raises(ValueError, match="dimension"):
+        HelmholtzProblem(p.grid, p.csq, p.forcing, 1.0, BoundarySpec.all_dirichlet(2))
+    with pytest.raises(GridMismatchError, match="same grid"):
+        WaveState(a, b)
 
 
 def test_field_takes_only_the_grid_shape_or_flat_values():

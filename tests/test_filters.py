@@ -222,9 +222,12 @@ def test_tunable_invariants():
 def test_filter_spec_frequencies():
     # positive, strictly increasing frequencies; several of them make the
     # standard weight sum_i cos(omega_i t) - 1/4, with no tunable terms
-    for omegas in [(), (0.0,), (2.0, 1.0), (1.0, 1.0), (1.0, 3.0, 2.0)]:
+    for omegas in [(), (0.0,), (2.0, 1.0), (1.0, 1.0), (1.0, 3.0, 2.0), (math.inf,),
+                   (5.0, math.nan)]:
         with pytest.raises(ValueError, match="increasing"):
             FilterSpec(omegas)
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        FilterSpec.tunable(5.0, -0.25, (math.nan,))
     tunable = FilterSpec.tunable(1.0, a0=-0.1)
     for a0, a in [(-0.25, (0.0,)), (-0.1, ()), (tunable.a0, tunable.a)]:
         with pytest.raises(ValueError, match="multi-frequency"):
@@ -394,5 +397,9 @@ def test_time_grid_invariants():
     assert tg.eta().sum() == pytest.approx(tg.steps)
     with pytest.raises(ValueError):
         TimeGrid(2.0, 0, 10)
-    with pytest.raises(ValueError, match="omega must be positive"):
-        TimeGrid(0.0, 1, 10)
+    for omega in (0.0, math.nan, math.inf):  # inf would give dt = 0
+        with pytest.raises(ValueError, match="omega must be positive"):
+            TimeGrid(omega, 1, 10)
+    for periods, steps in [(1.5, 10), (1, 10.5), (1, math.inf)]:
+        with pytest.raises(ValueError, match="integers"):
+            TimeGrid(2.0, periods, steps)

@@ -8,6 +8,7 @@ import pytest
 from waveholtz import (
     FilterSpec,
     ForcingSchedule,
+    HelmholtzProblem,
     IndefiniteOperatorError,
     IterationReport,
     KrylovConfig,
@@ -584,6 +585,26 @@ def test_config_validation():
         WaveHoltzConfig.build(problem_1d(n=20, bc="impedance"), scheme="leapfrog")
     with pytest.raises(ValueError, match="positive and finite"):
         problem_1d(omega=math.inf, forcing="none")
+    # a NaN forcing is refused at construction, not by the first wave solve
+    f = p.forcing.values.copy()
+    f[5] = math.nan
+    with pytest.raises(ValueError, match="forcing must be finite"):
+        HelmholtzProblem(p.grid, p.csq, ScalarField(p.grid, f), p.omega, p.bcs)
+    # non-finite tolerances, fractional counts and unknown Krylov methods are
+    # refused before any wave solve
+    for kwargs in [dict(tol=math.nan), dict(tol=math.inf)]:
+        with pytest.raises(ValueError, match="tol must be positive"):
+            KrylovConfig(**kwargs)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        WaveHoltzConfig.build(p, tol=math.nan)
+    for kwargs in [dict(restart=2.5), dict(max_iters=2.5)]:
+        with pytest.raises(ValueError, match="integers"):
+            KrylovConfig(**kwargs)
+    for kwargs in [dict(periods=1.5), dict(steps=200.5), dict(max_iters=2.5)]:
+        with pytest.raises(ValueError, match="integers"):
+            WaveHoltzConfig.build(p, **kwargs)
+    with pytest.raises(ValueError, match="unknown method 'bicgstab'"):
+        KrylovConfig(method="bicgstab")
 
 
 def test_build_rejects_an_unstable_leapfrog_dt(monkeypatch):

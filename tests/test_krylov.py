@@ -5,6 +5,7 @@ import pytest
 
 from waveholtz import (
     IndefiniteOperatorError,
+    IterationReport,
     KrylovConfig,
     LinearOperator,
     cg_solve,
@@ -76,6 +77,8 @@ def test_gmres_zero_rhs(method):
     x, rep = method(A, np.zeros(4), KrylovConfig())
     assert rep.converged and not np.any(x)
     assert rep.measured_rate == 1.0  # a one-entry history has no ratio
+    with pytest.raises(ValueError, match="non-empty"):  # an empty one is refused
+        IterationReport([], 0, True, 0.0)
 
 
 def test_gmres_operator_count_accounting(rng):

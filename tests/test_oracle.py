@@ -118,6 +118,8 @@ def test_spectrum_rejects_unsupported():
                          BoundarySpec.all_dirichlet(1))
     with pytest.raises(UnsupportedProblemError):
         dirichlet_box_spectrum(p)
+    with pytest.raises(UnsupportedProblemError, match="energy-conserving"):
+        assemble_operator(problem_1d(n=10, bc="impedance"))
 
 
 def test_sine_transform_round_trip(rng):
@@ -297,6 +299,8 @@ def test_pi_spectral_matches_time_stepping(rng):
     sched = ForcingSchedule([random_interior_field(p.grid, rng)], [p.omega])
     with pytest.raises(UnsupportedProblemError, match="problem.forcing"):
         pi_apply_spectral(v, p, WaveHoltzConfig.build(p, schedule=sched))
+    with pytest.raises(UnsupportedProblemError, match="leapfrog only"):
+        pi_apply_spectral(v, p, WaveHoltzConfig.build(p, scheme="rk4"))
 
 
 def test_pi_spectral_matches_time_stepping_2d(rng):
@@ -356,6 +360,8 @@ def test_trapezoid_closed_form_matches_direct(rng):
 def test_trapezoid_domain_error():
     with pytest.raises(ValueError):
         trapezoid_reference(100.0, 10)
+    with pytest.raises(ValueError, match="M >= 1"):
+        trapezoid_reference(1.0, 0)
 
 
 def test_g_factor_bounds():

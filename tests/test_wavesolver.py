@@ -9,6 +9,7 @@ from waveholtz import (
     BoundarySpec,
     FilterSpec,
     ForcingSchedule,
+    GridMismatchError,
     HelmholtzProblem,
     InstabilityError,
     ScalarField,
@@ -218,6 +219,8 @@ def test_first_order_rhs_zero():
     st = WaveState.zeros(p.grid)
     dw, dv = first_order_rhs(st, 0.0, None, p)
     assert not np.any(dw.values) and not np.any(dv.values)
+    with pytest.raises(GridMismatchError):  # a state on another grid
+        first_order_rhs(WaveState.zeros(problem_1d(n=21).grid), 0.0, None, p)
 
 
 def test_first_order_rhs_dirichlet_matches_laplacian(rng):
@@ -360,6 +363,8 @@ def test_evolve_and_filter_rk4_filters_both_components(rng):
     # a displacement-only iterate is not an rk4 state
     with pytest.raises(ValueError):
         evolve_and_filter(np.zeros(p.grid.num_nodes), sched, p, tg, spec, "rk4")
+    with pytest.raises(ValueError, match="unknown scheme"):
+        evolve_and_filter(np.zeros(p.grid.num_nodes), sched, p, tg, spec, "verlet")
 
 
 def test_evolve_samples_are_trajectory_points():
@@ -373,6 +378,11 @@ def test_evolve_samples_are_trajectory_points():
                                    sample_steps=[0, 3, steps])
     assert set(samples) == {0, 3, steps}
     assert not np.any(samples[0])
+    # index arrays are requests too, of one step or of several
+    for wanted in (np.array([0]), np.array([1, 2])):
+        _, samples = evolve_and_filter(v0, sched, p, tg, spec, "leapfrog",
+                                       sample_steps=wanted)
+        assert set(samples) == set(wanted.tolist())
     with pytest.raises(ValueError):
         evolve_and_filter(v0, sched, p, tg, spec, "leapfrog",
                           sample_steps=[steps + 1])
@@ -397,6 +407,9 @@ def test_forcing_schedule_validation():
         ForcingSchedule([p.forcing, p.forcing], np.array([2.0, 1.0]))
     with pytest.raises(ValueError, match="empty"):
         ForcingSchedule([], np.array([]))
+    for omega in (0.0, -3.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ForcingSchedule([p.forcing], np.array([omega]))
     with pytest.raises(ValueError, match="share one grid"):
         ForcingSchedule([p.forcing, problem_1d(n=12).forcing], np.array([1.0, 2.0]))
 
