@@ -149,8 +149,8 @@ def parse_config(path) -> RunConfig:
     """Read and check an INI config before any solve.
 
     A bad value, a key this function does not read (in any section), or an
-    empty sweep raises ConfigError.  Values that are only checked against a
-    frequency (the step count, the filter design) fail in ``run_single``.
+    empty sweep raises ConfigError.  Values checked only at a frequency (the
+    step count, the filter design) fail in ``_set_up``, before a sweep solves.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     read = set()
@@ -245,11 +245,11 @@ def build_problem(cfg: RunConfig, omega: float) -> HelmholtzProblem:
 
 
 def _build_filter(cfg: RunConfig, wh: WaveHoltzConfig,
-                  spectrum: SpectralDecomposition | None) -> FilterSpec:
-    """The run's filter; a designed one is fenced by the box spectrum if known."""
+                  spectrum: SpectralDecomposition | None) -> tuple[FilterSpec, str | None]:
+    """The run's filter and design warning; a design is fenced by a known box spectrum."""
     omega = wh.tg.omega
     if isinstance(cfg.filter, FilterSpec):
-        return replace(cfg.filter, omegas=(omega,))
+        return replace(cfg.filter, omegas=(omega,)), None
     resonant_lambda, n_coeffs = cfg.filter
     hi = extra = None
     if spectrum is not None:
@@ -259,9 +259,7 @@ def _build_filter(cfg: RunConfig, wh: WaveHoltzConfig,
         omega, resonant_lambda, n_coeffs, wh.tg,
         sample_hi=hi, extra_penalty_points=extra,
     )
-    if result.warning:
-        print(f"warning: {result.warning}", file=sys.stderr)
-    return result.spec
+    return result.spec, result.warning
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +291,8 @@ class RunResult:
         ]
 
 
-def run_single(cfg: RunConfig, omega: float) -> RunResult:
+def _set_up(cfg: RunConfig, omega: float) -> tuple[
+        HelmholtzProblem, WaveHoltzConfig, SpectralDecomposition | None, str | None]:
     try:  # values rejected at this omega before any wave solve, e.g. an unstable dt
         problem = build_problem(cfg, omega)
         wh = WaveHoltzConfig.build(
@@ -304,7 +303,16 @@ def run_single(cfg: RunConfig, omega: float) -> RunResult:
             spectrum = dirichlet_box_spectrum(problem)
         except UnsupportedProblemError:  # no closed form: no fence, blank columns
             spectrum = None
-        wh.spec = _build_filter(cfg, wh, spectrum)
+        wh.spec, warning = _build_filter(cfg, wh, spectrum)
+    except ValueError as exc:
+        raise ConfigError(f"omega = {omega:g}: {exc}") from exc
+    return problem, wh, spectrum, warning
+
+
+def run_single(cfg: RunConfig, omega: float) -> RunResult:
+    problem, wh, spectrum, warning = _set_up(cfg, omega)
+    sys.stderr.write(f"warning: {warning}\n" if warning else "")
+    try:  # solve's own checks, e.g. cg under rk4
         result, report = solve(problem, wh, method=cfg.method, krylov=cfg.krylov)
     except ValueError as exc:
         raise ConfigError(f"omega = {omega:g}: {exc}") from exc
@@ -360,11 +368,13 @@ def _omega_tag(omega: float) -> str:
 def run_sweep(cfg: RunConfig, outdir: Path) -> dict:
     """Run every sweep frequency and write all artifacts.
 
-    Rows land in summary.csv in ascending omega order; per-run residual
-    histories and solution dumps are written next to it.  The directory is
-    made after the last run, so a rejected config leaves none behind.
+    Rows land in summary.csv by ascending omega, histories and dumps beside it.
+    All set-ups (filters and warnings kept) precede the first wave solve and the
+    directory follows the last, so a rejected config solves and writes nothing.
     """
-    results = [run_single(cfg, w) for w in sorted(cfg.omegas)]
+    designs = {w: _set_up(cfg, w)[1::2] for w in sorted(cfg.omegas)}  # (wh, warning)
+    sys.stderr.writelines(f"warning: {m}\n" for _, m in designs.values() if m)
+    results = [run_single(replace(cfg, filter=wh.spec), w) for w, (wh, _) in designs.items()]
     outdir.mkdir(parents=True, exist_ok=True)
 
     summary = outdir / "summary.csv"

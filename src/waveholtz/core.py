@@ -221,22 +221,24 @@ class HelmholtzProblem:
         f[self.dirichlet_mask] = 0.0
         self.forcing = ScalarField(self.grid, f)
 
-    def _side_mask(self, tag: str) -> np.ndarray:
-        """Nodes on the sides tagged ``tag`` (corners included)."""
-        mask = np.zeros(self.grid.shape, dtype=bool)
+    def _side_count(self, tag: str) -> np.ndarray:
+        """How many sides tagged ``tag`` each node lies on (2 at their corners)."""
+        count = np.zeros(self.grid.shape, dtype=int)
         for axis in range(self.grid.dim):
             for end in (0, 1):
                 if self.bcs.side(axis, end) == tag:
-                    np.moveaxis(mask, axis, 0)[-end] = True
-        return mask
+                    np.moveaxis(count, axis, 0)[-end] += 1
+        return count
 
     @cached_property
     def dirichlet_mask(self) -> np.ndarray:
-        return self._side_mask(DIRICHLET)
+        return self._side_count(DIRICHLET) > 0
 
-    @cached_property
-    def impedance_mask(self) -> np.ndarray:
-        return self._side_mask(IMPEDANCE) & ~self.dirichlet_mask
+    @property
+    def trapezoid_weight(self) -> np.ndarray:
+        """Flat W, a factor 1/2 per Neumann side a node lies on: the leapfrog
+        A is self-adjoint in x . (W y).  All ones without Neumann sides."""
+        return 0.5 ** self._side_count(NEUMANN).ravel()
 
     @cached_property
     def operator(self):
@@ -293,13 +295,13 @@ def apply_discrete_laplacian(problem: HelmholtzProblem, w: ScalarField) -> Scala
     """L w for the conservative second-order stencil with boundary closure.
 
     Dirichlet rows of the result are identically zero, Neumann rows use a
-    mirrored ghost value, and impedance rows are zeroed here because their
-    closure needs velocity data (see :func:`waveholtz.wavesolver.first_order_rhs`).
+    mirrored ghost value, and impedance rows, where B is nonzero, are zeroed
+    as their closure needs velocity data (see ``wavesolver.first_order_rhs``).
     """
     if w.grid != problem.grid:
         raise GridMismatchError("field grid does not match problem grid")
     out = problem.operator[0] @ w.values.ravel()
-    out[problem.impedance_mask.ravel()] = 0.0
+    out[problem.operator[1] != 0.0] = 0.0
     return ScalarField(problem.grid, out)
 
 

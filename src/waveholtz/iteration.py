@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (NEUMANN, HelmholtzProblem, ScalarField, WaveState, check_count,
-                   check_tolerance)
+from .core import HelmholtzProblem, ScalarField, WaveState, check_count, check_tolerance
 from .filters import FilterSpec, TimeGrid
 from .krylov import (
     IterationReport,
@@ -159,17 +158,6 @@ def as_affine_system(problem: HelmholtzProblem, config: WaveHoltzConfig):
     return LinearOperator(dimension=b.size, apply=apply), b
 
 
-def _trapezoid_weight(problem: HelmholtzProblem) -> np.ndarray:
-    """Flat W, a factor 1/2 per axis on Neumann end nodes: the leapfrog A is
-    self-adjoint in x . (W y).  All ones (plain CG, bit for bit) without them."""
-    w = np.ones(problem.grid.shape)
-    for axis in range(problem.grid.dim):
-        for end in (0, 1):
-            if problem.bcs.side(axis, end) == NEUMANN:
-                np.moveaxis(w, axis, 0)[-end] *= 0.5
-    return w.ravel()
-
-
 def solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
           method: str = "fixed_point", krylov: KrylovConfig | None = None):
     """Solve A v = b of ``as_affine_system`` with the chosen outer method.
@@ -206,12 +194,12 @@ def solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
             r = b - A.apply(x)
             history.append(float(np.linalg.norm(r)) / denom)
             x = x + r
-        report = IterationReport(history, len(history), history[-1] <= config.tol, 0.0,
-                                 len(history) - 1)
+        report = IterationReport(history, len(history), history[-1] <= config.tol,
+                                 operator_applications=len(history) - 1)
     elif method == "gmres":
         x, report = gmres_solve(A, b, krylov)
     else:
-        x, report = cg_solve(A, b, krylov, _trapezoid_weight(problem))
+        x, report = cg_solve(A, b, krylov, problem.trapezoid_weight)
     report.wall_time = time.perf_counter() - t0
     report.operator_applications += 1  # the forced solve that built b
     return _from_iterate(x, problem, config), report

@@ -291,7 +291,10 @@ def test_design_that_does_not_improve_falls_back_with_a_warning(tmp_path, monkey
     # standard filter comes back and the command warns and still runs
     import scipy.optimize
 
+    designs = []
+
     def stalled(fun, x0, jac, **kwargs):
+        designs.append(x0)
         return scipy.optimize.OptimizeResult(x=x0.copy(), fun=fun(x0)[0],
                                              jac=np.zeros_like(x0), message="stalled")
 
@@ -312,6 +315,7 @@ def test_design_that_does_not_improve_falls_back_with_a_warning(tmp_path, monkey
     assert len((tmp_path / "out" / "summary.csv").read_text().splitlines()) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["warning: optimizer did not improve on the standard filter"]
+    assert len(designs) == 2  # the call above, then one design for the sweep's omega
 
 
 def test_optimize_run_computes_the_box_spectrum_once(tmp_path, monkeypatch):
@@ -457,12 +461,18 @@ def _replace_line(text, old, new):
     lambda t: _replace_line(TUNABLE_CONFIG.format(kind="tunable", reslam=1.0, omega=2.0,
                                                   outdir="out"),
                             "a = 0.05, -0.02", "a = 0.1 nan"),
+    # the design is accepted at omega = 2 and refused only at the later 4 pi
+    lambda t: _replace_line(t, "omegas = 1.22", f"omegas = 2, {4 * math.pi!r}")
+    .replace("n = 60", "n = 100")
+    .replace("periods = 1", "periods = 1\n\n[filter]\nkind = optimize\n"
+                            f"resonant_lambda = {4 * math.pi!r}"),
 ], ids=["bc", "method", "restart", "omegas", "omegas-inf", "omegas-same-tag",
         "omegas-repeated", "n", "hi-inf", "periods",
         "krylov_max_iters", "misspelt-keys", "krylov_tol", "tunable-a0",
         "optimize-at-resonance", "leapfrog-impedance", "cg-rk4", "lo-count",
         "bc-three-tags-1d", "optimize-without-resonant_lambda", "filter-kind",
-        "omegas-empty", "tol-nan", "tol-inf", "tol-nan-fixed-point", "a-nan"])
+        "omegas-empty", "tol-nan", "tol-inf", "tol-nan-fixed-point", "a-nan",
+        "optimize-resonant-later"])
 def test_rejected_value_exits_2_before_any_wave_solve(tmp_path, capsys, monkeypatch, edit):
     solves = []
     evolve = iteration.evolve_and_filter

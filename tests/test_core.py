@@ -130,6 +130,21 @@ def test_impedance_rows_left_to_first_order_solver(rng):
     lw = apply_discrete_laplacian(p, ScalarField(p.grid, vals))
     assert lw.values[0] == 0.0 and lw.values[-1] == 0.0
     assert np.any(lw.values[1:-1])
+    # 2D, impedance sides meeting Dirichlet and Neumann ones: exactly the
+    # non-Dirichlet nodes on impedance sides (corners too) are zeroed, and every
+    # other row is L w
+    g = UniformGrid.box(0.0, 1.0, (7, 9))
+    c2 = ScalarField(g, 1.0 + rng.random(g.shape))
+    p = HelmholtzProblem(g, c2, ScalarField.zeros(g), 2.0,
+                         BoundarySpec(("impedance", "dirichlet", "neumann", "impedance")))
+    vals = rng.standard_normal(g.shape)
+    lw = apply_discrete_laplacian(p, ScalarField(g, vals)).values
+    zeroed = np.zeros(g.shape, dtype=bool)
+    zeroed[0, :] = zeroed[:-1, -1] = True  # x_lo and y_hi, less the x_hi Dirichlet node
+    assert np.all(lw[zeroed] == 0.0)
+    Lw = (p.operator[0] @ vals.ravel()).reshape(g.shape)
+    assert np.array_equal(lw[~zeroed], Lw[~zeroed])
+    assert np.all(lw[1:-1, :-1] != 0.0)  # rows that are neither impedance nor Dirichlet
 
 
 def test_variable_coefficient_stencil_matches_direct_sum(rng):

@@ -377,6 +377,12 @@ def test_cg_on_neumann_sides_matches_gmres(make):
     # runs in that product; it needs no more iterations than GMRES, and it
     # stops on the plain relative residual, as GMRES does
     p = make()
+    weight = np.ones(p.grid.shape)  # 1/2 per Neumann side a node lies on
+    weight[[0, -1]] = 0.5  # x_lo and x_hi (both cases)
+    if p.grid.dim == 2:  # y_lo Dirichlet, y_hi Neumann
+        weight[:, -1] *= 0.5
+        assert weight[0, -1] == weight[-1, -1] == 0.25 and weight[0, 0] == 0.5
+    assert np.array_equal(p.trapezoid_weight, weight.ravel())
     cfg = WaveHoltzConfig.build(p, tol=1e-10, max_iters=200)
     vg, rg = solve(p, cfg, method="gmres")
     vc, rc = solve(p, cfg, method="cg")
@@ -399,6 +405,7 @@ def test_cg_on_dirichlet_box_uses_the_plain_system():
     v, rc = solve(p, cfg, method="cg")
     assert np.array_equal(v.values.ravel(), x)
     assert rc.residual_history == rep.residual_history
+    assert rep.wall_time == 0.0 < rc.wall_time  # only solve keeps the clock
 
 
 def test_impedance_solve_returns_state():

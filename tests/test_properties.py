@@ -91,6 +91,7 @@ def test_leapfrog_operator_is_self_adjoint(seed, n, omega, lo, hi):
     A, _ = as_affine_system(p, WaveHoltzConfig.build(p))
     weight = np.ones(n + 1)
     weight[[0, -1]] = [0.5 if lo == "neumann" else 1.0, 0.5 if hi == "neumann" else 1.0]
+    assert np.array_equal(p.trapezoid_weight, weight)  # the W that CG runs in
     x, y = rng.standard_normal((2, n + 1))
     Ax, Ay = A.apply(x), A.apply(y)
     scale = np.linalg.norm(x) * np.linalg.norm(y)
