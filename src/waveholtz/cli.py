@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BoundarySpec, HelmholtzProblem, ScalarField, UniformGrid, check_frequencies
+from .core import (BoundarySpec, HelmholtzProblem, ScalarField, UniformGrid, check_count,
+                   check_frequencies)
 from .filters import (
     FilterSpec,
     fixed_point_rate_bound,
@@ -292,7 +293,9 @@ class RunResult:
 
 
 def _set_up(cfg: RunConfig, omega: float) -> tuple[
-        HelmholtzProblem, WaveHoltzConfig, SpectralDecomposition | None, str | None]:
+        WaveHoltzConfig, float | None, str | None]:
+    """The run's config with its filter designed, the box gap (None without a
+    closed form) and the design warning; the problem is not kept."""
     try:  # values rejected at this omega before any wave solve, e.g. an unstable dt
         problem = build_problem(cfg, omega)
         wh = WaveHoltzConfig.build(
@@ -306,19 +309,18 @@ def _set_up(cfg: RunConfig, omega: float) -> tuple[
         wh.spec, warning = _build_filter(cfg, wh, spectrum)
     except ValueError as exc:
         raise ConfigError(f"omega = {omega:g}: {exc}") from exc
-    return problem, wh, spectrum, warning
+    return wh, None if spectrum is None else spectrum.delta_h, warning
 
 
-def run_single(cfg: RunConfig, omega: float) -> RunResult:
-    problem, wh, spectrum, warning = _set_up(cfg, omega)
-    sys.stderr.write(f"warning: {warning}\n" if warning else "")
+def run_single(cfg: RunConfig, omega: float, wh: WaveHoltzConfig,
+               delta_h: float | None) -> RunResult:
+    """Solve at one frequency with the config and box gap of ``_set_up``."""
+    problem = build_problem(cfg, omega)
     try:  # solve's own checks, e.g. cg under rk4
         result, report = solve(problem, wh, method=cfg.method, krylov=cfg.krylov)
     except ValueError as exc:
         raise ConfigError(f"omega = {omega:g}: {exc}") from exc
 
-    delta_h = None if spectrum is None else spectrum.delta_h
-    rate_bound = fixed_point_rate_bound(delta_h) if delta_h else None
     # leapfrog evaluates L once more at start-up; RK4 four times per step
     steps = wh.tg.steps
     rhs_per_solve = steps + 1 if wh.scheme == "leapfrog" else 4 * steps
@@ -329,7 +331,7 @@ def run_single(cfg: RunConfig, omega: float) -> RunResult:
         report=report,
         rhs_evals=report.operator_applications * rhs_per_solve,
         delta_h=delta_h,
-        rate_bound=rate_bound,
+        rate_bound=fixed_point_rate_bound(delta_h) if delta_h else None,
         solution=result.w.values if hasattr(result, "w") else result.values,
     )
 
@@ -366,33 +368,33 @@ def _omega_tag(omega: float) -> str:
 
 
 def run_sweep(cfg: RunConfig, outdir: Path) -> dict:
-    """Run every sweep frequency and write all artifacts.
+    """Run every sweep frequency, writing each run's artifacts as it finishes.
 
-    Rows land in summary.csv by ascending omega, histories and dumps beside it.
-    All set-ups (filters and warnings kept) precede the first wave solve and the
-    directory follows the last, so a rejected config solves and writes nothing.
+    Every set-up precedes the first wave solve and the directory follows the
+    first run, so a rejected config solves and writes nothing.  By ascending
+    omega, each run then appends its summary.csv row, writes its history and
+    dump and prints its status line, so a solver error keeps the runs before.
     """
-    designs = {w: _set_up(cfg, w)[1::2] for w in sorted(cfg.omegas)}  # (wh, warning)
-    sys.stderr.writelines(f"warning: {m}\n" for _, m in designs.values() if m)
-    results = [run_single(replace(cfg, filter=wh.spec), w) for w, (wh, _) in designs.items()]
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    summary = outdir / "summary.csv"
-    with summary.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in results:
-            writer.writerow(r.row())
-
-    for r in results:
-        tag = f"{r.method}_omega{_omega_tag(r.omega)}"
+    designs = {w: _set_up(cfg, w) for w in sorted(cfg.omegas)}  # (wh, delta_h, warning)
+    sys.stderr.writelines(f"warning: {m}\n" for *_, m in designs.values() if m)
+    summary, results = outdir / "summary.csv", []
+    for omega, (wh, delta_h, _) in designs.items():
+        r = run_single(cfg, omega, wh, delta_h)
+        outdir.mkdir(parents=True, exist_ok=True)
+        with summary.open("a" if results else "w", newline="") as fh:
+            csv.writer(fh).writerows([r.row()] if results else [CSV_COLUMNS, r.row()])
+        results.append(r)
+        rep, tag = r.report, f"{r.method}_omega{_omega_tag(omega)}"
         with (outdir / f"history_{tag}.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iter", "residual"])
-            for i, res in enumerate(r.report.residual_history):
+            for i, res in enumerate(rep.residual_history):
                 writer.writerow([str(i), _fmt(res)])
         if cfg.dump_fields:
             write_field_dump(outdir / f"solution_{tag}.bin", r.grid, r.solution)
+        status = "ok" if rep.converged else "NOT CONVERGED"
+        print(f"omega={omega:.6g} method={r.method} iters={rep.iters} "
+              f"residual={rep.residual_history[-1]:.3e} [{status}]", flush=True)
     return {"summary": summary, "results": results}
 
 
@@ -415,10 +417,12 @@ def report_summary(paths) -> str:
                 where = f"{path}:{reader.line_num}"
                 if None in row or None in row.values():
                     raise ConfigError(f"{where}: expected {len(CSV_COLUMNS)} columns")
-                try:
+                try:  # a row the fit cannot take is refused, as a bad literal is
                     rows.append({
-                        "omega": float(row["omega"]), "method": row["method"],
-                        "iters": int(row["iters"]), "converged": row["converged"] == "1",
+                        "omega": check_frequencies((row["omega"],), "omega")[0],
+                        "method": row["method"],
+                        "iters": check_count(int(row["iters"]), "iters", 0),
+                        "converged": row["converged"] == "1",
                         "measured_rate": float(row["measured_rate"]),
                         "rate_bound": float(row["rate_bound"]) if row["rate_bound"] else None,
                     })
@@ -483,11 +487,6 @@ def main(argv=None) -> int:
 
         cfg = parse_config(args.config)
         out = run_sweep(cfg, Path(cfg.outdir if args.out is None else args.out))
-        for r in out["results"]:
-            rep = r.report
-            status = "ok" if rep.converged else "NOT CONVERGED"
-            print(f"omega={r.omega:.6g} method={r.method} iters={rep.iters} "
-                  f"residual={rep.residual_history[-1]:.3e} [{status}]")
         print(f"wrote {out['summary']}")
         if args.strict and any(not r.report.converged for r in out["results"]):
             return 3

@@ -244,10 +244,13 @@ def optimize_tunable_filter(
     from scipy.optimize import minimize
 
     n_coeffs = check_count(n_coeffs, "n_coeffs", 2)  # a0 and the pinned a_1
+    n_samples = check_count(n_samples, "n_samples")
+    (resonant_lambda,) = check_frequencies((resonant_lambda,), "resonant_lambda")
     if abs(resonant_lambda - omega) < 1e-12 * omega:
         raise ValueError("resonant_lambda must differ from omega")
 
-    hi = math.pi / tg.dt if sample_hi is None else sample_hi
+    hi = (math.pi / tg.dt if sample_hi is None
+          else check_frequencies((sample_hi,), "sample_hi")[0])
     r = np.linspace(0.0, hi, n_samples)
     if extra_penalty_points is not None:
         r = np.concatenate([r, np.asarray(extra_penalty_points, dtype=float)])

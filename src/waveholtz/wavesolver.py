@@ -27,7 +27,7 @@ from functools import cache, partial
 import numpy as np
 
 from .core import (GridMismatchError, HelmholtzProblem, ScalarField, WaveState,
-                   check_frequencies)
+                   check_count, check_frequencies)
 from .filters import FilterSpec, TimeGrid, filter_weights
 
 
@@ -286,8 +286,9 @@ def evolve_and_filter(x: np.ndarray, schedule: ForcingSchedule | None,
             abs(d - f) > 1e-12 * f for d, f in zip(schedule.omegas, spec.omegas))):
         raise ValueError("the schedule drives other frequencies than the filter's")
     products, w, scale = _prepared(problem, tg, spec, scheme)
-    wanted = set() if sample_steps is None else {int(s) for s in sample_steps}
-    if wanted and (min(wanted) < 0 or max(wanted) > tg.steps):
+    wanted = (set() if sample_steps is None
+              else {check_count(s, "sample step", 0) for s in sample_steps})
+    if wanted and max(wanted) > tg.steps:
         raise ValueError("sample steps outside the time grid")
     y = np.where(problem.dirichlet_mask.ravel(), 0.0, x.reshape(parts, -1)).ravel()
     step = kernel(problem, products, schedule, tg, y)

@@ -29,7 +29,6 @@ from waveholtz.cli import (
     parse_config,
     read_field_dump,
     report_summary,
-    run_single,
     run_sweep,
     write_field_dump,
 )
@@ -219,6 +218,14 @@ def test_report_summary_empty_and_malformed(tmp_path):
     with pytest.raises(ConfigError, match=r"extra\.csv:1: expected the header"):
         report_summary([extra])
 
+    # a frequency the log-log fit cannot take, or a negative count, names its line
+    for omega, iters in (("nan", "6"), ("inf", "6"), ("-1", "6"), ("2.0", "-6")):
+        unfit = tmp_path / "unfit.csv"
+        unfit.write_text(empty.read_text() + "3.0,gmres,10,11,6,1,1,1,1e-11,0.5,,,0.1\n"
+                         f"{omega},gmres,10,11,{iters},1,1,1,1e-11,0.5,,,0.1\n")
+        with pytest.raises(ConfigError, match=r"unfit\.csv:3: .*(positive and finite|>= 0)"):
+            report_summary([unfit])
+
 
 def test_main_exit_codes(tmp_path, monkeypatch):
     path = _write_config(tmp_path)
@@ -319,17 +326,24 @@ def test_design_that_does_not_improve_falls_back_with_a_warning(tmp_path, monkey
 
 
 def test_optimize_run_computes_the_box_spectrum_once(tmp_path, monkeypatch):
-    # one spectrum serves the designed filter's fence and the delta_h column
+    # one set-up per frequency: one config, one spectrum (the designed
+    # filter's fence and the delta_h column) and one filter design
     calls = []
-    real = cli.dirichlet_box_spectrum
-    monkeypatch.setattr(cli, "dirichlet_box_spectrum",
-                        lambda p: (calls.append(1), real(p))[1])
+
+    def counted(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, **kw: (calls.append(name), real(*a, **kw))[1])
+
+    counted(cli, "dirichlet_box_spectrum")
+    counted(cli, "optimize_tunable_filter")
+    counted(WaveHoltzConfig, "build")
     path = tmp_path / "opt.ini"
     path.write_text(TUNABLE_CONFIG.format(
         kind="optimize", reslam=4 * math.pi, omega=4.1 * math.pi,
         outdir=str(tmp_path / "out")))
-    res = run_single(parse_config(path), 4.1 * math.pi)
-    assert len(calls) == 1
+    (res,) = run_sweep(parse_config(path), tmp_path / "out")["results"]
+    assert sorted(calls) == ["build", "dirichlet_box_spectrum", "optimize_tunable_filter"]
     assert res.report.converged
     assert res.delta_h is not None and res.rate_bound is not None
 
@@ -362,27 +376,43 @@ def test_c08_sweep_gmres_counts_pinned(tmp_path):
     # At omega = 40 the estimate at iteration 145 is 9.4e-11 against tol 1e-10,
     # a knife edge: another BLAS's reduction order may tip it to 146.
     expected = {20.0: {75}, 40.0: {145, 146}, 60.0: {212}, 80.0: {280}}
-    for omega, iters in expected.items():
-        rep = run_single(cfg, omega).report
+    results = run_sweep(cfg, tmp_path / "out")["results"]
+    assert [r.omega for r in results] == list(expected)
+    for r, (omega, iters) in zip(results, expected.items()):
+        rep = r.report
         assert rep.iters in iters, (omega, rep.iters)
         assert rep.operator_applications == rep.iters + 2  # b and the certify pass
         assert rep.converged
         assert rep.residual_history[-1] <= cfg.tol  # the certified true residual
 
 
-def test_cg_breakdown_exits_with_solver_error(tmp_path, capsys):
+@pytest.mark.parametrize("omegas", ["20", "10 20"])
+def test_cg_breakdown_exits_with_solver_error(tmp_path, capsys, omegas):
     # the C08 line at omega = 20 is indefinite, so CG meets nonpositive
-    # curvature: one stderr line and exit code 4, not a traceback
+    # curvature: one stderr line and exit code 4, not a traceback; a run
+    # that finished before it (omega = 10 converges) keeps all its output
     path = tmp_path / "c08_cg.ini"
     path.write_text("[problem]\ndim = 1\nlo = -6\nhi = 6\nn = auto\nbc = dirichlet\n"
                     "forcing = gaussian1d\n\n"
                     "[solver]\nmethod = cg\ntol = 1e-10\nmax_iters = 2000\n"
                     "krylov_max_iters = 1000\nrestart = 1000\n\n"
-                    "[sweep]\nomegas = 20\n")
-    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
-    err = capsys.readouterr().err.strip().splitlines()
+                    f"[sweep]\nomegas = {omegas}\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 4
+    std = capsys.readouterr()
+    err = std.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("solver error: <Ap, p> =")
-    assert not (tmp_path / "out" / "summary.csv").exists()
+    if omegas == "20":
+        assert std.out == ""
+        assert not (out / "summary.csv").exists()
+        return
+    (status,) = std.out.splitlines()
+    assert status.startswith("omega=10 method=cg ") and status.endswith("[ok]")
+    header, row = (out / "summary.csv").read_text().splitlines()
+    assert header.startswith("omega,method") and row.startswith("10,cg,")
+    assert sorted(f.name for f in out.iterdir()) == [
+        "history_cg_omega10.csv", "solution_cg_omega10.bin",
+        "solution_cg_omega10.bin.hdr", "summary.csv"]
 
 
 def test_instability_exits_with_solver_error(tmp_path, capsys, monkeypatch):
@@ -466,13 +496,18 @@ def _replace_line(text, old, new):
     .replace("n = 60", "n = 100")
     .replace("periods = 1", "periods = 1\n\n[filter]\nkind = optimize\n"
                             f"resonant_lambda = {4 * math.pi!r}"),
+    *(lambda t, lam=lam: _replace_line(t, "omegas = 1.22", "omegas = 3")
+      .replace("periods = 1", f"periods = 1\n\n[filter]\nkind = optimize\n"
+                              f"resonant_lambda = {lam}")
+      for lam in ("nan", "inf", "-3")),
 ], ids=["bc", "method", "restart", "omegas", "omegas-inf", "omegas-same-tag",
         "omegas-repeated", "n", "hi-inf", "periods",
         "krylov_max_iters", "misspelt-keys", "krylov_tol", "tunable-a0",
         "optimize-at-resonance", "leapfrog-impedance", "cg-rk4", "lo-count",
         "bc-three-tags-1d", "optimize-without-resonant_lambda", "filter-kind",
         "omegas-empty", "tol-nan", "tol-inf", "tol-nan-fixed-point", "a-nan",
-        "optimize-resonant-later"])
+        "optimize-resonant-later", "resonant_lambda-nan", "resonant_lambda-inf",
+        "resonant_lambda-negative"])
 def test_rejected_value_exits_2_before_any_wave_solve(tmp_path, capsys, monkeypatch, edit):
     solves = []
     evolve = iteration.evolve_and_filter

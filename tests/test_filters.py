@@ -307,6 +307,15 @@ def test_optimize_tunable_filter_degenerate_line_search():
     with pytest.raises(ValueError, match="n_coeffs >= 2"):
         optimize_tunable_filter(omega, 4 * math.pi, 1, tg)
     assert res.cost <= res.standard_cost
+    # the other inputs follow core's rules for counts and frequencies too
+    with pytest.raises(ValueError, match="n_samples >= 1"):
+        optimize_tunable_filter(omega, 4 * math.pi, 2, tg, n_samples=2.5)
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="sample_hi must be positive and finite"):
+            optimize_tunable_filter(omega, 4 * math.pi, 2, tg, sample_hi=bad)
+    for bad in (math.nan, math.inf, -3.0):
+        with pytest.raises(ValueError, match="resonant_lambda must be positive and finite"):
+            optimize_tunable_filter(omega, bad, 2, tg)
 
 
 def _design_inputs(case):

@@ -383,9 +383,9 @@ def test_evolve_samples_are_trajectory_points():
         _, samples = evolve_and_filter(v0, sched, p, tg, spec, "leapfrog",
                                        sample_steps=wanted)
         assert set(samples) == set(wanted.tolist())
-    with pytest.raises(ValueError):
-        evolve_and_filter(v0, sched, p, tg, spec, "leapfrog",
-                          sample_steps=[steps + 1])
+    for bad in ([steps + 1], [-1], [1.5], [math.nan]):  # steps are counts on the grid
+        with pytest.raises(ValueError):
+            evolve_and_filter(v0, sched, p, tg, spec, "leapfrog", sample_steps=bad)
 
 
 def test_default_steps_make_whole_periods():
