@@ -276,7 +276,6 @@ class RunResult:
     rhs_evals: int
     delta_h: float | None
     rate_bound: float | None
-    solution: np.ndarray
 
     def row(self) -> list[str]:
         rep = self.report
@@ -313,8 +312,9 @@ def _set_up(cfg: RunConfig, omega: float) -> tuple[
 
 
 def run_single(cfg: RunConfig, omega: float, wh: WaveHoltzConfig,
-               delta_h: float | None) -> RunResult:
-    """Solve at one frequency with the config and box gap of ``_set_up``."""
+               delta_h: float | None) -> tuple[RunResult, np.ndarray]:
+    """Solve at one frequency with the config and box gap of ``_set_up``:
+    the run's record and its solution field."""
     problem = build_problem(cfg, omega)
     try:  # solve's own checks, e.g. cg under rk4
         result, report = solve(problem, wh, method=cfg.method, krylov=cfg.krylov)
@@ -332,8 +332,7 @@ def run_single(cfg: RunConfig, omega: float, wh: WaveHoltzConfig,
         rhs_evals=report.operator_applications * rhs_per_solve,
         delta_h=delta_h,
         rate_bound=fixed_point_rate_bound(delta_h) if delta_h else None,
-        solution=result.w.values if hasattr(result, "w") else result.values,
-    )
+    ), result.w.values if hasattr(result, "w") else result.values
 
 
 def write_field_dump(path: Path, grid: UniformGrid, values: np.ndarray):
@@ -374,12 +373,13 @@ def run_sweep(cfg: RunConfig, outdir: Path) -> dict:
     first run, so a rejected config solves and writes nothing.  By ascending
     omega, each run then appends its summary.csv row, writes its history and
     dump and prints its status line, so a solver error keeps the runs before.
+    The returned records hold no field: each is written as its run finishes.
     """
     designs = {w: _set_up(cfg, w) for w in sorted(cfg.omegas)}  # (wh, delta_h, warning)
     sys.stderr.writelines(f"warning: {m}\n" for *_, m in designs.values() if m)
     summary, results = outdir / "summary.csv", []
     for omega, (wh, delta_h, _) in designs.items():
-        r = run_single(cfg, omega, wh, delta_h)
+        r, solution = run_single(cfg, omega, wh, delta_h)
         outdir.mkdir(parents=True, exist_ok=True)
         with summary.open("a" if results else "w", newline="") as fh:
             csv.writer(fh).writerows([r.row()] if results else [CSV_COLUMNS, r.row()])
@@ -391,7 +391,7 @@ def run_sweep(cfg: RunConfig, outdir: Path) -> dict:
             for i, res in enumerate(rep.residual_history):
                 writer.writerow([str(i), _fmt(res)])
         if cfg.dump_fields:
-            write_field_dump(outdir / f"solution_{tag}.bin", r.grid, r.solution)
+            write_field_dump(outdir / f"solution_{tag}.bin", r.grid, solution)
         status = "ok" if rep.converged else "NOT CONVERGED"
         print(f"omega={omega:.6g} method={r.method} iters={rep.iters} "
               f"residual={rep.residual_history[-1]:.3e} [{status}]", flush=True)

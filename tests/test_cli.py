@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from waveholtz import iteration
+from waveholtz import filters, iteration
 from waveholtz import (
     FilterSpec,
     InstabilityError,
@@ -98,6 +98,18 @@ def test_sweep_writes_artifacts(tmp_path):
     assert (tmp_path / "out" / "history_gmres_omega1p22.csv").exists()
     assert (tmp_path / "out" / "solution_gmres_omega4.bin").exists()
     assert (tmp_path / "out" / "solution_gmres_omega4.bin.hdr").exists()
+
+
+def test_sweep_results_hold_no_field(tmp_path):
+    # each run's field is written as the run finishes; the records the sweep
+    # returns keep no array of it, so a long sweep does not hold every field
+    cfg = parse_config(_write_config(tmp_path, omegas="1.22, 4.0"))
+    results = run_sweep(cfg, tmp_path / "out")["results"]
+    assert [r.omega for r in results] == [1.22, 4.0]
+    for r in results:
+        for value in (*vars(r).values(), *vars(r.report).values()):
+            assert not isinstance(value, np.ndarray), r
+        assert r.report.converged
 
 
 def test_sweep_deterministic_rerun(tmp_path):
@@ -293,19 +305,20 @@ def test_cli_optimize_filter_path(tmp_path):
 
 def test_design_that_does_not_improve_falls_back_with_a_warning(tmp_path, monkeypatch,
                                                                capsys):
-    # an optimizer that stops at its start point, the standard filter, with a
-    # zero gradient: the design converges but does not improve, so the
-    # standard filter comes back and the command warns and still runs
-    import scipy.optimize
-
+    # maps whose cost is smallest at the standard filter, with a zero
+    # gradient and a zero Hessian there: the design converges at its start
+    # point but does not improve, so the standard filter comes back and the
+    # command warns and still runs
     designs = []
+    real_maps = filters._design_maps
 
-    def stalled(fun, x0, jac, **kwargs):
-        designs.append(x0)
-        return scipy.optimize.OptimizeResult(x=x0.copy(), fun=fun(x0)[0],
-                                             jac=np.zeros_like(x0), message="stalled")
+    def standard_is_minimiser(*args):
+        designs.append(args)
+        _, P, g2_base, g2 = real_maps(*args)
+        x_standard = np.r_[-0.25, np.zeros(P.shape[1] - 1)]
+        return -P @ x_standard, P, g2_base, np.zeros_like(g2)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", stalled)
+    monkeypatch.setattr(filters, "_design_maps", standard_is_minimiser)
     omega = 4.1 * math.pi
     tg = TimeGrid(omega, 1, 91)
     res = optimize_tunable_filter(omega, 4 * math.pi, 6, tg)
@@ -565,3 +578,25 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_design_and_optimize_sweep_load_no_scipy_optimize(tmp_path):
+    # the filter design is Newton's method in NumPy: neither a design nor a
+    # sweep that designs a filter per frequency pays for scipy.optimize
+    path = tmp_path / "opt.ini"
+    path.write_text(TUNABLE_CONFIG.format(
+        kind="optimize", reslam=4 * math.pi, omega=4.1 * math.pi,
+        outdir=str(tmp_path / "out")).replace("fixed_point", "gmres"))
+    code = ("import math, sys\n"
+            "from waveholtz import TimeGrid, optimize_tunable_filter\n"
+            "from waveholtz.cli import main\n"
+            "omega = 4.1 * math.pi\n"
+            "res = optimize_tunable_filter(omega, 4 * math.pi, 6, TimeGrid(omega, 1, 91))\n"
+            "assert res.improved, res.warning\n"
+            f"assert main(['sweep', '--config', {str(path)!r}]) == 0\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stderr == ""
+    assert out.stdout.splitlines()[-1] == "False"
