@@ -3,7 +3,7 @@
 The package turns a Helmholtz problem into repeated wave-equation solves:
 each outer application evolves the wave equation with harmonic forcing over a
 fixed window and applies a tuned time filter, yielding an affine fixed-point
-map whose linear part is positive definite.  Plain fixed-point iteration,
+map whose linear part is symmetric under leapfrog.  Plain fixed-point iteration,
 GMRES/CG acceleration, multi-frequency extraction and tunable filter design
 sit on top of the same operator.
 """

@@ -237,7 +237,7 @@ class HelmholtzProblem:
     @property
     def trapezoid_weight(self) -> np.ndarray:
         """Flat W, a factor 1/2 per Neumann side a node lies on: the leapfrog
-        A is self-adjoint in x . (W y).  All ones without Neumann sides."""
+        A is self-adjoint in x . (W y), so it is symmetric in y = sqrt(W) v."""
         return 0.5 ** self._side_count(NEUMANN).ravel()
 
     @cached_property

@@ -240,8 +240,8 @@ def optimize_tunable_filter(
     moves no |beta(r_j)| by more than 1 and keeps a0 in its box.  It is
     deterministic; ``seed`` is ignored.  Too few samples leave J unbounded
     below: a solve that does not converge, or whose |beta| exceeds 1 on a
-    dense grid over [0, sample_hi], returns the standard filter with
-    ``improved=False`` and a warning.
+    dense grid over [0, pi/dt] whatever sample_hi is, returns the standard
+    filter with ``improved=False`` and a warning.
     """
     n_coeffs = check_count(n_coeffs, "n_coeffs", 2)  # a0 and the pinned a_1
     n_samples = check_count(n_samples, "n_samples")
@@ -302,8 +302,8 @@ def optimize_tunable_filter(
     warning = None if converged else "filter design did not converge"
     if converged:
         spec = FilterSpec.tunable(omega, a0=float(x[0]), a_rest=tuple(x[1:]))
-        # 16 points per period 2 pi/T of beta's fastest oscillation
-        grid = np.linspace(0.0, hi, int(math.ceil(8.0 * hi * tg.T / math.pi)) + 2)
+        # the whole band, 16 points per period 2 pi/T of beta's fastest oscillation
+        grid = np.linspace(0.0, math.pi / tg.dt, 8 * tg.steps + 2)
         if np.max(np.abs(beta_by_quadrature(grid, spec, tg))) > 1.0 + 1e-6:
             warning = "designed filter has |beta| > 1: too few penalty samples"
         elif not cost < standard_cost:

@@ -4,11 +4,10 @@ One application of the iteration operator Pi evolves the wave equation with
 harmonic forcing over the filter window and takes the weighted time average.
 Pi is affine, Pi(v) = S v + b, and the fixed point solves the discrete
 Helmholtz equation at the modified frequency (or the true one under the
-corrected drive).  ``as_affine_system`` exposes A = I - S and b, and every
-outer method (plain iteration, GMRES, CG) solves A v = b.  On
-energy-conserving leapfrog problems A is self-adjoint in the
-trapezoid-weighted product (plainly symmetric when every side is
-Dirichlet), and positive definite while the discrete filter transfer
+corrected drive).  ``as_affine_system`` exposes A = I - S and b in y = s v,
+s = sqrt(W) for the trapezoid weight W, and every outer method (plain
+iteration, GMRES, CG) solves A y = b.  Under energy-conserving leapfrog A is
+symmetric, and positive definite while the discrete filter transfer
 function stays below 1.  On a coarse time grid it can exceed 1 next to omega
 (1.00026 on the 8-steps-per-period C08 line), and CG then raises
 ``IndefiniteOperatorError``; GMRES does not need definiteness.
@@ -125,47 +124,49 @@ def _schedule_for(problem, config):
     return config.schedule
 
 
-def _from_iterate(x: np.ndarray, problem, config):
-    """Flat iterate -> ScalarField (leapfrog) or WaveState (rk4), sharing x."""
-    grid = problem.grid
+def _scale(problem, config) -> np.ndarray:
+    """s = sqrt(W) on the flat iterate, tiled over (w, v) for rk4.  All ones,
+    so that scaling by it is exact, without Neumann sides."""
+    return np.tile(np.sqrt(problem.trapezoid_weight), 2 if config.scheme == "rk4" else 1)
+
+
+def _from_iterate(y: np.ndarray, problem, config):
+    """Scaled iterate y = s v -> ScalarField (leapfrog) or WaveState (rk4) of v."""
+    grid, x = problem.grid, y / _scale(problem, config)
     if config.scheme == "rk4":
         w, v = x.reshape((2, *grid.shape))
         return WaveState(ScalarField(grid, w), ScalarField(grid, v))
     return ScalarField(grid, x.reshape(grid.shape))
 
 
-def _zero_data(problem, config) -> np.ndarray:
-    return np.zeros(problem.grid.num_nodes * (2 if config.scheme == "rk4" else 1))
-
-
 def as_affine_system(problem: HelmholtzProblem, config: WaveHoltzConfig):
-    """Linear system (A, b) with A v = v - (Pi(v) - Pi(0)) and b = Pi(0).
-
-    Solving A v = b is equivalent to the fixed point, and Pi(v) is
-    b + v - A v: the package has no other route to Pi.  Each application of A
-    costs one homogeneous (zero-forcing) wave solve, filtered with the same
-    weight; b costs one forced solve from zero data, made now.  A is a
-    matrix-free LinearOperator on the flat iterate of ``evolve_and_filter``
-    (displacement, or the stacked pair for rk4).
+    """(A, b) in y = s v, s = sqrt(W): A y = y - s S(y / s) with S(v) = Pi(v) -
+    Pi(0), b = s Pi(0), so s Pi(y / s) = b + y - A y; the package has no other
+    route to Pi.  Under leapfrog W makes A plainly symmetric.  Each application
+    of A costs one homogeneous wave solve, filtered with the same weight; b
+    costs one forced solve from zero data, made now.  A is a matrix-free
+    LinearOperator on the flat iterate of ``evolve_and_filter`` (displacement,
+    or the stacked pair for rk4).
     """
-    b, _ = evolve_and_filter(_zero_data(problem, config), _schedule_for(problem, config),
+    s = _scale(problem, config)
+    b, _ = evolve_and_filter(np.zeros_like(s), _schedule_for(problem, config),
                              problem, config.tg, config.spec, config.scheme)
 
-    def apply(x: np.ndarray) -> np.ndarray:
-        sx, _ = evolve_and_filter(x, None, problem, config.tg, config.spec, config.scheme)
-        return x - sx
+    def apply(y: np.ndarray) -> np.ndarray:
+        sx, _ = evolve_and_filter(y / s, None, problem, config.tg, config.spec, config.scheme)
+        return y - s * sx
 
-    return LinearOperator(dimension=b.size, apply=apply), b
+    return LinearOperator(dimension=b.size, apply=apply), s * b
 
 
 def solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
           method: str = "fixed_point", krylov: KrylovConfig | None = None):
-    """Solve A v = b of ``as_affine_system`` with the chosen outer method.
+    """Solve A y = b of ``as_affine_system`` with the chosen outer method.
 
-    method: "fixed_point", "gmres" or "cg".  Fixed point is the plain
-    iteration v <- Pi(v) = v + (b - A v) from v = b = Pi(0), stopped at
-    ``config.tol`` or ``config.max_iters``; its residual is ||b - A v_k|| /
-    ||b||, the increment that makes v_{k+1}.  Stagnation (e.g. near
+    method: "fixed_point", "gmres" or "cg", each reporting ||b - A y|| / ||b||
+    and returning v = y / s.  Fixed point is y <- y + (b - A y) = s Pi(y / s)
+    from y = b, stopped at ``config.tol`` or ``config.max_iters``; its
+    residual is the increment that makes y_{k+1}.  Stagnation (e.g. near
     resonance) shows up as converged=False, never as an exception.  GMRES and
     CG take ``krylov``, which must name the same method (by default one built
     from the config's tol and max_iters).  CG needs leapfrog: the rk4 A acts
@@ -199,7 +200,7 @@ def solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
     elif method == "gmres":
         x, report = gmres_solve(A, b, krylov)
     else:
-        x, report = cg_solve(A, b, krylov, problem.trapezoid_weight)
+        x, report = cg_solve(A, b, krylov)
     report.wall_time = time.perf_counter() - t0
     report.operator_applications += 1  # the forced solve that built b
     return _from_iterate(x, problem, config), report

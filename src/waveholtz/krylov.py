@@ -164,33 +164,31 @@ def gmres_solve(A: LinearOperator, b: np.ndarray, config: KrylovConfig):
     return x, IterationReport(history, iters, converged, operator_applications=apps)
 
 
-def cg_solve(A: LinearOperator, b: np.ndarray, config: KrylovConfig, weight=None):
-    """Conjugate gradients; expects A (numerically) self-adjoint positive
-    definite in the product x . (weight * y), the plain dot product when
-    ``weight`` is None.  The history and stop test use the plain relative
-    residual ||b - Ax||/||b||, as in GMRES.
+def cg_solve(A: LinearOperator, b: np.ndarray, config: KrylovConfig):
+    """Conjugate gradients; expects A (numerically) symmetric positive
+    definite.  The history and stop test use the relative residual
+    ||b - Ax||/||b||, as in GMRES.
 
     Raises IndefiniteOperatorError when a search direction shows nonpositive
     curvature, which signals misuse on a non-SPD operator.
     """
     n = A.dimension
     b = np.asarray(b, dtype=float)
-    W = np.ones(n) if weight is None else np.asarray(weight, dtype=float)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(n), IterationReport([0.0], 0, True)
     x = np.zeros(n)
     r = b.copy()  # b - A 0, which takes no application: A is linear
     apps = 0
-    rs = float(r @ (W * r))
-    history = [math.sqrt(float(r @ r)) / bnorm]
+    rs = float(r @ r)
+    history = [math.sqrt(rs) / bnorm]
     p = r.copy()
     iters = 0
     converged = history[-1] <= config.tol
     while not converged and iters < config.max_iters:
         Ap = A.apply(p)
         apps += 1
-        pAp = float(p @ (W * Ap))
+        pAp = float(p @ Ap)
         if pAp <= 0.0:
             raise IndefiniteOperatorError(
                 f"<Ap, p> = {pAp:.3e} <= 0 at iteration {iters}; operator is not SPD"
@@ -198,9 +196,9 @@ def cg_solve(A: LinearOperator, b: np.ndarray, config: KrylovConfig, weight=None
         alpha = rs / pAp
         x += alpha * p
         r -= alpha * Ap
-        rs_new = float(r @ (W * r))
+        rs_new = float(r @ r)
         iters += 1
-        history.append(math.sqrt(float(r @ r)) / bnorm)
+        history.append(math.sqrt(rs_new) / bnorm)
         if history[-1] <= config.tol:
             converged = True
             break

@@ -94,13 +94,15 @@ def problem_2d(omega=8.5, n=None, bc="dirichlet", lo=-1.0, hi=1.0):
 
 
 def affine_pi(p, cfg):
-    """Pi of the system every solver runs, Pi(v) = b + v - A v from one
-    ``as_affine_system`` call, on the ScalarFields of a leapfrog config."""
+    """Pi of the system every solver runs, Pi(v) = (b + y - A y) / s at y = s v,
+    s = sqrt(W), from one ``as_affine_system`` call, on the ScalarFields of a
+    leapfrog config."""
     A, b = as_affine_system(p, cfg)
+    s = np.sqrt(p.trapezoid_weight)
 
     def pi(v):
-        x = v.values.ravel()
-        return ScalarField(p.grid, (b + x - A.apply(x)).reshape(p.grid.shape))
+        y = s * v.values.ravel()
+        return ScalarField(p.grid, ((b + y - A.apply(y)) / s).reshape(p.grid.shape))
 
     return pi
 

@@ -402,6 +402,19 @@ def test_optimize_tunable_filter_unbounded_design_falls_back(recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_optimize_tunable_filter_accepts_on_the_whole_band():
+    # a fence that stops at sample_hi, far below pi/dt = 893.6, restrains
+    # nothing beyond it: this design reaches |beta| = 1.67e5 there, so it is
+    # refused; the default fence over [0, pi/dt] designs a filter that passes
+    omega, lam = 13.9625, 8.8931
+    tg = TimeGrid(omega, 1, 128)
+    res = optimize_tunable_filter(omega, lam, 12, tg, n_samples=420, sample_hi=73.75)
+    assert not res.improved
+    assert res.warning == "designed filter has |beta| > 1: too few penalty samples"
+    assert res.spec == FilterSpec.tunable(omega, a0=-0.25, a_rest=(0.0,) * 10)
+    assert optimize_tunable_filter(omega, lam, 12, tg, n_samples=420).improved
+
+
 def test_time_grid_invariants():
     tg = TimeGrid(2.0, 3, 700)
     assert tg.steps * tg.dt == pytest.approx(tg.T, rel=1e-15)

@@ -81,23 +81,37 @@ def test_leapfrog_steps_keep_the_top_mode_below_nyquist(seed, n, omega, periods,
         assert (shifted_eigenvalue(lam, cfg.tg.dt) + omegas[-1]) * cfg.tg.dt < math.pi
 
 
+def _assert_symmetric(p, rng):
+    A, _ = as_affine_system(p, WaveHoltzConfig.build(p))
+    x, y = rng.standard_normal((2, A.dimension))
+    Ax, Ay = A.apply(x), A.apply(y)
+    scale = np.linalg.norm(x) * np.linalg.norm(y)
+    assert abs(x @ Ay - y @ Ax) <= 1e-13 * scale
+
+
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 24),
        omega=st.floats(0.5, 4.0), lo=SIDES, hi=SIDES)
 def test_leapfrog_operator_is_self_adjoint(seed, n, omega, lo, hi):
-    # A is self-adjoint in the trapezoid product: weight 1/2 on Neumann end
-    # nodes, which makes the mirrored-ghost stencil symmetric
+    # the system runs in y = sqrt(W) v, W the trapezoid weight (1/2 on a
+    # Neumann end node, which makes the mirrored-ghost stencil self-adjoint
+    # in x . (W y)), so A is plainly symmetric on every pair of sides
     p, rng = _random_problem(seed, n, omega, (lo, hi))
-    A, _ = as_affine_system(p, WaveHoltzConfig.build(p))
     weight = np.ones(n + 1)
     weight[[0, -1]] = [0.5 if lo == "neumann" else 1.0, 0.5 if hi == "neumann" else 1.0]
-    assert np.array_equal(p.trapezoid_weight, weight)  # the W that CG runs in
-    x, y = rng.standard_normal((2, n + 1))
-    Ax, Ay = A.apply(x), A.apply(y)
-    scale = np.linalg.norm(x) * np.linalg.norm(y)
-    assert abs((weight * x) @ Ay - (weight * y) @ Ax) <= 1e-13 * scale
-    if lo == hi == "dirichlet":
-        assert abs(x @ Ay - y @ Ax) <= 1e-13 * scale
+    assert np.array_equal(p.trapezoid_weight, weight)
+    _assert_symmetric(p, rng)
+
+
+def test_leapfrog_operator_is_symmetric_on_a_mixed_box():
+    # three Neumann sides, so corners carry W = 1/4 and 1/2, and variable c^2
+    rng = np.random.default_rng(7)
+    grid = UniformGrid.box(0.0, 1.0, 10)
+    p = HelmholtzProblem(grid, ScalarField(grid, rng.uniform(0.5, 1.5, grid.shape)),
+                         ScalarField(grid, rng.standard_normal(grid.shape)), 2.5,
+                         BoundarySpec(("neumann", "neumann", "dirichlet", "neumann")))
+    assert set(p.trapezoid_weight) == {0.25, 0.5, 1.0}
+    _assert_symmetric(p, rng)
 
 
 @SETTINGS

@@ -27,7 +27,10 @@ The sections, in this order:
   then its solutions and combined field;
 * ``sweep``: the whbench sweep config run through ``cli.main``:
   ``summary.csv`` without its ``wall_time`` column, then every other
-  output file.
+  output file;
+* ``neumann``: the same as the first three during fixed-point, GMRES and
+  CG solves of a 1D line with two Neumann ends and of a 2D box with three
+  Neumann sides, where the solvers' scaled variable sqrt(W) v differs from v.
 
 Each solve's iterate and residual history are hashed as well.  It takes
 a few seconds and writes only to a temporary directory.
@@ -151,6 +154,22 @@ def sweep(workdir: Path):
             update(path.name.encode() + path.read_bytes())
 
 
+def neumann():
+    line = wh.UniformGrid.line(0.0, 1.0, 80)
+    x = line.axis_coords(0)
+    box = wh.UniformGrid.box(-1.0, 1.0, 12)
+    bx, by = box.meshgrid()
+    for grid, csq, f, omega, sides in (
+            (line, 1.0 + 0.5 * x, np.exp(-80 * (x - 0.4) ** 2), 5.3, ("neumann",) * 2),
+            (box, 1.0 + 0.2 * bx * by, np.exp(-20 * ((bx - 0.1) ** 2 + by ** 2)), 2.0,
+             ("neumann", "neumann", "dirichlet", "neumann"))):
+        p = wh.HelmholtzProblem(grid, wh.ScalarField(grid, csq), wh.ScalarField(grid, f),
+                                omega, wh.BoundarySpec(sides))
+        cfg = wh.WaveHoltzConfig.build(p, tol=1e-10, max_iters=300)
+        for method in ("fixed_point", "gmres", "cg"):
+            feed_solve(*wh.solve(p, cfg, method))
+
+
 def main():
     global section
     print(f"numpy {np.__version__}, scipy {scipy.__version__}, OPENBLAS_NUM_THREADS="
@@ -163,7 +182,7 @@ def main():
                           ("C10", lambda: workload_solve(workloads.RK4ImpedanceGMRES, work)),
                           ("C11", lambda: tuned_filter_solve(work)),
                           ("sampled runs", sampled_runs), ("multifreq", multifreq),
-                          ("sweep", lambda: sweep(work))):
+                          ("sweep", lambda: sweep(work)), ("neumann", neumann)):
             section = hashlib.sha256()
             run()
             print(f"{name:<14}{section.hexdigest()}")
