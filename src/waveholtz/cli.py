@@ -305,7 +305,8 @@ def _set_up(cfg: RunConfig, omega: float) -> tuple[
             spectrum = dirichlet_box_spectrum(problem)
         except UnsupportedProblemError:  # no closed form: no fence, blank columns
             spectrum = None
-        wh.spec, warning = _build_filter(cfg, wh, spectrum)
+        spec, warning = _build_filter(cfg, wh, spectrum)
+        wh = replace(wh, spec=spec)  # the designed filter passes the config's checks too
     except ValueError as exc:
         raise ConfigError(f"omega = {omega:g}: {exc}") from exc
     return wh, None if spectrum is None else spectrum.delta_h, warning

@@ -79,6 +79,7 @@ class FilterSpec:
     def __post_init__(self):
         omegas = check_frequencies(self.omegas, "filter frequencies")
         object.__setattr__(self, "omegas", omegas)  # hashable, whatever was passed
+        object.__setattr__(self, "a", tuple(float(c) for c in self.a))
         if not np.all(np.isfinite((self.a0, *self.a))):
             raise ValueError("filter coefficients must be finite")
         if len(omegas) > 1 and (self.a or self.a0 != -0.25):
@@ -97,8 +98,7 @@ class FilterSpec:
     @classmethod
     def tunable(cls, omega, a0, a_rest=()):
         """Build a tunable spec from a0 and the free coefficients a_2, a_3, ..."""
-        a1 = (1.0 + 4.0 * a0) / TWO_PI
-        return cls((omega,), a0, (a1, *tuple(float(c) for c in a_rest)))
+        return cls((omega,), a0, ((1.0 + 4.0 * a0) / TWO_PI, *a_rest))
 
     def weight(self, t):
         """Evaluate the filter weight at time(s) t."""
@@ -206,7 +206,8 @@ def _design_maps(omega, tg, n_coeffs, resonant_lambda, fence):
                                 1.0 + (2.0 / math.pi) * np.sin(wt),
                                 *(np.sin(n * wt) for n in range(2, n_coeffs))])
     scale = 2.0 * tg.dt / tg.T
-    beta = scale * (np.cos(np.outer(fence, t)) @ rows.T)
+    c = np.outer(fence, t)
+    beta = scale * (np.cos(c, out=c) @ rows.T)
     beta2 = -scale * ((np.cos(resonant_lambda * t) * t * t) @ rows.T)
     return beta[:, 0], beta[:, 1:], beta2[0], beta2[1:]
 
@@ -217,7 +218,7 @@ def optimize_tunable_filter(
     n_coeffs: int,
     tg: TimeGrid,
     *,
-    n_samples: int = 400,
+    n_samples: int | None = None,
     sample_hi: float | None = None,
     extra_penalty_points=None,
     seed: int = 0,
@@ -229,9 +230,10 @@ def optimize_tunable_filter(
     a0.  The r_j are equispaced over [0, sample_hi], excluding those within
     0.1 of the resonant value; ``extra_penalty_points`` appends specific
     frequencies (e.g. a problem's shifted eigenvalues) to the fence.  The
-    penalty only restrains where it samples.  The default sample_hi = pi/dt
-    fences the whole band: on t_n = n dt, beta_h is even and 2 pi/dt-periodic
-    in lambda, so its largest value over the real line is its largest on
+    penalty only restrains where it samples, so n_samples defaults to
+    max(400, 4 M) for M steps.  The default sample_hi = pi/dt fences the
+    whole band: on t_n = n dt, beta_h is even and 2 pi/dt-periodic in
+    lambda, so its largest value over the real line is its largest on
     [0, pi/dt], where every leapfrog mode's shifted frequency lies as well.
 
     beta and beta'' are affine in x, so J is convex and |a0| < 1/2 is a box:
@@ -239,12 +241,14 @@ def optimize_tunable_filter(
     reaches the global minimum.  Each step backtracks on J from a step that
     moves no |beta(r_j)| by more than 1 and keeps a0 in its box.  It is
     deterministic; ``seed`` is ignored.  Too few samples leave J unbounded
-    below: a solve that does not converge, or whose |beta| exceeds 1 on a
-    dense grid over [0, pi/dt] whatever sample_hi is, returns the standard
-    filter with ``improved=False`` and a warning.
+    below: a solve that does not converge, or whose |beta| exceeds 1 at
+    lambda_k = k pi / ((8 M + 1) dt), k <= 8 M + 1 (the whole band, 16 points
+    per period 2 pi/T of beta_h, from one real FFT), whatever sample_hi is,
+    returns the standard filter with ``improved=False`` and a warning.
     """
     n_coeffs = check_count(n_coeffs, "n_coeffs", 2)  # a0 and the pinned a_1
-    n_samples = check_count(n_samples, "n_samples")
+    n_samples = (max(400, 4 * tg.steps) if n_samples is None
+                 else check_count(n_samples, "n_samples"))
     (resonant_lambda,) = check_frequencies((resonant_lambda,), "resonant_lambda")
     if abs(resonant_lambda - omega) < 1e-12 * omega:
         raise ValueError("resonant_lambda must differ from omega")
@@ -302,9 +306,9 @@ def optimize_tunable_filter(
     warning = None if converged else "filter design did not converge"
     if converged:
         spec = FilterSpec.tunable(omega, a0=float(x[0]), a_rest=tuple(x[1:]))
-        # the whole band, 16 points per period 2 pi/T of beta's fastest oscillation
-        grid = np.linspace(0.0, math.pi / tg.dt, 8 * tg.steps + 2)
-        if np.max(np.abs(beta_by_quadrature(grid, spec, tg))) > 1.0 + 1e-6:
+        band = (2.0 * tg.dt / tg.T) * np.fft.rfft(filter_weights(spec, tg),
+                                                  16 * tg.steps + 2).real
+        if np.max(np.abs(band)) > 1.0 + 1e-6:
             warning = "designed filter has |beta| > 1: too few penalty samples"
         elif not cost < standard_cost:
             warning = "optimizer did not improve on the standard filter"

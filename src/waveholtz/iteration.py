@@ -38,6 +38,8 @@ class WaveHoltzConfig:
     """Time grid, filter, scheme, stopping parameters and drive of one solve.
 
     ``schedule`` is the drive; None drives ``problem.forcing`` at ``tg.omega``.
+    Every construction checks that each filter frequency makes whole half
+    cycles k_i = omega_i T / pi < M over the window, so beta_h(omega_i) = 1.
     """
 
     tg: TimeGrid
@@ -52,6 +54,10 @@ class WaveHoltzConfig:
         self.max_iters = check_count(self.max_iters, "max_iters")
         if self.scheme not in ("leapfrog", "rk4"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        k, M = [w * self.tg.T / math.pi for w in self.spec.omegas], self.tg.steps
+        if not (all(abs(x - round(x)) <= 1e-9 for x in k) and round(k[-1]) < M):
+            raise ValueError(f"each filter frequency must make whole half cycles over the "
+                             f"window, fewer than its {M} steps: omega T / pi = {k}")
 
     @classmethod
     def build(cls, problem: HelmholtzProblem, *, periods: int = 1,
@@ -222,51 +228,39 @@ class MultiFrequencyResult:
 def multifreq_solve(problem: HelmholtzProblem, config: WaveHoltzConfig,
                     method: str = "gmres",
                     krylov: KrylovConfig | None = None) -> MultiFrequencyResult:
-    """Solve for the several integer-related frequencies of the config's drive
+    """Solve for the several frequencies of the config's drive
     (``build(problem, schedule=...)``) in one iteration.
 
     The combined field is converged with the summed drive and ``config.spec``,
-    which must carry the drive's frequencies.
-    From it the leapfrog trajectory over one base period of m steps is
-    sum_j u_j cos(omega_j t_n), with no sine part as the scheme is symmetric
-    in time.  For integers 0 < k, l < m/2, sum_{n<m} cos(k theta_n)
-    cos(l theta_n) = (m/2) delta_kl, so u_j = (2/m) sum_n cos(omega_j t_n)
-    w^n separates the solutions exactly, from m N doubles of samples.  That
-    period is one more wave solve in the report's count.  One frequency needs
-    no extra period: its solution is the combined field.
+    which must carry the drive's frequencies.  From it the leapfrog trajectory
+    over the solve's own window of M steps is sum_j u_j cos(omega_j t_n),
+    with no sine part as the scheme is symmetric in time.  For whole cycles
+    0 < k, l < M/2 (the config bounds them), sum_{n<M} cos(k theta_n)
+    cos(l theta_n) = (M/2) delta_kl, so u_j = (2/M) sum_n cos(omega_j t_n)
+    w^n separates the solutions exactly, from M N doubles of samples and one
+    more wave solve in the report's count.  One frequency needs no extra
+    window: its solution is the combined field.
 
     The default method is GMRES: the multi-frequency transfer function can
     exceed 1 (1.094 on a 1D Dirichlet box, n = 100, at omega = 4, 8, 12), so
     A can be indefinite, and CG then raises ``IndefiniteOperatorError``.
-    Before any wave solve, this checks that the frequencies are integer
-    multiples k of the lowest, that the steps make whole periods and that a
-    period has more than 2 k_max steps.  The report's wall time runs from
-    entry to the end of the projection.
+    Leapfrog and whole cycles are checked before any wave solve.  The wall
+    time runs from entry to the end of the projection.
     """
     t0 = time.perf_counter()
-    schedule = _schedule_for(problem, config)
-    omegas = schedule.omegas
-    ratios = omegas / omegas[0]
-    if not np.allclose(ratios, np.round(ratios), atol=1e-9):
-        raise ValueError("frequencies must be integer multiples of the lowest")
+    schedule, tg = _schedule_for(problem, config), config.tg
+    omegas, m = schedule.omegas, tg.steps
     if config.scheme != "leapfrog":
         raise ValueError("multi-frequency extraction is implemented for leapfrog")
-
-    tg = config.tg
-    if tg.steps % tg.periods != 0:
-        raise ValueError("steps must divide into whole periods for extraction")
-    m, k_max = tg.steps // tg.periods, round(ratios[-1])
-    if m <= 2 * k_max:
-        raise ValueError(f"a period of {m} steps cannot separate frequency ratio "
-                         f"{k_max}: it needs more than {2 * k_max} steps")
+    if np.any(np.round(np.array(config.spec.omegas) * (tg.T / math.pi)) % 2):
+        raise ValueError("extraction needs whole cycles of every frequency over the window")
 
     v, report = solve(problem, config, method=method, krylov=krylov)
     if len(omegas) == 1:
         return MultiFrequencyResult([ScalarField(problem.grid, v.values.copy())], report, v)
-    report.operator_applications += 1  # the extraction period
-    _, samples = evolve_and_filter(v.values.ravel(), schedule, problem,
-                                   TimeGrid(tg.omega, 1, m), config.spec, config.scheme,
-                                   sample_steps=range(m))
+    report.operator_applications += 1  # the extraction window
+    _, samples = evolve_and_filter(v.values.ravel(), schedule, problem, tg, config.spec,
+                                   config.scheme, sample_steps=range(m))
     C = (2.0 / m) * np.cos(np.outer(omegas, tg.dt * np.arange(m)))
     U = sum(np.outer(C[:, n], samples.pop(n)) for n in range(m))  # frees each sample
     sols = [ScalarField(problem.grid, u.reshape(problem.grid.shape)) for u in U]

@@ -415,6 +415,46 @@ def test_optimize_tunable_filter_accepts_on_the_whole_band():
     assert optimize_tunable_filter(omega, lam, 12, tg, n_samples=420).improved
 
 
+def test_optimize_tunable_filter_default_fence_grows_with_the_steps():
+    # 400 samples over [0, pi/dt] let |beta| pass 1 between them from 150
+    # steps on, so the design fell back to the standard filter; the default
+    # max(400, 4 M) designs at 200 steps
+    omega = 4.1 * math.pi
+    res = optimize_tunable_filter(omega, 4 * math.pi, 12, TimeGrid(omega, 1, 200))
+    assert res.improved and res.warning is None
+    assert res.cost < -1.5
+
+
+def test_optimize_tunable_filter_memory_is_linear_in_the_fence():
+    # the whole-band check is one real FFT, not a (8 M + 2) x (M + 1) cosine
+    # matrix, and the fence's cosines are taken in place: a default design at
+    # 1000 steps peaked at 128 MB traced before, and holds one 4 M x (M + 1)
+    # array now
+    import tracemalloc
+
+    omega = 4.1 * math.pi
+    tracemalloc.start()
+    try:
+        res = optimize_tunable_filter(omega, 4 * math.pi, 12, TimeGrid(omega, 1, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.improved and res.warning is None
+    assert peak < 40e6
+
+
+def test_filter_spec_coefficients_are_a_tuple_of_floats():
+    # an array or a list of coefficients gives the spec of the same tuple:
+    # equal, hashable, and no ambiguous truth value of an array
+    ref = FilterSpec((2.0,), -0.25, (0.0, 0.1))
+    for a in (np.array([0.0, 0.1]), [0.0, 0.1], (np.float64(0.0), np.float64(0.1))):
+        spec = FilterSpec((2.0,), -0.25, a)
+        assert spec == ref and hash(spec) == hash(ref)
+        assert type(spec.a) is tuple and all(type(c) is float for c in spec.a)
+    with pytest.raises(ValueError, match="multi-frequency"):
+        FilterSpec((1.0, 2.0), -0.25, np.array([0.0]))
+
+
 def test_time_grid_invariants():
     tg = TimeGrid(2.0, 3, 700)
     assert tg.steps * tg.dt == pytest.approx(tg.T, rel=1e-15)

@@ -476,29 +476,82 @@ def test_multifreq_extracts_components():
             < 1e-7 * max(1.0, np.max(np.abs(ref.values)))
 
 
-def test_multifreq_rejects_partial_periods_before_solving(monkeypatch):
-    # steps that do not divide into whole periods fail before any wave solve
-    p = problem_1d(omega=3.0, n=40, forcing="delta")
-    sched = ForcingSchedule([p.forcing] * 2, [3.0, 6.0])
-    built = WaveHoltzConfig.build(p, periods=2, schedule=sched)
-    cfg = replace(built, tg=TimeGrid(3.0, 2, built.tg.steps + 1))
+def _direct(omegas, dt, n):
+    """The direct solve at each omega's leapfrog image, on the delta-forced line."""
+    return [direct_helmholtz_solve(problem_1d(omega=om, n=n, forcing="delta"),
+                                   modified_frequency(om, dt)).values for om in omegas]
+
+
+def _assert_separates(p, cfg, omegas):
+    res = multifreq_solve(p, cfg, method="gmres")
+    assert res.report.converged
+    for u, ref in zip(res.solutions, _direct(omegas, cfg.tg.dt, p.grid.n[0])):
+        assert np.max(np.abs(u.values - ref)) < 1e-10 * np.max(np.abs(ref))
+
+
+def test_config_rejects_a_drive_off_whole_half_cycles_before_solving(monkeypatch):
+    # omega = 4 and 5 over one period of 4: omega = 5 makes 2.5 half cycles,
+    # where beta_h(5) = 1.64, not 1, and the field GMRES converged to was 4.2
+    # (relative, max norm) away from the sum of the direct solves.  Every
+    # construction of the config raises before any wave solve
+    p = problem_1d(omega=4.0, n=100, forcing="delta")
+    sched = ForcingSchedule([p.forcing] * 2, [4.0, 5.0])
     calls = _count_wave_solves(monkeypatch)
-    with pytest.raises(ValueError, match="whole periods"):
-        multifreq_solve(p, cfg, method="gmres")
+    with pytest.raises(ValueError, match="whole half cycles"):
+        WaveHoltzConfig.build(p, schedule=sched)
+    ok = WaveHoltzConfig.build(p, schedule=ForcingSchedule([p.forcing] * 2, [4.0, 6.0]))
+    with pytest.raises(ValueError, match="whole half cycles"):
+        WaveHoltzConfig(ok.tg, FilterSpec([4.0, 5.0]), schedule=sched)
+    with pytest.raises(ValueError, match="whole half cycles"):
+        replace(ok, spec=FilterSpec([4.0, 5.0]), schedule=sched)
     assert not calls
 
 
-def test_multifreq_rejects_too_few_steps_per_period_before_solving(monkeypatch):
-    # projecting on cos(k theta_n) separates ratios k only below m / 2: 8
-    # steps per period cannot separate omega = 1, 2, 4
+def test_half_cycle_drive_solves_to_the_direct_sum():
+    # omega = 4 and 6 over one period of 4: 6 makes 1.5 cycles, whole half
+    # cycles, so beta_h = 1 at both and the fixed point is the sum of the
+    # direct solves, though the projection cannot separate it
+    p = problem_1d(omega=4.0, n=100, forcing="delta")
+    sched = ForcingSchedule([p.forcing] * 2, [4.0, 6.0])
+    cfg = WaveHoltzConfig.build(p, schedule=sched, tol=1e-12)
+    v, rep = solve(p, cfg, "gmres")
+    assert rep.converged
+    ref = sum(_direct([4.0, 6.0], cfg.tg.dt, 100))
+    assert np.max(np.abs(v.values - ref)) < 1e-9 * np.max(np.abs(ref))
+    with pytest.raises(ValueError, match="whole cycles"):
+        multifreq_solve(p, cfg)
+
+
+def test_multifreq_separates_whole_cycles_off_integer_ratios():
+    # omega = 4 and 6 over two periods of 4 make 2 and 3 whole cycles: the
+    # ratio 1.5 is no integer, but the window carries both
+    p = problem_1d(omega=4.0, n=100, forcing="delta")
+    sched = ForcingSchedule([p.forcing] * 2, [4.0, 6.0])
+    _assert_separates(p, WaveHoltzConfig.build(p, periods=2, schedule=sched, tol=1e-12),
+                      [4.0, 6.0])
+
+
+def test_multifreq_separates_on_steps_off_whole_periods():
+    # the extraction projects the solve's own window, so steps that do not
+    # divide into whole periods still separate omega = 3 and 6 over two periods
+    p = problem_1d(omega=3.0, n=40, forcing="delta")
+    sched = ForcingSchedule([p.forcing] * 2, [3.0, 6.0])
+    built = WaveHoltzConfig.build(p, periods=2, schedule=sched, tol=1e-12)
+    cfg = replace(built, tg=TimeGrid(3.0, 2, built.tg.steps + 1))
+    assert cfg.tg.steps % 2
+    _assert_separates(p, cfg, [3.0, 6.0])
+
+
+def test_config_rejects_too_few_steps_for_the_top_frequency():
+    # omega = 4 makes 8 half cycles over one period of omega = 1: 8 steps
+    # cannot sample it (beta_h(4) = 2 there, and the projection could not
+    # separate it), so the config itself is refused; 9 steps can
     p = problem_1d(omega=1.0, n=30, forcing="delta")
     omegas = [1.0, 2.0, 4.0]
     sched = ForcingSchedule([p.forcing] * 3, omegas)
-    cfg = WaveHoltzConfig(TimeGrid(1.0, 1, 8), FilterSpec(omegas), schedule=sched)
-    calls = _count_wave_solves(monkeypatch)
-    with pytest.raises(ValueError, match="more than 8 steps"):
-        multifreq_solve(p, cfg)
-    assert not calls
+    with pytest.raises(ValueError, match="fewer than its 8 steps"):
+        WaveHoltzConfig(TimeGrid(1.0, 1, 8), FilterSpec(omegas), schedule=sched)
+    WaveHoltzConfig(TimeGrid(1.0, 1, 9), FilterSpec(omegas), schedule=sched)
 
 
 def test_multifreq_rejects_rk4_before_solving(monkeypatch):
