@@ -370,12 +370,14 @@ def _omega_tag(omega: float) -> str:
 def run_sweep(cfg: RunConfig, outdir: Path) -> dict:
     """Run every sweep frequency, writing each run's artifacts as it finishes.
 
-    Every set-up precedes the first wave solve and the directory follows the
-    first run, so a rejected config solves and writes nothing.  By ascending
-    omega, each run then appends its summary.csv row, writes its history and
-    dump and prints its status line, so a solver error keeps the runs before.
-    The returned records hold no field: each is written as its run finishes.
+    The output path's check and every set-up precede the first wave solve and
+    the directory follows the first run, so a rejected config solves and
+    writes nothing.  By ascending omega, each run then appends its summary.csv
+    row, writes its history and dump and prints its status line, so a solver
+    error keeps the runs before.  The returned records hold no field.
     """
+    if not all(d.is_dir() for d in (outdir, *outdir.parents) if d.exists()):
+        raise ConfigError(f"output path {outdir} is not a directory")
     designs = {w: _set_up(cfg, w) for w in sorted(cfg.omegas)}  # (wh, delta_h, warning)
     sys.stderr.writelines(f"warning: {m}\n" for *_, m in designs.values() if m)
     summary, results = outdir / "summary.csv", []
@@ -410,7 +412,11 @@ def report_summary(paths) -> str:
     for path in paths:
         path = Path(path)
         rows = []
-        with path.open(newline="") as fh:
+        try:
+            fh = path.open(newline="")
+        except OSError as exc:  # missing, a directory, unreadable
+            raise ConfigError(f"cannot read summary file {path}: {exc.strerror}") from exc
+        with fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames != CSV_COLUMNS:
                 raise ConfigError(f"{path}:1: expected the header {','.join(CSV_COLUMNS)}")

@@ -212,7 +212,7 @@ class HelmholtzProblem:
             raise GridMismatchError("csq/forcing grids do not match the problem grid")
         if self.bcs.dim != self.grid.dim:
             raise ValueError("boundary spec dimension does not match grid")
-        check_frequencies((self.omega,), "omega")
+        self.omega = check_frequencies((self.omega,), "omega")[0]
         if not np.all((self.csq.values > 0) & np.isfinite(self.csq.values)):
             raise ValueError("c^2 must be finite and strictly positive everywhere")
         if not np.all(np.isfinite(self.forcing.values)):

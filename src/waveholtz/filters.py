@@ -37,9 +37,9 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        check_frequencies((self.omega,), "omega")
-        check_count(self.periods, "periods")
-        check_count(self.steps, "steps", 2)
+        object.__setattr__(self, "omega", check_frequencies((self.omega,), "omega")[0])
+        object.__setattr__(self, "periods", check_count(self.periods, "periods"))
+        object.__setattr__(self, "steps", check_count(self.steps, "steps", 2))
 
     @property
     def T(self) -> float:

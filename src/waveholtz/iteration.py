@@ -68,11 +68,15 @@ class WaveHoltzConfig:
               correction: bool = False) -> "WaveHoltzConfig":
         """The one home of a solve's time step.  Defaults: leapfrog when energy
         conserving (else rk4), and the step count M rounded up from a target
-        dt so that M*dt = T exactly.  RK4 targets dt = h_min / c_max.
-        Leapfrog targets min(0.7 * 2 / lambda_max, 0.95 * limit, 1 / omega)
-        at the highest drive frequency omega, with lambda_max from
-        ``problem.lambda_max_estimate`` and limit = 2 / (lambda_max + 2 omega
-        / pi) its stability bound.
+        dt, then up to whole steps per period; dt = T / M always.  RK4 targets
+        dt = h_min / c_max.  Leapfrog targets min(0.7 * 2 / lambda_max, 0.95 *
+        limit, 1 / omega) at the highest drive frequency omega, with
+        lambda_max from ``problem.lambda_max_estimate`` and limit = 2 /
+        (lambda_max + 2 omega / pi) its stability bound.  A given ``steps`` is
+        kept, as ``TimeGrid`` keeps it.  The default rounds per period because
+        that keeps RK4 inside its real-axis limit dt / h of about 0.985 on the
+        10-period open box (omega = 12.5, n = 104): 270 steps, dt / h = 0.968,
+        where the unrounded count would be 262 steps at 0.998.
 
         Leapfrog needs energy-conserving sides, and its ``dt``, given
         ``steps`` or not, must be below that limit, or this raises ValueError
@@ -109,7 +113,7 @@ class WaveHoltzConfig:
             dt = (min(0.7 * 2.0 / lam, 0.95 * limit, 1.0 / top) if scheme == "leapfrog"
                   else min(problem.grid.h) / math.sqrt(problem.csq.values.max()))
             steps = max(2, math.ceil(periods * 2.0 * math.pi / base / dt))
-        steps = int(math.ceil(steps / periods)) * periods  # whole steps per period
+            steps = int(math.ceil(steps / periods)) * periods  # whole steps per period
         if correction:
             dt = 2.0 * math.sin(math.pi * periods / steps) / base
             omegas = [2.0 * math.pi * periods / (steps * dt)]

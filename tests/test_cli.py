@@ -600,3 +600,29 @@ def test_design_and_optimize_sweep_load_no_scipy_optimize(tmp_path):
                          capture_output=True, text=True)
     assert out.stderr == ""
     assert out.stdout.splitlines()[-1] == "False"
+
+
+def test_report_on_a_missing_file_or_a_directory_exits_2(tmp_path, capsys):
+    for path in (tmp_path / "missing.csv", tmp_path):
+        with pytest.raises(ConfigError, match=f"cannot read summary file {re.escape(str(path))}"):
+            report_summary([path])
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: cannot read"), err
+
+
+def test_sweep_out_on_an_existing_file_exits_2_before_any_wave_solve(tmp_path, capsys,
+                                                                     monkeypatch):
+    solves = []
+    evolve = iteration.evolve_and_filter
+    monkeypatch.setattr(iteration, "evolve_and_filter",
+                        lambda *a, **kw: solves.append(1) or evolve(*a, **kw))
+    path = _write_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    for out in (taken, taken / "sub"):
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"config error: output path {out} is not a directory"]
+    assert solves == []
+    assert taken.read_text() == "keep me\n"

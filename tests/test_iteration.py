@@ -698,3 +698,46 @@ def test_build_checks_the_leapfrog_limit():
     assert 1.05 * limit <= T / unstable < 1.1 * limit
     with pytest.raises(ValueError, match="stability limit"):
         WaveHoltzConfig.build(p, steps=unstable)
+
+
+def test_build_keeps_a_given_step_count():
+    # a given steps is the window that runs, whichever route builds it; only
+    # the default count is rounded up to whole steps per period
+    p = problem_1d(omega=4.0, n=100)
+    cfg = WaveHoltzConfig.build(p, periods=3, steps=901)
+    assert cfg.tg == TimeGrid(4.0, 3, 901)
+    assert WaveHoltzConfig.build(p, periods=3).tg.steps % 3 == 0
+
+
+def test_default_rk4_step_of_the_open_box_stays_below_its_real_axis_limit():
+    # whbench's C10 box: rounding the default count up to whole steps per
+    # period gives 270 steps, dt / h = 0.968.  Unrounded it would be 262
+    # steps, dt / h = 0.998, past RK4's real-axis limit of about 0.985, where
+    # GMRES(100) needs 11 wave solves instead of 9.
+    p = problem_2d(omega=12.5, n=104, bc="impedance")
+    cfg = WaveHoltzConfig.build(p, periods=10)
+    assert cfg.scheme == "rk4"
+    assert cfg.tg.dt / min(p.grid.h) <= 0.98
+
+
+def test_time_grid_stores_its_checked_counts():
+    # an integral float64 count is held as the int check_count returns, so
+    # tg.eta() takes it and the grid solves as the int one does
+    tg = TimeGrid(4.0, np.float64(1), np.float64(90))
+    assert type(tg.periods) is int and type(tg.steps) is int
+    assert tg == TimeGrid(4.0, 1, 90)
+    runs = [solve(problem_1d(omega=4.0, n=40), WaveHoltzConfig(t, FilterSpec((4.0,))),
+                  method="gmres") for t in (tg, TimeGrid(4.0, 1, 90))]
+    assert np.array_equal(runs[0][0].values, runs[1][0].values)
+    assert runs[0][1].residual_history == runs[1][1].residual_history
+
+
+def test_problem_stores_a_float_omega():
+    # a float32 omega is held as the float check_frequencies returns, so T,
+    # dt and the filter's sample times are all double precision
+    p32, p = (problem_1d(omega=w, n=100, forcing="delta")
+              for w in (np.float32(12.5), 12.5))
+    assert type(p32.omega) is float and p32.omega == 12.5
+    runs = [solve(q, WaveHoltzConfig.build(q), method="gmres") for q in (p32, p)]
+    assert np.array_equal(runs[0][0].values, runs[1][0].values)
+    assert runs[0][1].residual_history == runs[1][1].residual_history
