@@ -190,12 +190,14 @@ class BoundarySpec:
         return self.sides[2 * axis + end]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HelmholtzProblem:
     """Time-harmonic problem ``div(c^2 grad u) + omega^2 u = f`` on a box.
 
     ``csq`` holds c^2 per node (strictly positive), ``forcing`` holds f.
     Forcing values on Dirichlet boundary nodes are zeroed at construction.
+    Frozen, as the cached ``operator`` is built from the fields: change one
+    with ``dataclasses.replace``, which builds a new problem.
     """
 
     grid: UniformGrid
@@ -212,14 +214,14 @@ class HelmholtzProblem:
             raise GridMismatchError("csq/forcing grids do not match the problem grid")
         if self.bcs.dim != self.grid.dim:
             raise ValueError("boundary spec dimension does not match grid")
-        self.omega = check_frequencies((self.omega,), "omega")[0]
+        object.__setattr__(self, "omega", check_frequencies((self.omega,), "omega")[0])
         if not np.all((self.csq.values > 0) & np.isfinite(self.csq.values)):
             raise ValueError("c^2 must be finite and strictly positive everywhere")
         if not np.all(np.isfinite(self.forcing.values)):
             raise ValueError("forcing must be finite everywhere")
         f = self.forcing.values.copy()
         f[self.dirichlet_mask] = 0.0
-        self.forcing = ScalarField(self.grid, f)
+        object.__setattr__(self, "forcing", ScalarField(self.grid, f))
 
     def _side_count(self, tag: str) -> np.ndarray:
         """How many sides tagged ``tag`` each node lies on (2 at their corners)."""

@@ -110,11 +110,16 @@ class FilterSpec:
         return acc + np.sin(np.multiply.outer(t, n_omega)) @ self.a  # a column per term
 
 
+def check_filter_grid(spec: FilterSpec, tg: TimeGrid):
+    """The filter's first frequency must be the time grid's (relative 1e-12)."""
+    if abs(spec.omegas[0] - tg.omega) > 1e-12 * tg.omega:
+        raise ValueError("filter and time grid are built for different omega")
+
+
 def filter_weights(spec: FilterSpec, tg: TimeGrid) -> np.ndarray:
     """Trapezoid weights eta_n weight(t_n) over the time grid; the average is
     (2 dt / T) times their sum against the trajectory."""
-    if abs(spec.omegas[0] - tg.omega) > 1e-12 * tg.omega:
-        raise ValueError("filter and time grid are built for different omega")
+    check_filter_grid(spec, tg)
     return tg.eta() * spec.weight(tg.times())
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import HelmholtzProblem, ScalarField, WaveState, check_count, check_tolerance
-from .filters import FilterSpec, TimeGrid
+from .filters import FilterSpec, TimeGrid, check_filter_grid
 from .krylov import (
     IterationReport,
     KrylovConfig,
@@ -30,16 +30,19 @@ from .krylov import (
     cg_solve,
     gmres_solve,
 )
-from .wavesolver import ForcingSchedule, evolve_and_filter
+from .wavesolver import ForcingSchedule, _check_leapfrog, evolve_and_filter
 
 
-@dataclass
+@dataclass(frozen=True)
 class WaveHoltzConfig:
     """Time grid, filter, scheme, stopping parameters and drive of one solve.
 
     ``schedule`` is the drive; None drives ``problem.forcing`` at ``tg.omega``.
-    Every construction checks that each filter frequency makes whole half
-    cycles k_i = omega_i T / pi < M over the window, so beta_h(omega_i) = 1.
+    Every construction, ``dataclasses.replace`` included, checks that the
+    filter is built for the grid's omega and that each filter frequency makes
+    whole half cycles k_i = omega_i T / pi < M over the window, so
+    beta_h(omega_i) = 1.  The leapfrog rule needs the problem: ``build`` and
+    the first wave solve of each system on a problem check it.
     """
 
     tg: TimeGrid
@@ -51,9 +54,10 @@ class WaveHoltzConfig:
 
     def __post_init__(self):
         check_tolerance(self.tol)
-        self.max_iters = check_count(self.max_iters, "max_iters")
+        object.__setattr__(self, "max_iters", check_count(self.max_iters, "max_iters"))
         if self.scheme not in ("leapfrog", "rk4"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        check_filter_grid(self.spec, self.tg)
         k, M = [w * self.tg.T / math.pi for w in self.spec.omegas], self.tg.steps
         if not (all(abs(x - round(x)) <= 1e-9 for x in k) and round(k[-1]) < M):
             raise ValueError(f"each filter frequency must make whole half cycles over the "
@@ -70,18 +74,20 @@ class WaveHoltzConfig:
         conserving (else rk4), and the step count M rounded up from a target
         dt, then up to whole steps per period; dt = T / M always.  RK4 targets
         dt = h_min / c_max.  Leapfrog targets min(0.7 * 2 / lambda_max, 0.95 *
-        limit, 1 / omega) at the highest drive frequency omega, with
-        lambda_max from ``problem.lambda_max_estimate`` and limit = 2 /
-        (lambda_max + 2 omega / pi) its stability bound.  A given ``steps`` is
-        kept, as ``TimeGrid`` keeps it.  The default rounds per period because
-        that keeps RK4 inside its real-axis limit dt / h of about 0.985 on the
-        10-period open box (omega = 12.5, n = 104): 270 steps, dt / h = 0.968,
-        where the unrounded count would be 262 steps at 0.998.
+        2 / (lambda_max + 2 omega / pi), 1 / omega) at the highest drive
+        frequency omega, with lambda_max from ``problem.lambda_max_estimate``.
+        A given ``steps`` is kept, as ``TimeGrid`` keeps it; only the default
+        count is rounded.  It rounds per period because that keeps RK4 inside
+        its real-axis limit dt / h of about 0.985 on the 10-period open box
+        (omega = 12.5, n = 104): 270 steps, dt / h = 0.968, where the
+        unrounded count would be 262 steps at 0.998.
 
-        Leapfrog needs energy-conserving sides, and its ``dt``, given
-        ``steps`` or not, must be below that limit, or this raises ValueError
-        before any wave solve.  The bound is conservative: it rejects some
-        step counts that would still solve.
+        A leapfrog config, given ``steps`` or not, must meet the step's one
+        exact rule, ``wavesolver._check_leapfrog``, or this raises ValueError
+        before any wave solve; the first wave solve of each system on a
+        problem checks it again.  The rule is exact, so 126 steps at omega =
+        5, n = 100 (dt lambda_max = 1.995) pass it; the default target meets
+        it with margin.
 
         ``schedule`` (the drive, kept on the config; by default
         ``problem.forcing`` at ``problem.omega``) sets the frequencies: the
@@ -99,8 +105,6 @@ class WaveHoltzConfig:
         steps = None if steps is None else check_count(steps, "steps", 2)
         if scheme is None:
             scheme = "leapfrog" if problem.bcs.energy_conserving else "rk4"
-        if scheme == "leapfrog" and not problem.bcs.energy_conserving:
-            raise ValueError("leapfrog requires energy-conserving boundary conditions")
         if correction and scheme != "leapfrog":
             raise ValueError("correction=True is exact for leapfrog only")
         if correction and schedule is not None:
@@ -108,23 +112,20 @@ class WaveHoltzConfig:
                              "frequency: it takes no schedule")
         omegas = [problem.omega] if schedule is None else schedule.omegas.tolist()
         base, top, lam = omegas[0], omegas[-1], problem.lambda_max_estimate()
-        limit = 2.0 / (lam + 2.0 * top / math.pi)
         if steps is None:
-            dt = (min(0.7 * 2.0 / lam, 0.95 * limit, 1.0 / top) if scheme == "leapfrog"
+            dt = (min(0.7 * 2.0 / lam, 0.95 * 2.0 / (lam + 2.0 * top / math.pi), 1.0 / top)
+                  if scheme == "leapfrog"
                   else min(problem.grid.h) / math.sqrt(problem.csq.values.max()))
             steps = max(2, math.ceil(periods * 2.0 * math.pi / base / dt))
             steps = int(math.ceil(steps / periods)) * periods  # whole steps per period
         if correction:
             dt = 2.0 * math.sin(math.pi * periods / steps) / base
             omegas = [2.0 * math.pi * periods / (steps * dt)]
-        tg = TimeGrid(omegas[0], periods, steps)
-        if scheme == "leapfrog" and not tg.dt < limit:
-            raise ValueError(f"leapfrog is unstable at {steps} steps: dt = {tg.dt:.6g} "
-                             f">= stability limit {limit:.6g}")
-        if spec is None:
-            spec = FilterSpec(omegas)
-        return cls(tg=tg, spec=spec, scheme=scheme, max_iters=max_iters, tol=tol,
-                   schedule=schedule)
+        config = cls(tg=TimeGrid(omegas[0], periods, steps), spec=spec or FilterSpec(omegas),
+                     scheme=scheme, max_iters=max_iters, tol=tol, schedule=schedule)
+        if scheme == "leapfrog":  # refused here, before the CLI's first solve
+            _check_leapfrog(problem, config.tg, config.spec)
+        return config
 
 
 def _schedule_for(problem, config):

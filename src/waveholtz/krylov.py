@@ -27,7 +27,7 @@ class LinearOperator:
     apply: Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass
+@dataclass(frozen=True)
 class KrylovConfig:
     method: str = "gmres"
     restart: int = 100
@@ -36,9 +36,10 @@ class KrylovConfig:
 
     def __post_init__(self):
         if self.method not in ("gmres", "cg"):
-            raise ValueError(f"unknown method {self.method!r}, not gmres or cg")
-        self.restart = check_count(self.restart, "restart")
-        self.max_iters = check_count(self.max_iters, "max_iters")
+            raise ValueError(f"unknown method {self.method!r}: the methods are fixed_point, "
+                             "gmres and cg, and a KrylovConfig drives gmres or cg")
+        object.__setattr__(self, "restart", check_count(self.restart, "restart"))
+        object.__setattr__(self, "max_iters", check_count(self.max_iters, "max_iters"))
         check_tolerance(self.tol)
 
 
@@ -89,8 +90,9 @@ def gmres_solve(A: LinearOperator, b: np.ndarray, config: KrylovConfig):
     m = config.restart
 
     # Each later pass recomputes a true residual (one operator application),
-    # so a convergence claim is always certified outside the Givens estimates.
-    while iters < config.max_iters:
+    # so a convergence claim is always certified outside the Givens estimates;
+    # an estimate that meets tol is certified even at the iteration cap.
+    while iters < config.max_iters or history[-1] <= config.tol:
         if history:
             r = b - A.apply(x)
             apps += 1

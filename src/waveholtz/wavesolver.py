@@ -21,6 +21,7 @@ every ``_CHECK_EVERY`` steps and at the end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -28,22 +29,26 @@ import numpy as np
 
 from .core import (GridMismatchError, HelmholtzProblem, ScalarField, WaveState,
                    check_count, check_frequencies)
-from .filters import FilterSpec, TimeGrid, filter_weights
+from .filters import FilterSpec, TimeGrid, filter_weights, shifted_eigenvalue
 
 
 class InstabilityError(RuntimeError):
     """A time integration produced non-finite values."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForcingSchedule:
-    """Spatial forcings f_i driven at cos(omega_i t), summed."""
+    """Spatial forcings f_i driven at cos(omega_i t), summed; kept as a tuple
+    and a read-only array."""
 
-    forcings: list[ScalarField]
+    forcings: tuple[ScalarField, ...]
     omegas: np.ndarray
 
     def __post_init__(self):
-        self.omegas = np.array(check_frequencies(self.omegas, "forcing frequencies"))
+        omegas = np.array(check_frequencies(self.omegas, "forcing frequencies"))
+        omegas.flags.writeable = False
+        object.__setattr__(self, "forcings", tuple(self.forcings))
+        object.__setattr__(self, "omegas", omegas)
         if len(self.forcings) != len(self.omegas):
             raise ValueError("need one forcing field per frequency")
         if any(f.grid != self.forcings[0].grid for f in self.forcings):
@@ -138,26 +143,45 @@ def _products(problem: HelmholtzProblem, dt: float, scheme: str):
         data = np.zeros((offsets.size, 2 * n))
         data[:-1, :n], data[-1, n:] = L.data, B
         return tuple((s * dt, _dia_adder(offsets, data * (-s * dt), n)) for s in _RK4_LEVELS)
-    if not problem.bcs.energy_conserving:
-        raise ValueError("leapfrog requires energy-conserving boundary conditions")
     data = L.data * (-dt * dt)
     data[L.offsets == 0, ~problem.dirichlet_mask.ravel()] += 2.0
     return _dia_adder(L.offsets, data, n)
+
+
+def _check_leapfrog(problem: HelmholtzProblem, tg: TimeGrid, spec: FilterSpec):
+    """Leapfrog's preconditions, the one rule every route checks before its
+    first step: energy-conserving sides, dt lambda_max < 2 (stability, with
+    ``problem.lambda_max_estimate``), and (lambda~_max + omega) dt < pi,
+    lambda~ the ``shifted_eigenvalue`` and omega the filter's top frequency:
+    the top mode plus the drive stays below the step's Nyquist frequency, so
+    the filter sees no alias of it.  In closed form, 2 asin(dt lambda_max / 2)
+    + omega dt < pi."""
+    if not problem.bcs.energy_conserving:
+        raise ValueError("leapfrog requires energy-conserving boundary conditions")
+    lam, dt, top = problem.lambda_max_estimate(), tg.dt, spec.omegas[-1]
+    phase = (shifted_eigenvalue(lam, dt) + top) * dt if dt * lam < 2.0 else math.inf
+    if not phase < math.pi:
+        raise ValueError(f"leapfrog at {tg.steps} steps is past its stability limit: dt "
+                         f"lambda_max = {dt * lam:.6g} must be below 2 and (lambda~_max + "
+                         f"omega) dt = {phase:.6g} below pi")
 
 
 def _prepared(problem: HelmholtzProblem, tg: TimeGrid, spec: FilterSpec, scheme: str):
     """What a wave solve needs that is fixed for its system: (the step products
     of ``_products``, the averaging weights eta_n weight(t_n), the scale 2 dt / T
     of the average).  Kept in the problem's one slot, ``problem.prepared``,
-    under (tg, spec, scheme) and rebuilt when another system runs.  The slot
-    is read once and replaced by one assignment of an immutable pair, and it
-    holds no work buffers, so solves that share a problem need no lock."""
+    under (tg, spec, scheme) and rebuilt, after ``_check_leapfrog`` for a
+    leapfrog system, when another system runs.  The slot is read once and
+    replaced by one write of an immutable pair, and it holds no work
+    buffers, so solves that share a problem need no lock."""
     key, slot = (tg, spec, scheme), problem.prepared  # one read: see above
     if slot is not None and slot[0] == key:
         return slot[1]
+    if scheme == "leapfrog":
+        _check_leapfrog(problem, tg, spec)
     parts = (_products(problem, tg.dt, scheme), tuple(filter_weights(spec, tg).tolist()),
              2.0 * tg.dt / tg.T)
-    problem.prepared = (key, parts)
+    object.__setattr__(problem, "prepared", (key, parts))  # the problem is frozen
     return parts
 
 

@@ -464,6 +464,15 @@ def test_unstable_leapfrog_dt_is_a_config_error(tmp_path, capsys):
     assert not (out / "summary.csv").exists()
 
 
+def test_unknown_method_names_all_three(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    path.write_text(_replace_line(path.read_text(), "method = gmres", "method = bogus"))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert "the methods are fixed_point, gmres and cg" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _replace_line(text, old, new):
     assert old in text
     return text.replace(old, new)

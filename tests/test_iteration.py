@@ -1,6 +1,6 @@
 import math
 import time
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -640,7 +640,7 @@ def test_config_validation():
         KrylovConfig(tol=0.0)
     with pytest.raises(ValueError):
         WaveHoltzConfig.build(p, scheme="verlet")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the methods are fixed_point, gmres and cg"):
         solve(p, WaveHoltzConfig.build(p), method="bicgstab")
     with pytest.raises(ValueError, match="energy-conserving"):
         WaveHoltzConfig.build(problem_1d(n=20, bc="impedance"), scheme="leapfrog")
@@ -664,7 +664,8 @@ def test_config_validation():
     for kwargs in [dict(periods=1.5), dict(steps=200.5), dict(max_iters=2.5)]:
         with pytest.raises(ValueError, match="integers"):
             WaveHoltzConfig.build(p, **kwargs)
-    with pytest.raises(ValueError, match="unknown method 'bicgstab'"):
+    with pytest.raises(ValueError, match="unknown method 'bicgstab': the methods are "
+                                         "fixed_point, gmres and cg"):
         KrylovConfig(method="bicgstab")
 
 
@@ -677,12 +678,101 @@ def test_build_rejects_an_unstable_leapfrog_dt(monkeypatch):
     with pytest.raises(ValueError, match="stability limit"):
         solve(p, WaveHoltzConfig.build(p, steps=117), method="gmres")
     assert calls == []
-    # the bound is conservative: 126 steps (dt * lambda = 1.995) fail it too
-    with pytest.raises(ValueError, match="stability limit"):
-        WaveHoltzConfig.build(p, steps=126)
+    # the rule is exact: 126 steps (dt * lambda = 1.995) are stable and do not alias
+    assert WaveHoltzConfig.build(p, steps=126).tg.steps == 126
     assert WaveHoltzConfig.build(p, steps=128).tg.steps == 128
     # rk4 step counts are not checked
     assert WaveHoltzConfig.build(p, steps=117, scheme="rk4").tg.steps == 117
+
+
+@pytest.mark.parametrize("route", ["direct", "replace"])
+def test_a_config_not_from_build_meets_the_leapfrog_rule(route, monkeypatch):
+    # 117 steps (dt * lambda = 2.148) on a config that build never saw: the
+    # first wave solve refuses the window before any step
+    p = problem_1d(omega=5.0, n=100)
+    tg = TimeGrid(5.0, 1, 117)
+    cfg = (WaveHoltzConfig(tg, FilterSpec.standard(5.0)) if route == "direct"
+           else replace(WaveHoltzConfig.build(p), tg=tg))
+    steps = _count_steps(monkeypatch)
+    with pytest.raises(ValueError, match="stability limit"):
+        solve(p, cfg, "gmres")
+    assert not steps
+
+
+def test_a_config_reused_on_a_stiffer_problem_is_refused(monkeypatch):
+    # the default step of the c^2 = 1 line has dt * lambda = 2.8 on the c^2 = 4 line
+    p, stiff = problem_1d(omega=5.0, n=100), problem_1d(omega=5.0, n=100, csq=4.0)
+    cfg = WaveHoltzConfig.build(p)
+    steps = _count_steps(monkeypatch)
+    with pytest.raises(ValueError, match="stability limit"):
+        solve(stiff, cfg, "gmres")
+    assert not steps
+
+
+def test_a_stable_step_that_aliases_is_refused(monkeypatch):
+    # the C08 line at omega = 20: 6 steps are stable (dt * lambda = 1.745),
+    # but 2 asin(dt lambda / 2) + omega dt = 1.009 pi aliases the top mode
+    p = problem_1d(omega=20.0, n=200, lo=-6.0, hi=6.0)
+    tg = TimeGrid(20.0, 1, 6)
+    assert tg.dt * p.lambda_max_estimate() == pytest.approx(1.745, abs=1e-3)
+    steps = _count_steps(monkeypatch)
+    with pytest.raises(ValueError, match="stability limit"):
+        solve(p, WaveHoltzConfig(tg, FilterSpec.standard(20.0)), "gmres")
+    with pytest.raises(ValueError, match="stability limit"):
+        WaveHoltzConfig.build(p, steps=6)
+    assert not steps
+
+
+def test_build_accepts_a_step_past_the_linearised_bound():
+    # 7 steps there: 0.824 pi, past 2 / (lambda + 2 omega / pi) but inside
+    # the exact rule; the limit solves the equation at the modified frequency
+    p = problem_1d(omega=20.0, n=200, lo=-6.0, hi=6.0)
+    cfg = WaveHoltzConfig.build(p, steps=7)
+    assert cfg.tg.dt > 2.0 / (p.lambda_max_estimate() + 2.0 * p.omega / math.pi)
+    v, rep = solve(p, cfg, "gmres")
+    assert rep.converged
+    assert helmholtz_residual(p, v, modified_frequency(p.omega, cfg.tg.dt)) <= 1e-9
+
+
+def test_build_accepts_the_paper_step_on_the_paper_box():
+    # the paper's box at omega = 10.5 with its leapfrog step, 38 steps per
+    # period (dt = 0.69 h); CG converges on it
+    p = problem_2d(omega=10.5)
+    cfg = WaveHoltzConfig.build(p, steps=38, tol=1e-8)
+    assert cfg.tg.dt / p.grid.h[0] == pytest.approx(0.693, abs=1e-3)
+    v, rep = solve(p, cfg, "cg")
+    assert rep.converged
+    assert helmholtz_residual(p, v, modified_frequency(p.omega, cfg.tg.dt)) <= 1e-7
+
+
+def test_config_refuses_a_filter_built_for_another_frequency():
+    # 4 half cycles of omega = 8 fit the window of omega = 4, but a filter's
+    # first frequency must be its grid's
+    with pytest.raises(ValueError, match="different omega"):
+        WaveHoltzConfig(TimeGrid(4.0, 1, 200), FilterSpec.standard(8.0))
+
+
+def test_inputs_are_frozen_and_replace_reruns_their_rules():
+    p = problem_1d(omega=4.0, n=50)
+    cfg, kc = WaveHoltzConfig.build(p), KrylovConfig()
+    sched = ForcingSchedule([p.forcing], [p.omega])
+    for obj, name, value in [(p, "csq", ScalarField.constant(p.grid, 4.0)),
+                             (cfg, "tol", math.nan), (kc, "restart", 0),
+                             (sched, "omegas", np.array([5.0]))]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, value)
+    assert isinstance(sched.forcings, tuple)
+    with pytest.raises(ValueError, match="read-only"):
+        sched.omegas[0] = 5.0
+    with pytest.raises(ValueError, match="tol must be positive"):
+        replace(cfg, tol=math.nan)
+    with pytest.raises(ValueError, match="integers"):
+        replace(kc, restart=0)
+    # a replaced problem is a new one: its own operator and an empty slot
+    solve(p, cfg, "gmres")
+    q = replace(p, csq=ScalarField.constant(p.grid, 4.0))
+    assert q.prepared is None
+    assert np.array_equal(q.operator[0].data, 4.0 * p.operator[0].data)
 
 
 def test_build_checks_the_leapfrog_limit():

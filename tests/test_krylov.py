@@ -187,6 +187,21 @@ def test_cg_on_slightly_nonsymmetric_operator_is_honest(rng):
     assert len(rep.residual_history) == rep.iters + 1
 
 
+def test_gmres_certifies_an_estimate_that_meets_tol_at_the_cap():
+    # an SPD system with eigenvalues on [1, 3]: an estimate that meets tol on
+    # the last allowed iteration is certified by one true residual, as it is
+    # below the cap, not reported as a failure
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    M = (Q * np.linspace(1.0, 3.0, 40)) @ Q.T
+    b = rng.standard_normal(40)
+    _, free = gmres_solve(_mat_op(M), b, KrylovConfig(tol=1e-8))
+    x, capped = gmres_solve(_mat_op(M), b, KrylovConfig(tol=1e-8, max_iters=free.iters))
+    assert capped.converged and capped.iters == free.iters
+    assert capped.operator_applications == free.operator_applications == free.iters + 1
+    assert np.linalg.norm(b - M @ x) <= 1e-8 * np.linalg.norm(b)
+
+
 def test_max_iters_respected(rng):
     n = 60
     M = np.eye(n) + 0.3 * rng.standard_normal((n, n))

@@ -66,11 +66,12 @@ def test_evolve_and_filter_is_affine(seed, n, omega, scheme, a, b):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 200),
        omega=st.floats(0.5, 100.0), periods=st.integers(1, 4), count=st.integers(1, 3))
 def test_leapfrog_steps_keep_the_top_mode_below_nyquist(seed, n, omega, periods, count):
-    # build's limit dt < 2 / (lambda + 2 omega / pi) is (pi lambda / 2 + omega)
-    # dt < pi, and asin x <= pi x / 2 turns it into (lambda~ + omega) dt < pi:
-    # the highest shifted mode plus the top drive frequency stay below the
-    # Nyquist frequency pi / dt of the filter's trapezoid sum.  Checked at the
-    # default step and at the fewest steps the limit allows.
+    # the linearised bound dt < 2 / (lambda + 2 omega / pi) is (pi lambda / 2
+    # + omega) dt < pi, and asin x <= pi x / 2 turns it into (lambda~ + omega)
+    # dt < pi: the highest shifted mode plus the top drive frequency stay
+    # below the Nyquist frequency pi / dt of the filter's trapezoid sum.
+    # build accepts, and the guarantee holds at, its default step (which
+    # keeps inside that bound) and the fewest steps the bound allows.
     p, _ = _random_problem(seed, n, omega, ("dirichlet", "neumann"))
     omegas = [omega * k for k in range(1, count + 1)]
     sched = ForcingSchedule([p.forcing] * count, omegas)
